@@ -6,7 +6,7 @@ weight-exponent scoring and reverse-order allocation, then improved by
 bit-flip hill climbing or simulated annealing.
 """
 
-from ttp.instance import EdgeWeightType, Instance, Item, ParseError, parse_instance
+from ttp.instance import EdgeWeightType, Instance, Item, ParseError, load_instance, parse_instance
 from ttp.evaluate import EvalResult, PrefixCache, Solution, evaluate
 from ttp.solver import RunRecord, SolverConfig, solve
 
@@ -21,6 +21,7 @@ __all__ = [
     "Solution",
     "SolverConfig",
     "evaluate",
+    "load_instance",
     "parse_instance",
     "solve",
 ]

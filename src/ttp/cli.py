@@ -16,9 +16,6 @@ import sys
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from random import Random
-
-import numpy as np
 
 from ttp.evaluate import Solution, build_prefix_cache, evaluate
 from ttp.instance import Instance, ParseError, load_instance

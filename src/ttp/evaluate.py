@@ -10,11 +10,12 @@ probe and discard them uniformly.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ttp.instance import Instance
+from ttp.instance import Instance, sequential_sum
 
 # Absolute tolerance used when deciding improvement ties on gains.
 GAIN_EPS = 1e-9
@@ -53,29 +54,40 @@ class EvalResult:
 
 @dataclass
 class PrefixCache:
-    """Per-tour-position prefix data for incremental probing.
+    """The incremental tour state: per-tour-position data for probing flips
+    and 2-OPT moves without a full walk.
 
-    ``cum_weight[k]`` is the carried weight after collecting at the city in
-    tour position k; ``arrive_time[k]`` the travel time accumulated upon
-    arriving there; ``suffix_dist[k]`` the tour distance from that city to
-    the end of the cyclic tour (back to city 1); ``position[city]`` the
-    0-based tour position of a 1-based city id.
+    ``city_at[k]`` is the 0-based id of the city at tour position k and
+    ``position[city-1]`` the position of a 1-based city id;
+    ``city_weight[city-1]`` the picked weight homed at a city;
+    ``cum_weight[k]`` the carried weight after collecting at position k and
+    ``inv_speed[k]`` one over the velocity under that load;
+    ``arrive_time[k]`` the travel time accumulated upon arriving there;
+    ``leg_dist[k]`` the distance from position k to the next (cyclically);
+    ``suffix_dist[k]`` the tour distance from position k to the end of the
+    cyclic tour (back to city 1);
+    ``deltas[item]`` a ``delta_flip`` result already computed on this state.
+
+    ``flip`` and the 2-OPT move update it in place.  Every update repeats the
+    arithmetic of ``build_prefix_cache`` on the suffix it changes, so the
+    state stays bit-identical to a fresh build.
     """
 
+    city_at: np.ndarray
+    position: np.ndarray
+    city_weight: np.ndarray
     cum_weight: np.ndarray
+    inv_speed: np.ndarray
     arrive_time: np.ndarray
+    leg_dist: np.ndarray
     suffix_dist: np.ndarray
-    leg_dist: np.ndarray  # leg_dist[k] = d(tour[k], tour[k+1 mod n])
-    position: np.ndarray  # position[city-1] = tour position of city
     total_time: float
-    total_profit: float
+    # a probe costs a fixed ~10 us of numpy calls; on tiny instances SA
+    # probes the same few items thousands of times between two updates
+    deltas: dict[int, float] = field(default_factory=dict)
 
-
-def city_weight(inst: Instance, packing: list[int], city: int) -> float:
-    """Total weight of picked items homed at ``city``."""
-    return sum(
-        it.weight for it in inst.items if it.city == city and packing[it.index - 1]
-    )
+    def copy(self) -> "PrefixCache":
+        return deepcopy(self)
 
 
 def velocity_at(inst: Instance, cumulative_weight: float) -> float:
@@ -87,69 +99,64 @@ def velocity_at(inst: Instance, cumulative_weight: float) -> float:
     return max(v, inst.v_min)
 
 
-def _city_weights(inst: Instance, packing: list[int]) -> np.ndarray:
-    """Picked weight collected at each city, indexed by 0-based city id."""
-    w = np.zeros(inst.n)
-    for it in inst.items:
-        if packing[it.index - 1]:
-            w[it.city - 1] += it.weight
-    return w
+def velocities(inst: Instance, carried: np.ndarray) -> np.ndarray:
+    """``velocity_at`` over an array of loads, with the same arithmetic."""
+    v = np.maximum(inst.v_max - carried * inst.weight_velocity_slope, inst.v_min)
+    v[carried >= inst.capacity] = inst.v_min
+    return v
+
+
+def _walk(inst: Instance, sol: Solution):
+    """One pass over the tour: the picked weight per city, the tour as 0-based
+    city ids, loads, velocities and legs per position, and the running travel
+    time after each leg.
+
+    Legs come from ``Instance.distance`` and every sum runs left to right
+    (``cumsum``), so the floats equal those of a plain loop over the tour.
+    """
+    tour = list(sol.tour)
+    picked = np.flatnonzero(sol.packing)
+    city_weight = np.zeros(inst.n)
+    np.add.at(city_weight, inst.city[picked] - 1, inst.weight[picked])  # in item order
+    city_at = np.array(tour, dtype=np.intp) - 1
+    cum_weight = city_weight[city_at].cumsum()
+    speed = velocities(inst, cum_weight)
+    leg_dist = np.array([inst.distance(a, b) for a, b in zip(tour, tour[1:] + tour[:1])])
+    elapsed = (leg_dist / speed).cumsum()
+    return city_weight, city_at, cum_weight, speed, leg_dist, elapsed
 
 
 def evaluate(inst: Instance, sol: Solution) -> EvalResult:
     """Full objective evaluation of a solution."""
     if len(sol.packing) != inst.m:
         raise ValueError("packing length does not match item count")
-    w_city = _city_weights(inst, sol.packing)
-    total_profit = sum(
-        it.profit for it in inst.items if sol.packing[it.index - 1]
-    )
-    time = 0.0
-    cum = 0.0
-    n = inst.n
-    for k in range(n):
-        cum += w_city[sol.tour[k] - 1]
-        nxt = sol.tour[(k + 1) % n]
-        time += inst.distance(sol.tour[k], nxt) / velocity_at(inst, cum)
-    final_weight = float(cum)
-    gain = total_profit - inst.renting_ratio * time
+    _, _, cum_weight, _, _, elapsed = _walk(inst, sol)
+    total_profit = sequential_sum(inst.profit[np.flatnonzero(sol.packing)])
+    time = float(elapsed[-1])
+    final_weight = float(cum_weight[-1])
     return EvalResult(
-        total_profit=float(total_profit),
+        total_profit=total_profit,
         travel_time=time,
-        gain=gain,
+        gain=total_profit - inst.renting_ratio * time,
         final_weight=final_weight,
         feasible=final_weight <= inst.capacity + 1e-12,
     )
 
 
 def build_prefix_cache(inst: Instance, sol: Solution) -> PrefixCache:
-    n = inst.n
-    w_city = _city_weights(inst, sol.packing)
-    cum_weight = np.zeros(n)
-    arrive_time = np.zeros(n)
-    leg_dist = np.zeros(n)
-    position = np.zeros(n, dtype=int)
-    cum = 0.0
-    time = 0.0
-    for k in range(n):
-        city = sol.tour[k]
-        position[city - 1] = k
-        arrive_time[k] = time
-        cum += w_city[city - 1]
-        cum_weight[k] = cum
-        nxt = sol.tour[(k + 1) % n]
-        leg_dist[k] = inst.distance(city, nxt)
-        time += leg_dist[k] / velocity_at(inst, cum)
-    suffix_dist = np.cumsum(leg_dist[::-1])[::-1].copy()
-    total_profit = sum(it.profit for it in inst.items if sol.packing[it.index - 1])
+    city_weight, city_at, cum_weight, speed, leg_dist, elapsed = _walk(inst, sol)
+    position = np.empty(inst.n, dtype=np.intp)
+    position[city_at] = np.arange(inst.n)
     return PrefixCache(
-        cum_weight=cum_weight,
-        arrive_time=arrive_time,
-        suffix_dist=suffix_dist,
-        leg_dist=leg_dist,
+        city_at=city_at,
         position=position,
-        total_time=time,
-        total_profit=float(total_profit),
+        city_weight=city_weight,
+        cum_weight=cum_weight,
+        inv_speed=1.0 / speed,
+        arrive_time=np.concatenate(([0.0], elapsed[:-1])),
+        leg_dist=leg_dist,
+        suffix_dist=leg_dist[::-1].cumsum()[::-1].copy(),
+        total_time=float(elapsed[-1]),
     )
 
 
@@ -158,15 +165,40 @@ def delta_flip(inst: Instance, sol: Solution, cache: PrefixCache, item: int) -> 
     to the tour suffix after the item's home city."""
     if not (1 <= item <= inst.m):
         raise IndexError(f"item index out of range: {item}")
-    it = inst.items[item - 1]
-    sign = -1.0 if sol.packing[item - 1] else 1.0
-    k0 = int(cache.position[it.city - 1])
-    dt = 0.0
-    n = inst.n
-    for k in range(k0, n):
-        old_w = cache.cum_weight[k]
-        new_w = old_w + sign * it.weight
-        dt += cache.leg_dist[k] * (
-            1.0 / velocity_at(inst, new_w) - 1.0 / velocity_at(inst, old_w)
-        )
-    return sign * it.profit - inst.renting_ratio * dt
+    delta = cache.deltas.get(item)
+    if delta is None:
+        it = inst.items[item - 1]
+        sign = -1.0 if sol.packing[item - 1] else 1.0
+        k0 = cache.position[it.city - 1]
+        new_inv = 1.0 / velocities(inst, cache.cum_weight[k0:] + sign * it.weight)
+        dt = (cache.leg_dist[k0:] * (new_inv - cache.inv_speed[k0:])).cumsum()[-1]
+        delta = cache.deltas[item] = sign * it.profit - inst.renting_ratio * float(dt)
+    return delta
+
+
+def flip(inst: Instance, sol: Solution, cache: PrefixCache, item: int) -> None:
+    """Flip item ``item`` (1-based) in ``sol.packing`` and bring ``cache`` up
+    to date in place: ``city_weight`` at the item's city, then
+    ``cum_weight``, ``inv_speed``, ``arrive_time`` and ``total_time`` over the
+    tour suffix from that city, and empties ``deltas``.  The tour fields are
+    left as they are."""
+    sol.packing[item - 1] ^= 1
+    cache.deltas.clear()
+    city = inst.city[item - 1]
+    # summed afresh in item order, as build_prefix_cache does, not adjusted
+    # by the flipped weight, which would leave a rounding residue
+    homed = np.flatnonzero(inst.city == city)
+    cache.city_weight[city - 1] = sequential_sum(inst.weight[[j for j in homed if sol.packing[j]]])
+    k0 = cache.position[city - 1]
+    load = cache.city_weight[cache.city_at[k0:]]
+    if k0:
+        load[0] += cache.cum_weight[k0 - 1]
+    cum_weight = load.cumsum()
+    speed = velocities(inst, cum_weight)
+    step = cache.leg_dist[k0:] / speed
+    step[0] += cache.arrive_time[k0]
+    elapsed = step.cumsum()
+    cache.cum_weight[k0:] = cum_weight
+    cache.inv_speed[k0:] = 1.0 / speed
+    cache.arrive_time[k0 + 1:] = elapsed[:-1]
+    cache.total_time = float(elapsed[-1])

@@ -45,7 +45,11 @@ class Item:
 
 @dataclass(frozen=True)
 class Instance:
-    """Immutable problem data.  City and item ids are 1-based."""
+    """Immutable problem data.  City and item ids are 1-based.
+
+    ``profit``, ``weight`` and ``city`` hold the item data as arrays, row
+    ``j - 1`` for item ``j``, next to the ``items`` tuple they are built from.
+    """
 
     name: str
     n: int
@@ -58,8 +62,20 @@ class Instance:
     renting_ratio: float
     edge_weight_type: EdgeWeightType = EdgeWeightType.CEIL_2D
     explicit_dist: Optional[np.ndarray] = None
+    profit: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
+    city: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.items) != self.m:
+            raise ValueError("item count mismatch")
+        object.__setattr__(self, "profit", np.array([it.profit for it in self.items], dtype=float))
+        object.__setattr__(self, "weight", np.array([it.weight for it in self.items], dtype=float))
+        object.__setattr__(self, "city", np.array([it.city for it in self.items], dtype=np.intp))
+        numbers = [self.profit, self.weight, [self.capacity, self.v_min, self.v_max, self.renting_ratio]]
+        numbers += [np.ravel(a) for a in (self.coords, self.explicit_dist) if a is not None]
+        if not np.isfinite(np.concatenate(numbers)).all():
+            raise ValueError("instance numbers must be finite (no NaN or infinity)")
         if self.n < 2:
             raise ValueError("instance needs at least 2 cities")
         if self.capacity <= 0:
@@ -68,13 +84,13 @@ class Instance:
             raise ValueError("need 0 < v_min < v_max")
         if self.renting_ratio < 0:
             raise ValueError("renting ratio must be nonnegative")
-        if len(self.items) != self.m:
-            raise ValueError("item count mismatch")
-        for it in self.items:
-            if not (2 <= it.city <= self.n):
-                raise ValueError(f"item {it.index} homed at invalid city {it.city}")
-            if it.profit <= 0 or it.weight <= 0:
-                raise ValueError(f"item {it.index} must have positive profit and weight")
+        misplaced = np.flatnonzero((self.city < 2) | (self.city > self.n))
+        if misplaced.size:
+            it = self.items[misplaced[0]]
+            raise ValueError(f"item {it.index} homed at invalid city {it.city}")
+        empty = np.flatnonzero((self.profit <= 0) | (self.weight <= 0))
+        if empty.size:
+            raise ValueError(f"item {self.items[empty[0]].index} must have positive profit and weight")
         if self.edge_weight_type is EdgeWeightType.EXPLICIT:
             d = self.explicit_dist
             if d is None or d.shape != (self.n, self.n):
@@ -104,16 +120,18 @@ class Instance:
             return float(math.ceil(d))
         return float(round(d))  # EUC_2D, TSPLIB nearest-integer rounding
 
-    def items_at_city(self) -> list[list[Item]]:
-        """Items grouped by home city; entry ``k`` holds the items of city k+1."""
-        by_city: list[list[Item]] = [[] for _ in range(self.n)]
-        for it in self.items:
-            by_city[it.city - 1].append(it)
-        return by_city
-
     @property
     def total_item_weight(self) -> float:
-        return sum(it.weight for it in self.items)
+        return sequential_sum(self.weight)
+
+
+def sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, the order of a plain Python loop.
+
+    ``np.sum`` adds pairwise and ``math.fsum`` exactly; either can change the
+    last bits of a sum, and with them a search decision taken on it.
+    """
+    return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
 _HEADER_KEYS = {

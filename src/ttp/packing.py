@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Optional
+
+import numpy as np
 
 from ttp.evaluate import (
     GAIN_EPS,
@@ -21,8 +23,9 @@ from ttp.evaluate import (
     build_prefix_cache,
     delta_flip,
     evaluate,
+    flip,
 )
-from ttp.instance import Instance
+from ttp.instance import Instance, sequential_sum
 from ttp.scoring import DEFAULT_ALPHA, build_score_table
 
 
@@ -55,10 +58,6 @@ def default_beta(inst: Instance) -> float:
     return 0.5
 
 
-def _packing_weight(inst: Instance, packing: list[int]) -> float:
-    return sum(it.weight for it in inst.items if packing[it.index - 1])
-
-
 def initial_picking_plan(
     inst: Instance,
     tour: list[int],
@@ -81,7 +80,6 @@ def initial_picking_plan(
         return z
     threshold = table.avg_score + (table.max_score - table.avg_score) * params.beta
     target = inst.capacity * table.ratio
-    eligible = set(table.order)
 
     by_city: dict[int, list[int]] = {}
     for j in table.order:
@@ -103,9 +101,8 @@ def initial_picking_plan(
                 continue
             if delta_flip(inst, sol, cur, j) < 0:
                 continue
-            z[j - 1] = 1
+            flip(inst, sol, cur, j)
             weight += it.weight
-            cur = build_prefix_cache(inst, sol)
             if weight >= target:
                 done = True
                 break
@@ -120,9 +117,8 @@ def initial_picking_plan(
         if weight + it.weight > inst.capacity:
             continue
         if delta_flip(inst, sol, cur, j) > 0:
-            z[j - 1] = 1
+            flip(inst, sol, cur, j)
             weight += it.weight
-            cur = build_prefix_cache(inst, sol)
 
     phase2_gain = evaluate(inst, Solution(list(tour), z)).gain
     return z if phase2_gain >= phase1_gain else phase1
@@ -137,12 +133,12 @@ def bit_flip_search(
 ) -> list[int]:
     """Hill climbing over single-bit flips in random order; keeps a flip iff
     it strictly improves the gain and stays feasible.  Stops after a full
-    pass without improvement or at the deadline."""
+    pass without improvement or at the deadline.  A given ``cache`` is
+    copied, not changed."""
     rng = rng or Random(0)
     sol = sol.copy()
-    if cache is None:
-        cache = build_prefix_cache(inst, sol)
-    weight = _packing_weight(inst, sol.packing)
+    cache = build_prefix_cache(inst, sol) if cache is None else cache.copy()
+    weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
     improved = True
     while improved:
         improved = False
@@ -156,9 +152,8 @@ def bit_flip_search(
             if turning_on and weight + it.weight > inst.capacity:
                 continue
             if delta_flip(inst, sol, cache, j) > GAIN_EPS:
-                sol.packing[j - 1] ^= 1
+                flip(inst, sol, cache, j)
                 weight += it.weight if turning_on else -it.weight
-                cache = build_prefix_cache(inst, sol)
                 improved = True
     return sol.packing
 
@@ -177,16 +172,16 @@ def simulated_annealing_kp(
     accepted, worsening ones with probability exp(delta / T).  Temperature
     cools geometrically; the run ends when T drops below a thousandth of the
     start temperature or the deadline passes.  Returns the best feasible
-    packing ever visited, never worse than the input.
+    packing ever visited, never worse than the input.  A given ``cache`` is
+    copied, not changed.
     """
     rng = rng or Random(params.seed)
     sol = sol.copy()
-    if cache is None:
-        cache = build_prefix_cache(inst, sol)
+    cache = build_prefix_cache(inst, sol) if cache is None else cache.copy()
     if inst.m == 0:
         return sol.packing
     cur_gain = evaluate(inst, sol).gain
-    weight = _packing_weight(inst, sol.packing)
+    weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
     best = list(sol.packing)
     best_gain = cur_gain
     t0 = params.sa_t0 if params.sa_t0 is not None else max(0.05 * abs(cur_gain), 1.0)
@@ -203,9 +198,8 @@ def simulated_annealing_kp(
                 continue
             delta = delta_flip(inst, sol, cache, j)
             if delta > 0 or rng.random() < math.exp(delta / temp):
-                sol.packing[j - 1] ^= 1
+                flip(inst, sol, cache, j)
                 weight += it.weight if turning_on else -it.weight
-                cache = build_prefix_cache(inst, sol)
                 cur_gain += delta
                 if cur_gain > best_gain + GAIN_EPS:
                     best = list(sol.packing)

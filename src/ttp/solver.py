@@ -85,9 +85,14 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
     a nearest-neighbour tour with a randomized second city and a uniformly
     random tour; the random tours skip the tour-length descent so restart
     diversity survives into the gain-driven improvement stage.
+
+    Raises ``ValueError`` when ``config.tour_in`` is not a permutation of
+    1..n starting at city 1.
     """
     if inst.n < 2:
         raise ValueError("instance needs at least 2 cities")
+    if config.tour_in is not None:
+        Solution(list(config.tour_in), [0] * inst.m).validate(inst)
     start = _time.monotonic()
     deadline = start + config.time_budget
     rng = Random(config.seed)

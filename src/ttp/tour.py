@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import time as _time
 from random import Random
 from typing import Optional, Sequence
@@ -10,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from ttp.evaluate import GAIN_EPS, PrefixCache, Solution, build_prefix_cache, velocity_at
+from ttp.evaluate import GAIN_EPS, PrefixCache, Solution, build_prefix_cache, velocities
 from ttp.instance import EdgeWeightType, Instance
 
 CandidateLists = dict[int, list[int]]
@@ -106,6 +105,37 @@ def reverse_segment(seq: Sequence, i: int, j: int) -> list:
     return out
 
 
+def _reversal(inst: Instance, tour: list[int], w_city: np.ndarray, cache: PrefixCache, a: int, b: int):
+    """Tour positions a-1 .. n-1 once positions [a, b] (0-based, a >= 1) are
+    reversed: the 0-based cities at a .. n-1, and per position from a-1 on
+    the leg, the load, the velocity and the running travel time.
+
+    The prefix before a is untouched.  Past b the set of cities carried is
+    unchanged, but the loads are summed again in the new order, as a fresh
+    walk would, so the result equals that walk bit for bit.
+    """
+    n = len(tour)
+    at = cache.city_at
+    cities = np.concatenate((at[b:a - 1:-1], at[b + 1:]))
+    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
+        inner = inst.explicit_dist[cities[: b - a], cities[1 : b - a + 1]]
+    else:  # coordinate distances are exactly symmetric
+        inner = cache.leg_dist[a:b][::-1]
+    legs = np.concatenate((
+        [inst.distance(tour[a - 1], tour[b])],
+        inner,
+        [inst.distance(tour[a], tour[(b + 1) % n])],
+        cache.leg_dist[b + 1 :],
+    ))
+    load = w_city[cities]
+    load[0] += cache.cum_weight[a - 1]
+    cum_weight = np.concatenate(([cache.cum_weight[a - 1]], load.cumsum()))
+    speed = velocities(inst, cum_weight)
+    step = legs / speed
+    step[0] += cache.arrive_time[a - 1]
+    return cities, legs, cum_weight, speed, step.cumsum()
+
+
 def _time_after_reversal(
     inst: Instance,
     tour: list[int],
@@ -116,25 +146,24 @@ def _time_after_reversal(
 ) -> float:
     """Total travel time if tour positions [a, b] (0-based, a >= 1) were
     reversed, reusing the prefix untouched by the move."""
-    t = float(cache.arrive_time[a - 1])
-    cum = float(cache.cum_weight[a - 1])
-    v = velocity_at(inst, cum)
-    prev = tour[a - 1]
-    n = len(tour)
-    for k in range(b, a - 1, -1):
-        city = tour[k]
-        t += inst.distance(prev, city) / v
-        cum += w_city[city - 1]
-        v = velocity_at(inst, cum)
-        prev = city
-    for k in range(b + 1, n):
-        city = tour[k]
-        t += inst.distance(prev, city) / v
-        cum += w_city[city - 1]
-        v = velocity_at(inst, cum)
-        prev = city
-    t += inst.distance(prev, tour[0]) / v
-    return t
+    return float(_reversal(inst, tour, w_city, cache, a, b)[-1][-1])
+
+
+def _reverse(inst: Instance, sol: Solution, cache: PrefixCache, a: int, b: int) -> None:
+    """Apply the reversal of tour positions [a, b] to ``sol.tour`` and to
+    ``cache`` in place; every array but ``city_weight`` changes from
+    position a-1 on, ``suffix_dist`` everywhere, and ``deltas`` empties."""
+    cities, legs, cum_weight, speed, elapsed = _reversal(inst, sol.tour, cache.city_weight, cache, a, b)
+    sol.tour[a : b + 1] = sol.tour[a : b + 1][::-1]
+    cache.city_at[a:] = cities
+    cache.position[cities] = np.arange(a, inst.n)
+    cache.leg_dist[a - 1 :] = legs
+    cache.cum_weight[a:] = cum_weight[1:]
+    cache.inv_speed[a:] = 1.0 / speed[1:]
+    cache.arrive_time[a:] = elapsed[:-1]
+    cache.total_time = float(elapsed[-1])
+    cache.suffix_dist[:] = cache.leg_dist[::-1].cumsum()[::-1]
+    cache.deltas.clear()
 
 
 def two_opt_improve(
@@ -149,14 +178,14 @@ def two_opt_improve(
 
     Only moves creating a candidate-list edge are probed; first-improvement
     acceptance, scanning by tour position then candidate order.  Runs until a
-    full pass finds no improving move or the deadline passes.
+    full pass finds no improving move or the deadline passes.  A given
+    ``cache`` is copied, not changed.
     """
-    from ttp.evaluate import _city_weights  # local import avoids cycle at module load
-
     sol = sol.copy()
-    w_city = _city_weights(inst, sol.packing)
-    if cache is None or list(cache.position[np.array(sol.tour) - 1]) != list(range(inst.n)):
+    if cache is None or not np.array_equal(cache.city_at, np.array(sol.tour) - 1):
         cache = build_prefix_cache(inst, sol)
+    else:
+        cache = cache.copy()
     n = inst.n
     r = inst.renting_ratio
     improved = True
@@ -170,12 +199,11 @@ def two_opt_improve(
                 b = int(cache.position[v - 1])
                 if b <= a or b > n - 1:
                     continue
-                new_time = _time_after_reversal(inst, sol.tour, w_city, cache, a, b)
+                new_time = _time_after_reversal(inst, sol.tour, cache.city_weight, cache, a, b)
                 # gain delta is -R * (time delta); with R = 0 the objective
                 # cannot improve, so fall back to plain time descent ties off
                 if r * (cache.total_time - new_time) > GAIN_EPS:
-                    sol.tour[a : b + 1] = sol.tour[a : b + 1][::-1]
-                    cache = build_prefix_cache(inst, sol)
+                    _reverse(inst, sol, cache, a, b)
                     improved = True
                     break
             if improved:

@@ -1,0 +1,94 @@
+"""The evaluation loops the library used before its tour state became numpy
+arrays, kept as the reference that the array code must match bit for bit.
+
+Each function walks the tour one position at a time with Python floats, in
+the order of additions the library promises to keep: left to right along
+the tour, and per city in item order.
+"""
+
+import numpy as np
+
+from ttp.evaluate import velocity_at
+from ttp.instance import Instance
+
+
+def loop_city_weights(inst: Instance, packing: list[int]) -> np.ndarray:
+    """Picked weight collected at each city, indexed by 0-based city id."""
+    w = np.zeros(inst.n)
+    for it in inst.items:
+        if packing[it.index - 1]:
+            w[it.city - 1] += it.weight
+    return w
+
+
+def loop_prefix_arrays(inst: Instance, tour: list[int], packing: list[int]) -> dict:
+    """The prefix-cache fields, from one walk over the tour."""
+    n = inst.n
+    w_city = loop_city_weights(inst, packing)
+    cum_weight = np.zeros(n)
+    inv_speed = np.zeros(n)
+    arrive_time = np.zeros(n)
+    leg_dist = np.zeros(n)
+    position = np.zeros(n, dtype=int)
+    cum = 0.0
+    time = 0.0
+    for k in range(n):
+        city = tour[k]
+        position[city - 1] = k
+        arrive_time[k] = time
+        cum += w_city[city - 1]
+        cum_weight[k] = cum
+        inv_speed[k] = 1.0 / velocity_at(inst, cum)
+        leg_dist[k] = inst.distance(city, tour[(k + 1) % n])
+        time += leg_dist[k] / velocity_at(inst, cum)
+    suffix_dist = np.zeros(n)
+    rest = 0.0
+    for k in range(n - 1, -1, -1):
+        rest += leg_dist[k]
+        suffix_dist[k] = rest
+    return {
+        "city_weight": w_city,
+        "position": position,
+        "cum_weight": cum_weight,
+        "inv_speed": inv_speed,
+        "arrive_time": arrive_time,
+        "leg_dist": leg_dist,
+        "suffix_dist": suffix_dist,
+        "total_time": time,
+    }
+
+
+def loop_delta_flip(inst: Instance, tour: list[int], packing: list[int], item: int) -> float:
+    """Gain change from flipping item ``item`` (1-based), re-pricing the
+    tour suffix from the item's city one leg at a time."""
+    arrays = loop_prefix_arrays(inst, tour, packing)
+    it = inst.items[item - 1]
+    sign = -1.0 if packing[item - 1] else 1.0
+    dt = 0.0
+    for k in range(int(arrays["position"][it.city - 1]), inst.n):
+        old_w = arrays["cum_weight"][k]
+        new_w = old_w + sign * it.weight
+        dt += arrays["leg_dist"][k] * (
+            1.0 / velocity_at(inst, new_w) - 1.0 / velocity_at(inst, old_w)
+        )
+    return sign * it.profit - inst.renting_ratio * dt
+
+
+def loop_time_after_reversal(inst: Instance, tour: list[int], packing: list[int], a: int, b: int) -> float:
+    """Total travel time if tour positions [a, b] (0-based, a >= 1) were
+    reversed, walking on from the untouched prefix."""
+    arrays = loop_prefix_arrays(inst, tour, packing)
+    w_city = arrays["city_weight"]
+    t = float(arrays["arrive_time"][a - 1])
+    cum = float(arrays["cum_weight"][a - 1])
+    v = velocity_at(inst, cum)
+    prev = tour[a - 1]
+    n = len(tour)
+    for k in list(range(b, a - 1, -1)) + list(range(b + 1, n)):
+        city = tour[k]
+        t += inst.distance(prev, city) / v
+        cum += w_city[city - 1]
+        v = velocity_at(inst, cum)
+        prev = city
+    t += inst.distance(prev, tour[0]) / v
+    return t

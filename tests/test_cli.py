@@ -133,6 +133,14 @@ def test_solve_smoke(tmp_path, capsys):
     assert sorted(full["best_tour"]) == [1, 2, 3, 4, 5]
 
 
+def test_solve_tour_in_not_a_permutation_is_a_usage_error(tmp_path, capsys):
+    tour = tmp_path / "tour.txt"
+    tour.write_text("1 2 2 4 5\n")
+    code, out, err = run(capsys, "solve", EXAMPLE, "--time", "1", "--tour-in", str(tour))
+    assert code == 1
+    assert "permutation" in err and out == ""
+
+
 def test_solve_bitflip_smoke(capsys):
     code, out, _ = run(capsys, "solve", EXAMPLE, "--time", "2", "--bitflip")
     assert code == 0

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from ttp.evaluate import (
-    PrefixCache,
     Solution,
     build_prefix_cache,
-    city_weight,
     delta_flip,
     evaluate,
     velocity_at,
 )
 
 from conftest import make_random_instance, random_solution
+from loop_eval import loop_city_weights
 from reference_eval import ref_evaluate
 
 
@@ -35,11 +34,14 @@ def test_worked_example_three_items(example5):
 
 
 def test_city_weight(example5):
-    assert city_weight(example5, [1, 0, 0, 0], 2) == 10
+    def city_weight(packing, city):
+        return build_prefix_cache(example5, Solution([1, 2, 3, 4, 5], packing)).city_weight[city - 1]
+
+    assert city_weight([1, 0, 0, 0], 2) == 10
     for c in range(1, 6):
-        assert city_weight(example5, [0, 0, 0, 0], c) == 0
+        assert city_weight([0, 0, 0, 0], c) == 0
     # back-solved from v_c = 0.46 at city 4 on plan {2,3,4}
-    assert city_weight(example5, [0, 1, 1, 1], 4) == 4
+    assert city_weight([0, 1, 1, 1], 4) == 4
 
 
 def test_velocity_at(example5):
@@ -86,8 +88,9 @@ def test_prefix_cache_matches_recomputation():
         # cache entries at every position match a from-scratch walk
         carried = 0.0
         time = 0.0
+        w_city = loop_city_weights(inst, sol.packing)
         for k in range(inst.n):
-            carried += city_weight(inst, sol.packing, sol.tour[k])
+            carried += w_city[sol.tour[k] - 1]
             assert cache.cum_weight[k] == pytest.approx(carried)
             assert cache.arrive_time[k] == pytest.approx(time)
             time += inst.distance(sol.tour[k], sol.tour[(k + 1) % inst.n]) / velocity_at(inst, carried)

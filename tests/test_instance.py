@@ -81,6 +81,21 @@ def test_parse_errors_carry_context(mangle, message):
     assert message.split()[0] in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda t: t.replace("1 10 2 2", "1 nan 2 2"),
+        lambda t: t.replace("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: inf"),
+        lambda t: t.replace("2 5 1 3", "2 5 -inf 3"),
+        lambda t: t.replace("3 0 4", "3 0 nan"),
+        lambda t: t.replace("RENTING RATIO: 1", "RENTING RATIO: nan"),
+    ],
+)
+def test_parse_rejects_non_finite_numbers(mangle):
+    with pytest.raises(ParseError, match="finite"):
+        parse_instance(mangle(MINIMAL))
+
+
 def test_unknown_header_key_warns():
     with pytest.warns(UserWarning, match="SHINY"):
         parse_instance(MINIMAL.replace("PROBLEM NAME: mini", "PROBLEM NAME: mini\nSHINY KEY: yes"))
@@ -149,6 +164,18 @@ def test_invariant_rejections():
     with pytest.raises(ValueError):
         Instance("bad", 2, 1, np.zeros((2, 2)),
                  (Item(1, -5, 1, 2),), 10, 0.1, 1, 1)
+
+
+def test_explicit_matrix_must_be_finite():
+    bad = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        Instance("bad", 2, 0, None, (), 10, 0.1, 1, 1, EdgeWeightType.EXPLICIT, bad)
+
+
+def test_item_arrays_follow_items(example5):
+    assert example5.profit.tolist() == [it.profit for it in example5.items]
+    assert example5.weight.tolist() == [it.weight for it in example5.items]
+    assert example5.city.tolist() == [it.city for it in example5.items]
 
 
 def test_explicit_matrix_must_be_symmetric():

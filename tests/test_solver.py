@@ -6,7 +6,7 @@ import pytest
 from ttp.evaluate import Solution, evaluate
 from ttp.solver import RunRecord, SolverConfig, solve
 
-from conftest import brute_force_best_solution, make_random_instance
+from conftest import FIXTURES, brute_force_best_solution, make_random_instance
 
 
 def test_config_validation():
@@ -98,3 +98,25 @@ def test_record_roundtrip():
     rec = RunRecord("x", {"seed": 1}, 2.5, [1, 2], [0, 1], 0.1, [2.5])
     d = rec.to_dict()
     assert d["best_gain"] == 2.5 and d["instance"] == "x"
+
+
+@pytest.mark.parametrize("tour", [[1] * 20, list(range(2, 21)) + [1], list(range(1, 20))])
+def test_solve_rejects_a_supplied_tour_that_is_not_a_permutation(category_c, tour):
+    with pytest.raises(ValueError, match="tour"):
+        solve(category_c, SolverConfig(time_budget=1.0, max_restarts=1, tour_in=tour))
+
+
+def test_readme_library_import():
+    from ttp import SolverConfig, load_instance, solve  # the README's import line
+
+    assert load_instance(FIXTURES / "example5.ttp").n == 5
+    assert callable(solve) and SolverConfig().seed == 0
+
+
+def test_fixed_work_gain_is_bit_identical(category_c):
+    # measured before the tour state became numpy arrays; any change to the
+    # order of floating-point additions in the search shows here
+    rec = solve(category_c, SolverConfig(time_budget=1e6, max_restarts=2, sa_t0=1.0,
+                                         sa_iters_per_temp=240, sa_cooling=0.5, seed=0))
+    assert rec.best_gain == 72143.22439982402
+    assert rec.trace == [72143.22439982402, 70149.34993313777]
