@@ -63,6 +63,7 @@ def initial_picking_plan(
     tour: list[int],
     cache: PrefixCache,
     params: PackingParams,
+    deadline: Optional[float] = None,
 ) -> list[int]:
     """Deterministic two-phase construction of a feasible picking plan.
 
@@ -72,7 +73,8 @@ def initial_picking_plan(
     nonnegative.  The walk stops once the load reaches capacity times the
     positive-item ratio.  Phase 2 fills the remainder with a greedy
     insertion pass over all positive-gain items by descending score.
-    Returns the better of the two stages by gain.
+    Returns the better of the two stages by gain.  Once ``deadline`` (a
+    ``time.monotonic()`` value) has passed, neither phase picks any more.
     """
     table = build_score_table(inst, cache, params.alpha)
     z = [0] * inst.m
@@ -90,7 +92,7 @@ def initial_picking_plan(
     weight = 0.0
     done = False
     for pos in range(inst.n - 1, 0, -1):
-        if done:
+        if done or (deadline is not None and _time.monotonic() >= deadline):
             break
         city = tour[pos]
         for j in by_city.get(city, ()):  # already in descending score order
@@ -111,6 +113,8 @@ def initial_picking_plan(
 
     # phase 2: insertion fill over remaining positive-gain items
     for j in table.order:
+        if deadline is not None and _time.monotonic() >= deadline:
+            break
         if z[j - 1]:
             continue
         it = inst.items[j - 1]

@@ -115,13 +115,13 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
             rng.shuffle(rest)
             sol = Solution([1] + rest, [0] * inst.m)
         else:
-            tour = nearest_neighbor_tour(inst, rng=rng if restart > 0 else None)
+            tour = nearest_neighbor_tour(inst, rng=rng if restart > 0 else None, deadline=deadline)
             sol = Solution(tour, [0] * inst.m)
             # tour-length descent stands in for an off-the-shelf LK initializer
             sol = two_opt_improve(inst, sol, None, candidates, deadline)
 
         cache = build_prefix_cache(inst, sol)
-        sol.packing = initial_picking_plan(inst, sol.tour, cache, params)
+        sol.packing = initial_picking_plan(inst, sol.tour, cache, params, deadline)
         gain = evaluate(inst, sol).gain
         prev = float("-inf")
         # improve the packing before touching the tour: with a thin initial

@@ -37,11 +37,21 @@ class ResultMatrix:
         return np.array([[float(np.mean(c)) for c in row] for row in self.gains])
 
     def rsds(self) -> np.ndarray:
-        return np.array([[rsd(c) if len(c) > 1 else 0.0 for c in row] for row in self.gains])
+        """``rsd`` per cell; nan where the mean gain is 0 and no relative
+        spread exists (an instance with nothing worth picking at R = 0)."""
+        means = self.means()
+        return np.array([
+            [rsd(c) if mean != 0.0 else float("nan") for c, mean in zip(row, row_means)]
+            for row, row_means in zip(self.gains, means)
+        ])
 
 
 def rsd(values: list[float]) -> float:
-    """Relative standard deviation in percent: sample std / mean * 100."""
+    """Relative standard deviation in percent: sample std / |mean| * 100.
+
+    Never negative, also for negative mean gains; 0 for a single value;
+    raises ``ValueError`` for no values or a zero mean.
+    """
     if not values:
         raise ValueError("rsd of an empty list is undefined")
     mean = float(np.mean(values))
@@ -49,7 +59,7 @@ def rsd(values: list[float]) -> float:
         raise ValueError("rsd is undefined for zero mean")
     if len(values) == 1:
         return 0.0
-    return float(np.std(values, ddof=1)) / mean * 100.0
+    return float(np.std(values, ddof=1)) / abs(mean) * 100.0
 
 
 def _rank_rows(means: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time as _time
 from random import Random
 from typing import Optional, Sequence
@@ -15,12 +16,18 @@ from ttp.instance import EdgeWeightType, Instance
 CandidateLists = dict[int, list[int]]
 
 
-def nearest_neighbor_tour(inst: Instance, start: int = 1, rng: Optional[Random] = None) -> list[int]:
+def nearest_neighbor_tour(
+    inst: Instance,
+    start: int = 1,
+    rng: Optional[Random] = None,
+    deadline: Optional[float] = None,
+) -> list[int]:
     """Greedy nearest-neighbour tour from ``start``; ties broken by lowest id.
 
     When ``rng`` is given the second city is chosen uniformly at random and
     the rest of the walk stays greedy, which is how the solver diversifies
-    restarts.
+    restarts.  Once ``deadline`` (a ``time.monotonic()`` value) has passed,
+    the cities not yet visited are appended in id order.
     """
     unvisited = set(range(1, inst.n + 1))
     unvisited.discard(start)
@@ -30,6 +37,9 @@ def nearest_neighbor_tour(inst: Instance, start: int = 1, rng: Optional[Random] 
         tour.append(second)
         unvisited.discard(second)
     while unvisited:
+        if deadline is not None and _time.monotonic() >= deadline:
+            tour.extend(sorted(unvisited))
+            break
         here = tour[-1]
         nxt = min(unvisited, key=lambda c: (inst.distance(here, c), c))
         tour.append(nxt)
@@ -166,6 +176,115 @@ def _reverse(inst: Instance, sol: Solution, cache: PrefixCache, a: int, b: int) 
     cache.deltas.clear()
 
 
+def _exact_length_steps(inst: Instance) -> bool:
+    """Whether every travel time of an empty knapsack is an exact float: each
+    leg over ``v_max`` an integer, and ``n`` of them summed below 2**53.
+
+    So it is when ``v_max`` is 1/2**k and every distance an integer: always
+    for CEIL_2D and EUC_2D, and for an EXPLICIT matrix that is made of
+    integers and exactly symmetric (the reversed segment's legs are then the
+    same numbers).
+    """
+    if inst.v_max > 1 or math.frexp(inst.v_max)[0] != 0.5:
+        return False
+    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
+        d = inst.explicit_dist
+        if not (np.array_equal(d, d.T) and np.array_equal(d, np.floor(d))):
+            return False
+        longest = float(np.abs(d).max())
+    else:
+        longest = math.hypot(*np.ptp(inst.coords, axis=0)) + 1.0
+    return inst.n * longest / inst.v_max < 2.0**53
+
+
+def _distances(inst: Instance, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``Instance.distance`` between the 0-based cities ``i[k]`` and ``j[k]``.
+
+    ``np.hypot`` and ``math.hypot`` may differ in the last bit, which moves a
+    rounded distance by 1 when the exact length lies at an integer (CEIL_2D)
+    or half an integer (EUC_2D); lengths within far more than that of such a
+    point are taken from ``Instance.distance`` one by one.
+    """
+    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
+        return inst.explicit_dist[i, j]
+    h = np.hypot(*(inst.coords[i] - inst.coords[j]).T)
+    if inst.edge_weight_type is EdgeWeightType.CEIL_2D:
+        d, edge = np.ceil(h), np.rint(h)
+    else:
+        d, edge = np.rint(h), np.floor(h) + 0.5
+    for k in np.flatnonzero(np.abs(h - edge) <= 1e-9 * (1.0 + h)):
+        d[k] = inst.distance(int(i[k]) + 1, int(j[k]) + 1)
+    return d
+
+
+def _candidate_table(inst: Instance, candidates: CandidateLists):
+    """The candidate lists as flat arrays: the 0-based city ``c`` owns
+    entries ``start[c]`` .. ``start[c] + count[c] - 1`` of ``to`` (0-based
+    ids, in list order) and of ``dist`` (the distances to them)."""
+    count = np.array([len(candidates[c]) for c in range(1, inst.n + 1)], dtype=np.intp)
+    start = count.cumsum() - count
+    to = np.array([v for c in range(1, inst.n + 1) for v in candidates[c]], dtype=np.intp) - 1
+    dist = _distances(inst, np.repeat(np.arange(inst.n), count), to)
+    return count, start, to, dist
+
+
+def _first_length_move(inst: Instance, cache: PrefixCache, table) -> Optional[tuple[int, int]]:
+    """The probe loop's next move on an empty knapsack with exact travel
+    times, from one numpy pass over every probe.
+
+    A probe reverses positions [a, b] to create the candidate edge (u, v),
+    u = tour[a - 1] and v = tour[b]; its travel-time change is the length
+    change d(u, v) + d(tour[a], tour[b + 1]) - leg[a - 1] - leg[b] over
+    ``v_max``.  Under ``_exact_length_steps`` that is exactly the difference
+    of the two float totals, so the gain test below takes the probe loop's
+    decision bit for bit.  Returns the first improving probe in the loop's
+    scan order (position a, then candidate order), or None.
+    """
+    count, start, to, dist = table
+    n = inst.n
+    owners = cache.city_at[:-1]  # the city at position a - 1, a = 1 .. n - 1
+    k = count[owners]
+    a = np.repeat(np.arange(1, n), k)
+    entry = np.repeat(start[owners] - (k.cumsum() - k), k) + np.arange(a.size)
+    b = cache.position[to[entry]]
+    keep = b > a
+    a, b, entry = a[keep], b[keep], entry[keep]
+    fourth = _distances(inst, cache.city_at[a], cache.city_at[(b + 1) % n])
+    dlen = dist[entry] + fourth - cache.leg_dist[a - 1] - cache.leg_dist[b]
+    improving = np.flatnonzero(inst.renting_ratio * (-dlen / inst.v_max) > GAIN_EPS)
+    if not improving.size:
+        return None
+    return int(a[improving[0]]), int(b[improving[0]])
+
+
+def _first_probed_move(
+    inst: Instance,
+    sol: Solution,
+    cache: PrefixCache,
+    candidates: CandidateLists,
+    deadline: Optional[float],
+) -> Optional[tuple[int, int]]:
+    """The first improving probe in scan order, each priced by
+    ``_time_after_reversal``; None when there is none or the deadline
+    passes."""
+    n = inst.n
+    r = inst.renting_ratio
+    for a in range(1, n):
+        if deadline is not None and _time.monotonic() >= deadline:
+            return None
+        u = sol.tour[a - 1]
+        for v in candidates[u]:
+            b = int(cache.position[v - 1])
+            if b <= a or b > n - 1:
+                continue
+            new_time = _time_after_reversal(inst, sol.tour, cache.city_weight, cache, a, b)
+            # gain delta is -R * (time delta); with R = 0 the objective
+            # cannot improve, so fall back to plain time descent ties off
+            if r * (cache.total_time - new_time) > GAIN_EPS:
+                return a, b
+    return None
+
+
 def two_opt_improve(
     inst: Instance,
     sol: Solution,
@@ -180,32 +299,28 @@ def two_opt_improve(
     acceptance, scanning by tour position then candidate order.  Runs until a
     full pass finds no improving move or the deadline passes.  A given
     ``cache`` is copied, not changed.
+
+    With nothing picked and exact travel times (``_exact_length_steps``),
+    each pass prices every probe at once by its length change
+    (``_first_length_move``) and checks the deadline once; otherwise each
+    probe walks the reversed tour (``_time_after_reversal``).  Both accept
+    the same moves.
     """
     sol = sol.copy()
     if cache is None or not np.array_equal(cache.city_at, np.array(sol.tour) - 1):
         cache = build_prefix_cache(inst, sol)
     else:
         cache = cache.copy()
-    n = inst.n
-    r = inst.renting_ratio
-    improved = True
-    while improved:
-        improved = False
-        for a in range(1, n):
-            if deadline is not None and _time.monotonic() >= deadline:
-                return sol
-            u = sol.tour[a - 1]
-            for v in candidates[u]:
-                b = int(cache.position[v - 1])
-                if b <= a or b > n - 1:
-                    continue
-                new_time = _time_after_reversal(inst, sol.tour, cache.city_weight, cache, a, b)
-                # gain delta is -R * (time delta); with R = 0 the objective
-                # cannot improve, so fall back to plain time descent ties off
-                if r * (cache.total_time - new_time) > GAIN_EPS:
-                    _reverse(inst, sol, cache, a, b)
-                    improved = True
-                    break
-            if improved:
-                break
-    return sol
+    table = None
+    if not cache.cum_weight.any() and _exact_length_steps(inst):
+        table = _candidate_table(inst, candidates)
+    while True:
+        if table is None:
+            move = _first_probed_move(inst, sol, cache, candidates, deadline)
+        elif deadline is not None and _time.monotonic() >= deadline:
+            move = None
+        else:
+            move = _first_length_move(inst, cache, table)
+        if move is None:
+            return sol
+        _reverse(inst, sol, cache, *move)

@@ -8,7 +8,7 @@ the tour, and per city in item order.
 
 import numpy as np
 
-from ttp.evaluate import velocity_at
+from ttp.evaluate import GAIN_EPS, velocity_at
 from ttp.instance import Instance
 
 
@@ -92,3 +92,25 @@ def loop_time_after_reversal(inst: Instance, tour: list[int], packing: list[int]
         prev = city
     t += inst.distance(prev, tour[0]) / v
     return t
+
+
+def loop_two_opt(inst: Instance, tour: list[int], packing: list[int], candidates: dict) -> list[int]:
+    """The 2-OPT descent over candidate edges, probe by probe: scan tour
+    positions a = 1 .. n-1 and the candidates v of the city before a, price
+    reversing [a, position of v] with ``loop_time_after_reversal``, accept
+    the first move that raises the gain by more than ``GAIN_EPS`` and scan
+    again from a = 1, until a scan accepts nothing."""
+    tour = list(tour)
+    while True:
+        total = loop_prefix_arrays(inst, tour, packing)["total_time"]
+        position = {city: k for k, city in enumerate(tour)}
+        probes = ((a, position[v]) for a in range(1, inst.n) for v in candidates[tour[a - 1]])
+        move = next(
+            ((a, b) for a, b in probes
+             if b > a and inst.renting_ratio * (total - loop_time_after_reversal(inst, tour, packing, a, b)) > GAIN_EPS),
+            None,
+        )
+        if move is None:
+            return tour
+        a, b = move
+        tour[a : b + 1] = tour[a : b + 1][::-1]

@@ -173,6 +173,25 @@ def test_bench_and_rank(tmp_path, capsys):
     assert sorted(data["methods"]) == ["alpha1", "alpha1.5"]
 
 
+def test_bench_summary_survives_zero_mean_gains(tmp_path, capsys):
+    # no items and no rent: every run's gain is 0, so no cell has a relative spread
+    inst = tmp_path / "zero.ttp"
+    inst.write_text("\n".join([
+        "PROBLEM NAME: zero", "DIMENSION: 4", "NUMBER OF ITEMS: 0",
+        "CAPACITY OF KNAPSACK: 10", "MIN SPEED: 0.1", "MAX SPEED: 1",
+        "RENTING RATIO: 0", "EDGE_WEIGHT_TYPE: CEIL_2D", "NODE_COORD_SECTION",
+        "1 0 0", "2 10 0", "3 10 10", "4 0 10", "ITEMS SECTION", "",
+    ]))
+    outdir = tmp_path / "bench"
+    code, out, _ = run(capsys, "bench", str(inst), "--out", str(outdir), "--runs", "2",
+                       "--time", "5", "--max-restarts", "1")
+    assert code == 0
+    assert json.loads(out)["runs"] == 2
+    with (outdir / "summary.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["zero", "0", "nan"]
+
+
 def test_bench_no_match(tmp_path, capsys):
     code, _, err = run(capsys, "bench", str(tmp_path / "*.ttp"),
                        "--out", str(tmp_path / "o"))

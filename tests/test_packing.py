@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -74,6 +75,22 @@ def test_initial_plan_feasible_and_deterministic():
         res = evaluate(inst, Solution(tour, z1))
         assert res.feasible
         assert res.gain >= evaluate(inst, Solution(tour, [0] * inst.m)).gain - 1e-9
+
+
+def test_initial_plan_picks_nothing_past_its_deadline():
+    rng = random.Random(7)
+    picked = 0
+    for _ in range(10):
+        inst = make_random_instance(rng, rng.randint(3, 8), rng.randint(1, 12))
+        tour = list(range(1, inst.n + 1))
+        cache = build_prefix_cache(inst, Solution(list(tour), [0] * inst.m))
+        params = PackingParams(beta=0.0)
+        assert initial_picking_plan(inst, tour, cache, params, time.monotonic()) == [0] * inst.m
+        later = time.monotonic() + 1e6
+        plan = initial_picking_plan(inst, tour, cache, params, later)
+        assert plan == plan_for(inst, tour, beta=0.0)
+        picked += any(plan)
+    assert picked
 
 
 def test_initial_plan_empty_when_nothing_profitable():

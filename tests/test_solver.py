@@ -61,6 +61,15 @@ def test_solve_respects_deadline():
     assert rec.wall_time == pytest.approx(elapsed, abs=0.5)
 
 
+def test_solve_past_its_deadline_returns_the_id_order_tour_and_an_empty_plan():
+    # the budget has run out before the first tour is built
+    inst = make_random_instance(random.Random(5), 30, 60)
+    rec = solve(inst, SolverConfig(time_budget=1e-12, max_restarts=1))
+    assert rec.best_tour == list(range(1, 31))
+    assert rec.best_packing == [0] * 60
+    assert evaluate(inst, Solution(rec.best_tour, rec.best_packing)).feasible
+
+
 def test_solve_uses_supplied_tour():
     inst = make_random_instance(random.Random(13), 6, 6)
     tour = [1, 6, 5, 4, 3, 2]

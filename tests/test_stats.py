@@ -35,6 +35,11 @@ def test_rsd_scale_invariant():
     assert rsd([v * 17.0 for v in vals]) == pytest.approx(rsd(vals))
 
 
+def test_rsd_of_negative_gains_is_positive():
+    assert rsd([-2.0, -4.0]) == pytest.approx(rsd([2.0, 4.0]))
+    assert rsd([-2.0, -4.0]) > 0
+
+
 def test_rsd_errors():
     with pytest.raises(ValueError):
         rsd([])
@@ -121,6 +126,13 @@ def test_result_matrix_means_and_rsds():
     r = m.rsds()
     assert r[0][0] == pytest.approx(rsd([2, 4]))
     assert r[0][1] == 0.0 and r[1][1] == 0.0
+
+
+def test_result_matrix_rsd_of_a_zero_mean_cell_is_nan():
+    m = ResultMatrix(instances=["a"], methods=["x", "y", "z"], gains=[[[0.0, 0.0], [0.0], [-1.0, -3.0]]])
+    r = m.rsds()
+    assert math.isnan(r[0][0]) and math.isnan(r[0][1])
+    assert r[0][2] == pytest.approx(rsd([1.0, 3.0]))
 
 
 def test_result_matrix_validation():

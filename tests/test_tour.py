@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttp.evaluate import Solution, build_prefix_cache, evaluate
+import ttp.tour as tour_mod
+from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, evaluate
 from ttp.instance import EdgeWeightType, Instance, Item
 from ttp.tour import (
     delaunay_candidates,
@@ -16,6 +18,7 @@ from ttp.tour import (
 )
 
 from conftest import make_random_instance, random_solution
+from loop_eval import loop_two_opt
 
 
 def coord_instance(points, **kw):
@@ -44,6 +47,16 @@ def test_nn_tie_break_lowest_id():
     tour = nearest_neighbor_tour(inst)
     assert tour[0] == 1 and tour[1] == 2
     assert sorted(tour) == [1, 2, 3, 4]
+
+
+def test_nn_past_its_deadline_appends_the_rest_in_id_order():
+    inst = make_random_instance(random.Random(3), 12, 0)
+    assert nearest_neighbor_tour(inst, deadline=time.monotonic()) == list(range(1, 13))
+    tour = nearest_neighbor_tour(inst, rng=random.Random(1), deadline=time.monotonic())
+    assert tour[0] == 1 and sorted(tour) == list(range(1, 13))
+    assert tour[2:] == sorted(tour[2:])
+    later = time.monotonic() + 1e6
+    assert nearest_neighbor_tour(inst, deadline=later) == nearest_neighbor_tour(inst)
 
 
 def test_nn_randomized_second_city_is_valid():
@@ -265,3 +278,138 @@ def test_two_opt_accepted_moves_match_scratch_reevaluation(monkeypatch):
     monkeypatch.setattr(tour_mod, "_time_after_reversal", checking)
     two_opt_improve(inst, sol, None, delaunay_candidates(inst), None)
     assert checked
+
+
+# --- the empty-knapsack length descent ----------------------------------------
+
+def length_instance(rng, kind, n, v_max=1.0, r=None, m=0):
+    """Random instance of one distance kind:
+
+    * ``ceil-int``: CEIL_2D on a 12 x 12 integer grid, so many lengths are
+      exact integers (axis-parallel pairs, Pythagorean triples);
+    * ``euc-half``: EUC_2D on a grid of step 0.5, so some lengths are exact
+      halves, where EUC_2D rounds;
+    * ``ceil-float``: CEIL_2D on uniform float coordinates;
+    * ``explicit-int``: a symmetric integer matrix;
+    * ``explicit-asym``: an integer matrix of large entries, some of which
+      differ by 1 from their mirror, which ``Instance`` allows;
+    * ``explicit-float``: a float matrix symmetric only up to the last bits.
+    """
+    items = tuple(Item(j, rng.randint(10, 100), rng.randint(1, 20), rng.randint(2, n))
+                  for j in range(1, m + 1))
+    r = rng.uniform(0.5, 5.0) if r is None else r
+    common = dict(name=kind, n=n, m=m, items=items, capacity=50.0, v_min=0.1, v_max=v_max,
+                  renting_ratio=r)
+    if kind.startswith("explicit"):
+        if kind == "explicit-int":
+            d = np.array([[rng.randint(1, 60) for _ in range(n)] for _ in range(n)], dtype=float)
+            d = np.triu(d, 1) + np.triu(d, 1).T
+        elif kind == "explicit-asym":
+            d = np.array([[rng.randint(200_000, 260_000) for _ in range(n)] for _ in range(n)], dtype=float)
+            d = np.triu(d, 1) + np.triu(d + np.array([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]), 1).T
+        else:
+            d = np.array([[rng.uniform(1, 60) for _ in range(n)] for _ in range(n)])
+            d = (d + d.T) / 2.0 * (1 + 1e-12 * np.triu(np.ones((n, n))))
+            np.fill_diagonal(d, 0.0)
+        return Instance(coords=None, edge_weight_type=EdgeWeightType.EXPLICIT, explicit_dist=d, **common)
+    if kind == "ceil-float":
+        pts = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
+    else:
+        step = 0.5 if kind == "euc-half" else 1.0
+        cells = rng.sample([(x, y) for x in range(12) for y in range(12)], n)
+        pts = [(x * step, y * step) for x, y in cells]
+    ewt = EdgeWeightType.EUC_2D if kind == "euc-half" else EdgeWeightType.CEIL_2D
+    return Instance(coords=np.array(pts, dtype=float), edge_weight_type=ewt, **common)
+
+
+def count_probe_walks(monkeypatch) -> list:
+    """Counts the calls of the per-probe walk, which only the probe loop makes."""
+    real = tour_mod._time_after_reversal
+    walks = []
+
+    def counting(*args):
+        walks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tour_mod, "_time_after_reversal", counting)
+    return walks
+
+
+# (kind, v_max, renting ratio or None for random, whether travel times are exact)
+LENGTH_CASES = [
+    ("ceil-int", 1.0, None, True),
+    ("euc-half", 1.0, None, True),
+    ("ceil-float", 1.0, None, True),
+    ("explicit-int", 1.0, None, True),
+    ("ceil-int", 0.25, None, True),  # leg / v_max is still an integer
+    ("ceil-int", 1.0, 0.0, True),  # R = 0: no move gains
+    ("ceil-int", 1.0, 5e-10, True),  # R * 1 <= GAIN_EPS: a length drop of 1 or 2 is no gain
+    ("ceil-int", 0.7, None, False),
+    ("euc-half", 2.0, None, False),
+    ("ceil-int", 0.7, 5e-10, False),
+    ("explicit-asym", 1.0, None, False),
+    ("explicit-float", 1.0, None, False),
+]
+
+
+@pytest.mark.parametrize("kind,v_max,r,exact", LENGTH_CASES)
+def test_empty_knapsack_descent_matches_the_probe_loop(monkeypatch, kind, v_max, r, exact):
+    assert 5e-10 * 2 <= GAIN_EPS < 5e-10 * 3
+    walks = count_probe_walks(monkeypatch)
+    rng = random.Random(f"{kind} {v_max} {r}")
+    moved = 0
+    for k in range(5):
+        inst = length_instance(rng, kind, rng.randint(8, 16), v_max, r)
+        assert tour_mod._exact_length_steps(inst) == exact
+        sol = random_solution(rng, inst)
+        cand = full_candidates(inst) if k == 0 else delaunay_candidates(inst)
+        expect = loop_two_opt(inst, sol.tour, sol.packing, cand)
+        assert two_opt_improve(inst, sol, None, cand, None).tour == expect
+        moved += expect != sol.tour
+    assert moved == 0 if r == 0.0 else moved > 0
+    # exact times are priced in one pass; the others walk each probe
+    assert (len(walks) == 0) if exact else (len(walks) > 0)
+
+
+def test_empty_knapsack_descent_matches_the_probe_loop_on_larger_tours(monkeypatch):
+    # the library's own probe loop is the reference here, the fast path off
+    rng = random.Random(61)
+    for kind in ("ceil-int", "euc-half", "ceil-float"):
+        for _ in range(3):
+            inst = length_instance(rng, kind, 60)
+            sol = random_solution(rng, inst)
+            cand = delaunay_candidates(inst)
+            fast = two_opt_improve(inst, sol, None, cand, None)
+            with monkeypatch.context() as mp:
+                mp.setattr(tour_mod, "_exact_length_steps", lambda inst: False)
+                walks = count_probe_walks(mp)
+                assert two_opt_improve(inst, sol, None, cand, None).tour == fast.tour
+                assert walks
+
+
+def test_one_picked_item_takes_the_packed_path(monkeypatch):
+    walks = count_probe_walks(monkeypatch)
+    rng = random.Random(67)
+    inst = length_instance(rng, "ceil-int", 12, m=6)
+    sol = random_solution(rng, inst)
+    sol.packing = [0] * inst.m
+    sol.packing[2] = 1
+    cand = delaunay_candidates(inst)
+    out = two_opt_improve(inst, sol, None, cand, None)
+    assert walks
+    assert out.tour == loop_two_opt(inst, sol.tour, sol.packing, cand)
+
+
+@pytest.mark.parametrize("kind", ["ceil-int", "euc-half", "ceil-float"])
+@pytest.mark.parametrize("ulp", [0.0, np.inf, -np.inf])
+def test_vectorised_distances_equal_instance_distance(monkeypatch, kind, ulp):
+    # ulp: np.hypot made one ulp longer or shorter than it is, as another
+    # libm may round; lengths at a rounding point must still come out right
+    rng = random.Random(71)
+    inst = length_instance(rng, kind, 40)
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(inst.n), np.arange(inst.n)))
+    expect = [inst.distance(int(x) + 1, int(y) + 1) for x, y in zip(i, j)]
+    if ulp:
+        real = np.hypot
+        monkeypatch.setattr(np, "hypot", lambda x, y: np.nextafter(real(x, y), ulp))
+    assert tour_mod._distances(inst, i, j).tolist() == expect
