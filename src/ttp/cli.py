@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time as _time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -190,6 +191,14 @@ def _bench_task(task: tuple) -> dict:
     return out
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
 def cmd_bench(args) -> int:
     paths = sorted(_glob.glob(args.instances))
     if not paths:
@@ -219,11 +228,20 @@ def cmd_bench(args) -> int:
                 )
                 tasks.append((path, label, cfg.to_dict(), run))
 
+    # a task that raises is reported as failed; the other records are kept
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_bench_task, tasks))
+            futures = [pool.submit(_bench_task, t) for t in tasks]
+            outcomes = [_outcome(f.result) for f in futures]
     else:
-        results = [_bench_task(t) for t in tasks]
+        outcomes = [_outcome(_bench_task, t) for t in tasks]
+    results = []
+    for (path, label, _, run), out in zip(tasks, outcomes):
+        if isinstance(out, Exception):
+            traceback.print_exception(out, file=sys.stderr)
+            failed.append(f"{path} ({label}, run {run}): {type(out).__name__}: {out}")
+        else:
+            results.append(out)
 
     records_path = outdir / "records.jsonl"
     with open(records_path, "w") as fh:

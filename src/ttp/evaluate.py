@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ttp.instance import Instance, sequential_sum
+from ttp.instance import Instance, _distances, sequential_sum
 
 # Absolute tolerance used when deciding improvement ties on gains.
 GAIN_EPS = 1e-9
@@ -111,17 +111,19 @@ def _walk(inst: Instance, sol: Solution):
     city ids, loads, velocities and legs per position, and the running travel
     time after each leg.
 
-    Legs come from ``Instance.distance`` and every sum runs left to right
-    (``cumsum``), so the floats equal those of a plain loop over the tour.
+    Legs come from ``_distances``, which equals ``Instance.distance``, and
+    every sum runs left to right (``cumsum``), so the floats equal those of a
+    plain loop over the tour.
     """
-    tour = list(sol.tour)
     picked = np.flatnonzero(sol.packing)
     city_weight = np.zeros(inst.n)
     np.add.at(city_weight, inst.city[picked] - 1, inst.weight[picked])  # in item order
-    city_at = np.array(tour, dtype=np.intp) - 1
+    city_at = np.array(sol.tour, dtype=np.intp) - 1
+    if city_at.size and not 0 <= city_at.min() <= city_at.max() < inst.n:
+        raise IndexError("city id out of range")
     cum_weight = city_weight[city_at].cumsum()
     speed = velocities(inst, cum_weight)
-    leg_dist = np.array([inst.distance(a, b) for a, b in zip(tour, tour[1:] + tour[:1])])
+    leg_dist = _distances(inst, city_at, np.roll(city_at, -1))
     elapsed = (leg_dist / speed).cumsum()
     return city_weight, city_at, cum_weight, speed, leg_dist, elapsed
 

@@ -134,6 +134,26 @@ def sequential_sum(values: np.ndarray) -> float:
     return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
+def _distances(inst: Instance, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``Instance.distance`` between the 0-based cities ``i[k]`` and ``j[k]``.
+
+    ``np.hypot`` and ``math.hypot`` may differ in the last bit, which moves a
+    rounded distance by 1 when the exact length lies at an integer (CEIL_2D)
+    or half an integer (EUC_2D); lengths within far more than that of such a
+    point are taken from ``Instance.distance`` one by one.
+    """
+    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
+        return inst.explicit_dist[i, j]
+    h = np.hypot(*(inst.coords[i] - inst.coords[j]).T)
+    if inst.edge_weight_type is EdgeWeightType.CEIL_2D:
+        d, edge = np.ceil(h), np.rint(h)
+    else:
+        d, edge = np.rint(h), np.floor(h) + 0.5
+    for k in np.flatnonzero(np.abs(h - edge) <= 1e-9 * (1.0 + h)):
+        d[k] = inst.distance(int(i[k]) + 1, int(j[k]) + 1)
+    return d
+
+
 _HEADER_KEYS = {
     "PROBLEM NAME": "name",
     "NAME": "name",

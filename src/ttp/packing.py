@@ -162,6 +162,59 @@ def bit_flip_search(
     return sol.packing
 
 
+# exp(ub / T) is scaled up by this before it may reject a probe, so that
+# libm rounding of exp can never reject a probe that the exact delta accepts
+_EXP_MARGIN = 1.0 + 2.0**-40
+
+
+def _flip_bound(inst: Instance, cache: PrefixCache) -> Optional[tuple[float, float, float]]:
+    """Constants of an O(1) upper bound on ``delta_flip``, for a state whose
+    tour stays fixed; None when a leg is negative and the bound fails.
+
+    Below capacity the inverse speed f(W) = 1/(v_max - nu*W) is convex, so
+    f(W + w) - f(W) >= nu*w*f(W)**2 and f(W - w) - f(W) >= -nu*w*f(W)**2.
+    Summed over the legs from the item's tour position k0, with
+    S[k0] = sum_{k >= k0} leg[k] * inv_speed[k]**2 (``_slopes``):
+
+        adding (p, w):   delta <= p - R*nu*w*S[k0]
+        dropping (p, w): delta <= -p + R*nu*w*S[k0]
+
+    This holds while every load before and after the flip stays below
+    capacity; the caller checks that on the final load.
+
+    Rounding.  With e = 2**-53 and k = v_max / v_min, each computed inverse
+    speed is within (3k + 1)e of f relative, since every load lies in
+    [0, C] and every speed in [v_min, v_max].  So ``delta_flip``'s sum over
+    N <= n legs is off by at most (6k + 2N + 8)e * R*D/v_min (D the suffix
+    length), its ``p`` by e*p, and S and the bound's own products by
+    (6k + N + 9)e relative.  With eta = (n + 10k) * 2**-52, the bound
+
+        ub = (+-p -+ tw) + eta * (p + tw) + 3 * eta * R * L / v_min,
+
+    tw = R*nu*w*S[k0] and L the tour length (>= D), is therefore at least
+    the computed ``delta_flip``.  Returns (R*nu, eta, 3*eta*R*L/v_min).
+    """
+    if cache.leg_dist.min() < 0:
+        return None
+    r = inst.renting_ratio
+    eta = (inst.n + 10.0 * inst.v_max / inst.v_min) * 2.0**-52
+    return r * inst.weight_velocity_slope, eta, 3.0 * eta * r * float(cache.suffix_dist[0]) / inst.v_min
+
+
+def _flip_ub(bound: tuple[float, float, float], p: float, w: float, slope: float, adding: bool) -> float:
+    """The bound of ``_flip_bound`` on flipping an item of profit ``p`` and
+    weight ``w`` whose tour position has S = ``slope``."""
+    r_nu, eta, slack = bound
+    tw = r_nu * w * slope
+    return (p - tw if adding else tw - p) + eta * (p + tw) + slack
+
+
+def _slopes(cache: PrefixCache) -> list[float]:
+    """S[k] = sum of leg_dist[i] * inv_speed[i]**2 over positions i >= k,
+    summed from the end of the tour."""
+    return (cache.leg_dist * cache.inv_speed * cache.inv_speed)[::-1].cumsum()[::-1].tolist()
+
+
 def simulated_annealing_kp(
     inst: Instance,
     sol: Solution,
@@ -178,6 +231,12 @@ def simulated_annealing_kp(
     start temperature or the deadline passes.  Returns the best feasible
     packing ever visited, never worse than the input.  A given ``cache`` is
     copied, not changed.
+
+    Where every load stays below capacity, a probe whose upper bound
+    ``ub`` (``_flip_bound``) is <= 0 cannot improve, so the draw u is taken
+    as for any worsening probe, and u >= exp(ub / T) rejects it without
+    ``delta_flip``.  Every other probe is priced exactly.  The random
+    stream and every decision are those of pricing every probe.
     """
     rng = rng or Random(params.seed)
     sol = sol.copy()
@@ -190,24 +249,52 @@ def simulated_annealing_kp(
     best_gain = cur_gain
     t0 = params.sa_t0 if params.sa_t0 is not None else max(0.05 * abs(cur_gain), 1.0)
     iters = params.sa_iters_per_temp if params.sa_iters_per_temp is not None else max(1000, inst.m)
+
+    m, packing, capacity = inst.m, sol.packing, inst.capacity
+    bits = m.bit_length()
+    getrandbits, random = rng.getrandbits, rng.random
+    profit, item_weight = inst.profit.tolist(), inst.weight.tolist()
+    bound = _flip_bound(inst, cache)
+    if bound is not None:
+        load_line = capacity * (1.0 - 1e-9)
+        pos = cache.position[inst.city - 1].tolist()  # SA never moves the tour
+        top, slope = float(cache.cum_weight[-1]), _slopes(cache)
     temp = t0
     while temp > 1e-3 * t0:
         for _ in range(iters):
             if deadline is not None and _time.monotonic() >= deadline:
                 return best
-            j = rng.randint(1, inst.m)
-            it = inst.items[j - 1]
-            turning_on = not sol.packing[j - 1]
-            if turning_on and weight + it.weight > inst.capacity:
+            # rng.randint(1, m) - 1, drawn as randint draws it
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            w = item_weight[j]
+            turning_on = not packing[j]
+            if turning_on and weight + w > capacity:
                 continue
-            delta = delta_flip(inst, sol, cache, j)
-            if delta > 0 or rng.random() < math.exp(delta / temp):
-                flip(inst, sol, cache, j)
-                weight += it.weight if turning_on else -it.weight
-                cur_gain += delta
-                if cur_gain > best_gain + GAIN_EPS:
-                    best = list(sol.packing)
-                    best_gain = cur_gain
+            delta = None
+            if (bound is not None and j + 1 not in cache.deltas
+                    and (top + w if turning_on else top) < load_line):
+                ub = _flip_ub(bound, profit[j], w, slope[pos[j]], turning_on)
+                if ub <= 0:
+                    u = random()
+                    if u >= math.exp(ub / temp) * _EXP_MARGIN:
+                        continue
+                    delta = delta_flip(inst, sol, cache, j + 1)
+                    if u >= math.exp(delta / temp):
+                        continue
+            if delta is None:
+                delta = delta_flip(inst, sol, cache, j + 1)
+                if not (delta > 0 or random() < math.exp(delta / temp)):
+                    continue
+            flip(inst, sol, cache, j + 1)
+            weight += w if turning_on else -w
+            cur_gain += delta
+            if cur_gain > best_gain + GAIN_EPS:
+                best = list(packing)
+                best_gain = cur_gain
+            if bound is not None:
+                top, slope = float(cache.cum_weight[-1]), _slopes(cache)
         # resync against drift accumulated by the incremental deltas
         cur_gain = evaluate(inst, sol).gain
         temp *= params.sa_cooling

@@ -97,7 +97,7 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
     deadline = start + config.time_budget
     rng = Random(config.seed)
     params = config.packing_params(inst)
-    candidates = delaunay_candidates(inst)
+    candidates = delaunay_candidates(inst, deadline)
 
     best_gain = float("-inf")
     best_sol: Optional[Solution] = None

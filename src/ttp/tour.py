@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 from ttp.evaluate import GAIN_EPS, PrefixCache, Solution, build_prefix_cache, velocities
-from ttp.instance import EdgeWeightType, Instance
+from ttp.instance import EdgeWeightType, Instance, _distances
 
 CandidateLists = dict[int, list[int]]
 
@@ -47,10 +47,25 @@ def nearest_neighbor_tour(
     return tour
 
 
-def _knn_candidates(inst: Instance, k: int = 8) -> CandidateLists:
+def _past(deadline: Optional[float]) -> bool:
+    return deadline is not None and _time.monotonic() >= deadline
+
+
+def _by_distance(inst: Instance, neighbours, deadline: Optional[float]) -> CandidateLists:
+    """Each city's neighbours sorted by (distance, id); once ``deadline``
+    has passed, the cities not yet sorted get empty lists."""
+    out: CandidateLists = {}
+    for i, ns in neighbours.items():
+        out[i] = [] if _past(deadline) else sorted(ns, key=lambda c: (inst.distance(i, c), c))
+    return out
+
+
+def _knn_candidates(inst: Instance, k: int = 8, deadline: Optional[float] = None) -> CandidateLists:
     k = min(k, inst.n - 1)
-    cand: CandidateLists = {}
-    for i in range(1, inst.n + 1):
+    cand: CandidateLists = {i: [] for i in range(1, inst.n + 1)}
+    for i in cand:
+        if _past(deadline):
+            return cand
         others = sorted(
             (c for c in range(1, inst.n + 1) if c != i),
             key=lambda c: (inst.distance(i, c), c),
@@ -61,20 +76,20 @@ def _knn_candidates(inst: Instance, k: int = 8) -> CandidateLists:
         for j in cand[i]:
             if i not in cand[j]:
                 cand[j].append(i)
-    for i in cand:
-        cand[i].sort(key=lambda c: (inst.distance(i, c), c))
-    return cand
+    return _by_distance(inst, cand, deadline)
 
 
-def delaunay_candidates(inst: Instance) -> CandidateLists:
+def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> CandidateLists:
     """Neighbour lists from the Delaunay triangulation of the city coordinates.
 
     EXPLICIT-distance instances (no coordinates) and degenerate point sets
     fall back to k-nearest-neighbour lists (k=8).  Duplicate coordinates are
-    perturbed deterministically by an index-scaled epsilon first.
+    perturbed deterministically by an index-scaled epsilon first.  Once
+    ``deadline`` (a ``time.monotonic()`` value) has passed, the lists not yet
+    built are left empty; every city still has one.
     """
     if inst.coords is None:
-        return _knn_candidates(inst)
+        return _knn_candidates(inst, deadline=deadline)
     pts = np.array(inst.coords, dtype=float)
     if len(np.unique(pts, axis=0)) != len(pts):
         span = max(float(np.ptp(pts)), 1.0)
@@ -89,17 +104,14 @@ def delaunay_candidates(inst: Instance) -> CandidateLists:
     try:
         tri = Delaunay(pts)
     except QhullError:
-        return _knn_candidates(inst)
+        return _knn_candidates(inst, deadline=deadline)
     neighbours: dict[int, set[int]] = {i: set() for i in range(1, inst.n + 1)}
     for simplex in tri.simplices:
         for a in simplex:
             for b in simplex:
                 if a != b:
                     neighbours[a + 1].add(b + 1)
-    return {
-        i: sorted(ns, key=lambda c: (inst.distance(i, c), c))
-        for i, ns in neighbours.items()
-    }
+    return _by_distance(inst, neighbours, deadline)
 
 
 def reverse_segment(seq: Sequence, i: int, j: int) -> list:
@@ -195,26 +207,6 @@ def _exact_length_steps(inst: Instance) -> bool:
     else:
         longest = math.hypot(*np.ptp(inst.coords, axis=0)) + 1.0
     return inst.n * longest / inst.v_max < 2.0**53
-
-
-def _distances(inst: Instance, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``Instance.distance`` between the 0-based cities ``i[k]`` and ``j[k]``.
-
-    ``np.hypot`` and ``math.hypot`` may differ in the last bit, which moves a
-    rounded distance by 1 when the exact length lies at an integer (CEIL_2D)
-    or half an integer (EUC_2D); lengths within far more than that of such a
-    point are taken from ``Instance.distance`` one by one.
-    """
-    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
-        return inst.explicit_dist[i, j]
-    h = np.hypot(*(inst.coords[i] - inst.coords[j]).T)
-    if inst.edge_weight_type is EdgeWeightType.CEIL_2D:
-        d, edge = np.ceil(h), np.rint(h)
-    else:
-        d, edge = np.rint(h), np.floor(h) + 0.5
-    for k in np.flatnonzero(np.abs(h - edge) <= 1e-9 * (1.0 + h)):
-        d[k] = inst.distance(int(i[k]) + 1, int(j[k]) + 1)
-    return d
 
 
 def _candidate_table(inst: Instance, candidates: CandidateLists):

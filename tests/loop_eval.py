@@ -3,13 +3,17 @@ arrays, kept as the reference that the array code must match bit for bit.
 
 Each function walks the tour one position at a time with Python floats, in
 the order of additions the library promises to keep: left to right along
-the tour, and per city in item order.
+the tour, and per city in item order.  ``loop_simulated_annealing`` is the
+annealing loop that prices every probe, which the filtered loop must match
+decision for decision.
 """
+
+import math
 
 import numpy as np
 
-from ttp.evaluate import GAIN_EPS, velocity_at
-from ttp.instance import Instance
+from ttp.evaluate import GAIN_EPS, build_prefix_cache, delta_flip, evaluate, flip, velocity_at
+from ttp.instance import Instance, sequential_sum
 
 
 def loop_city_weights(inst: Instance, packing: list[int]) -> np.ndarray:
@@ -114,3 +118,37 @@ def loop_two_opt(inst: Instance, tour: list[int], packing: list[int], candidates
             return tour
         a, b = move
         tour[a : b + 1] = tour[a : b + 1][::-1]
+
+
+def loop_simulated_annealing(inst: Instance, sol, cache, params, rng) -> list[int]:
+    """The SA loop as it was before its flip bound: every feasible probe is
+    priced with ``delta_flip`` and drawn with ``rng.randint``."""
+    sol = sol.copy()
+    cache = build_prefix_cache(inst, sol) if cache is None else cache.copy()
+    if inst.m == 0:
+        return sol.packing
+    cur_gain = evaluate(inst, sol).gain
+    weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
+    best = list(sol.packing)
+    best_gain = cur_gain
+    t0 = params.sa_t0 if params.sa_t0 is not None else max(0.05 * abs(cur_gain), 1.0)
+    iters = params.sa_iters_per_temp if params.sa_iters_per_temp is not None else max(1000, inst.m)
+    temp = t0
+    while temp > 1e-3 * t0:
+        for _ in range(iters):
+            j = rng.randint(1, inst.m)
+            it = inst.items[j - 1]
+            turning_on = not sol.packing[j - 1]
+            if turning_on and weight + it.weight > inst.capacity:
+                continue
+            delta = delta_flip(inst, sol, cache, j)
+            if delta > 0 or rng.random() < math.exp(delta / temp):
+                flip(inst, sol, cache, j)
+                weight += it.weight if turning_on else -it.weight
+                cur_gain += delta
+                if cur_gain > best_gain + GAIN_EPS:
+                    best = list(sol.packing)
+                    best_gain = cur_gain
+        cur_gain = evaluate(inst, sol).gain
+        temp *= params.sa_cooling
+    return best

@@ -192,6 +192,37 @@ def test_bench_summary_survives_zero_mean_gains(tmp_path, capsys):
     assert rows[1] == ["zero", "0", "nan"]
 
 
+def test_bench_keeps_the_other_records_when_a_task_raises(tmp_path, capsys, monkeypatch):
+    import shutil
+
+    import ttp.cli as cli
+
+    for name in ("a.ttp", "b.ttp"):
+        shutil.copy(EXAMPLE, tmp_path / name)
+    real = cli.solve
+
+    def solve(inst, config):
+        if inst.name == "broken":
+            raise RuntimeError("solver crashed")
+        return real(inst, config)
+
+    monkeypatch.setattr(cli, "solve", solve)
+    b = tmp_path / "b.ttp"
+    b.write_text(b.read_text().replace("PROBLEM NAME: example5", "PROBLEM NAME: broken"))
+    outdir = tmp_path / "bench"
+    code, out, err = run(capsys, "bench", str(tmp_path / "*.ttp"), "--out", str(outdir),
+                         "--workers", "1", "--runs", "2", "--time", "5", "--max-restarts", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["runs"] == 2 and data["failed"] == 2
+    failures = [line for line in err.splitlines() if line.startswith("failed: ")]
+    assert len(failures) == 2 and all(str(b) in f and "solver crashed" in f for f in failures)
+    records = [json.loads(l) for l in (outdir / "records.jsonl").open()]
+    assert [r["instance_path"] for r in records] == [str(tmp_path / "a.ttp")] * 2
+    with (outdir / "summary.csv").open() as fh:
+        assert [row[0] for row in csv.reader(fh)][1] == records[0]["instance"]
+
+
 def test_bench_no_match(tmp_path, capsys):
     code, _, err = run(capsys, "bench", str(tmp_path / "*.ttp"),
                        "--out", str(tmp_path / "o"))

@@ -2,14 +2,17 @@ import itertools
 import math
 import random
 import time
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ttp.solver as solver_mod
 import ttp.tour as tour_mod
 from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, evaluate
 from ttp.instance import EdgeWeightType, Instance, Item
+from ttp.solver import SolverConfig, solve
 from ttp.tour import (
     delaunay_candidates,
     nearest_neighbor_tour,
@@ -197,6 +200,43 @@ def test_duplicate_points_are_perturbed():
     assert set(cand) == {1, 2, 3, 4}
     for i, ns in cand.items():
         assert ns
+
+
+@pytest.mark.parametrize("kind", ["delaunay", "explicit-knn", "collinear-knn"])
+def test_candidates_past_their_deadline(monkeypatch, kind):
+    if kind == "delaunay":
+        inst = make_random_instance(random.Random(9), 15, 0)
+    elif kind == "explicit-knn":
+        inst = length_instance(random.Random(9), "explicit-float", 15)
+    else:
+        inst = coord_instance([(float(i), 0.0) for i in range(15)])
+    full = delaunay_candidates(inst)
+    assert delaunay_candidates(inst, deadline=time.monotonic() + 1e6) == full
+    # already passed: every city still has a (now empty) list
+    assert delaunay_candidates(inst, deadline=time.monotonic()) == {i: [] for i in range(1, 16)}
+    # a clock that passes the deadline after five checks: five lists are built
+    ticks = iter(range(1000))
+    monkeypatch.setattr(tour_mod, "_time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    cand = delaunay_candidates(inst, deadline=5)
+    assert list(cand) == list(range(1, 16))
+    assert all(cand[i] == [] for i in range(6, 16))
+    for i in range(1, 6):
+        if kind == "delaunay":
+            assert cand[i] == full[i]
+        else:  # the 8 nearest, cut off before the lists are made mutual
+            others = sorted(set(range(1, 16)) - {i}, key=lambda c: (inst.distance(i, c), c))
+            assert cand[i] == others[:8]
+
+
+def test_solve_past_its_deadline_on_knn_candidates(monkeypatch, example5):
+    built = []
+    monkeypatch.setattr(solver_mod, "delaunay_candidates",
+                        lambda *args: built.append(delaunay_candidates(*args)) or built[-1])
+    rec = solve(example5, SolverConfig(time_budget=1e-12, max_restarts=1))
+    assert built == [{i: [] for i in range(1, 6)}]
+    sol = Solution(rec.best_tour, rec.best_packing)
+    sol.validate(example5)
+    assert evaluate(example5, sol).feasible
 
 
 # --- 2-OPT -------------------------------------------------------------------
