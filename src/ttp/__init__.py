@@ -7,7 +7,8 @@ bit-flip hill climbing or simulated annealing.
 """
 
 from ttp.instance import EdgeWeightType, Instance, Item, ParseError, load_instance, parse_instance
-from ttp.evaluate import EvalResult, PrefixCache, Solution, evaluate
+# ``evaluate`` the function is not bound here, so that ``ttp.evaluate`` stays the module
+from ttp.evaluate import EvalResult, PrefixCache, Solution
 from ttp.solver import RunRecord, SolverConfig, solve
 
 __all__ = [
@@ -20,7 +21,6 @@ __all__ = [
     "RunRecord",
     "Solution",
     "SolverConfig",
-    "evaluate",
     "load_instance",
     "parse_instance",
     "solve",

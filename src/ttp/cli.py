@@ -20,7 +20,7 @@ from pathlib import Path
 
 from ttp.evaluate import Solution, build_prefix_cache, evaluate
 from ttp.instance import Instance, ParseError, load_instance
-from ttp.packing import PackingParams, default_beta, initial_picking_plan
+from ttp.packing import initial_picking_plan
 from ttp.scoring import DEFAULT_ALPHA, build_score_table
 from ttp.solver import RunRecord, SolverConfig, solve
 from ttp.stats import ResultMatrix, average_ranking, chi2_critical, friedman_statistic
@@ -39,23 +39,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_tour(path: str) -> list[int]:
+def _read_ints(path: str) -> list[int]:
+    """The whitespace-separated integers of a tour or packing file."""
     return [int(tok) for tok in Path(path).read_text().split()]
 
 
-def _read_packing(path: str) -> list[int]:
-    return [int(tok) for tok in Path(path).read_text().split()]
+def _beta(text: str) -> float | None:
+    """A ``--beta`` value: a number, or ``auto`` (None) for the instance's default."""
+    return None if text == "auto" else float(text)
 
 
-def _solver_config(args, inst: Instance) -> SolverConfig:
-    beta = None if args.beta in (None, "auto") else float(args.beta)
+def _instance_and_tour(instance: str, tour_file: str | None) -> tuple[Instance, Solution]:
+    """The instance, and its tour from ``tour_file`` or else the
+    nearest-neighbour tour, validated, with nothing picked."""
+    inst = load_instance(instance)
+    tour = _read_ints(tour_file) if tour_file else nearest_neighbor_tour(inst)
+    sol = Solution(tour, [0] * inst.m)
+    sol.validate(inst)
+    return inst, sol
+
+
+def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         time_budget=args.time,
         alpha=args.alpha,
-        beta=beta,
+        beta=args.beta,
         seed=args.seed,
-        use_sa=not getattr(args, "bitflip", False),
-        tour_in=_read_tour(args.tour_in) if getattr(args, "tour_in", None) else None,
+        use_sa=not args.bitflip,
+        tour_in=_read_ints(args.tour_in) if args.tour_in else None,
     )
 
 
@@ -77,7 +88,7 @@ def cmd_parse(args) -> int:
 
 def cmd_eval(args) -> int:
     inst = load_instance(args.instance)
-    sol = Solution(_read_tour(args.tour), _read_packing(args.packing))
+    sol = Solution(_read_ints(args.tour), _read_ints(args.packing))
     sol.validate(inst)
     res = evaluate(inst, sol)
     print(json.dumps({
@@ -91,13 +102,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_tour(args) -> int:
-    inst = load_instance(args.instance)
-    if args.tour_in:
-        tour = _read_tour(args.tour_in)
-    else:
-        tour = nearest_neighbor_tour(inst)
-    sol = Solution(tour, [0] * inst.m)
-    sol.validate(inst)
+    inst, sol = _instance_and_tour(args.instance, args.tour_in)
     candidates = delaunay_candidates(inst)
     deadline = _time.monotonic() + args.time
     sol = two_opt_improve(inst, sol, None, candidates, deadline)
@@ -110,22 +115,12 @@ def cmd_tour(args) -> int:
 
 
 def cmd_score(args) -> int:
-    inst = load_instance(args.instance)
-    tour = _read_tour(args.tour) if args.tour else nearest_neighbor_tour(inst)
-    sol = Solution(tour, [0] * inst.m)
-    sol.validate(inst)
-    cache = build_prefix_cache(inst, sol)
-    table = build_score_table(inst, cache, args.alpha)
+    inst, sol = _instance_and_tour(args.instance, args.tour)
+    table = build_score_table(inst, build_prefix_cache(inst, sol), args.alpha)
+    columns = zip(inst.city.tolist(), inst.profit.tolist(), inst.weight.tolist(), table.scores, table.marginal)
     rows = [
-        {
-            "item": j,
-            "city": inst.items[j - 1].city,
-            "profit": inst.items[j - 1].profit,
-            "weight": inst.items[j - 1].weight,
-            "score": table.scores[j - 1],
-            "marginal_gain": table.marginal[j - 1],
-        }
-        for j in range(1, inst.m + 1)
+        {"item": j, "city": city, "profit": profit, "weight": weight, "score": score, "marginal_gain": gain}
+        for j, (city, profit, weight, score, gain) in enumerate(columns, start=1)
     ]
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -144,28 +139,17 @@ def cmd_score(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    inst = load_instance(args.instance)
-    tour = _read_tour(args.tour) if args.tour else nearest_neighbor_tour(inst)
-    sol = Solution(tour, [0] * inst.m)
-    sol.validate(inst)
-    cache = build_prefix_cache(inst, sol)
-    beta = default_beta(inst) if args.beta in (None, "auto") else float(args.beta)
-    params = PackingParams(
-        beta=beta,
-        alpha=args.alpha,
-        sa_t0=args.sa_t0,
-        sa_cooling=args.sa_cooling,
-        seed=args.seed,
-    )
-    packing = initial_picking_plan(inst, tour, cache, params)
-    res = evaluate(inst, Solution(tour, packing))
-    print(json.dumps({"packing": packing, "gain": res.gain, "feasible": res.feasible}))
+    config = SolverConfig(alpha=args.alpha, beta=args.beta)
+    inst, sol = _instance_and_tour(args.instance, args.tour)
+    sol.packing = initial_picking_plan(inst, sol.tour, build_prefix_cache(inst, sol), config)
+    res = evaluate(inst, sol)
+    print(json.dumps({"packing": sol.packing, "gain": res.gain, "feasible": res.feasible}))
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    record = solve(inst, _solver_config(args, inst))
+    record = solve(inst, _solver_config(args))
     # reported best must round-trip through a fresh evaluation
     check = evaluate(inst, Solution(record.best_tour, record.best_packing))
     if not check.feasible or not math.isclose(check.gain, record.best_gain, rel_tol=1e-6, abs_tol=1e-6):
@@ -204,7 +188,13 @@ def cmd_bench(args) -> int:
     if not paths:
         print(f"error: no instances match {args.instances!r}", file=sys.stderr)
         return EXIT_USAGE
-    alphas = args.alpha or [DEFAULT_ALPHA]
+    # built before any run, so a bad setting fails the whole bench at once
+    configs = [
+        (f"alpha{alpha:g}", run, SolverConfig(time_budget=args.time, alpha=alpha, beta=args.beta,
+                                              seed=args.seed + run, max_restarts=args.max_restarts))
+        for alpha in args.alpha or [DEFAULT_ALPHA]
+        for run in range(args.runs)
+    ]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -216,17 +206,7 @@ def cmd_bench(args) -> int:
         except (ParseError, OSError) as exc:
             failed.append(f"{path}: {exc}")
             continue
-        for alpha in alphas:
-            label = f"alpha{alpha:g}"
-            for run in range(args.runs):
-                cfg = SolverConfig(
-                    time_budget=args.time,
-                    alpha=alpha,
-                    beta=None if args.beta in (None, "auto") else float(args.beta),
-                    seed=args.seed + run,
-                    max_restarts=args.max_restarts,
-                )
-                tasks.append((path, label, cfg.to_dict(), run))
+        tasks += [(path, label, cfg.to_dict(), run) for label, run, cfg in configs]
 
     # a task that raises is reported as failed; the other records are kept
     if args.workers > 1:
@@ -275,25 +255,28 @@ def _matrix_from_records(records: list[dict]) -> ResultMatrix:
 
 
 def _write_summary(path: Path, matrix: ResultMatrix) -> None:
-    means = matrix.means()
-    rsds = matrix.rsds()
+    """Mean and RSD per cell, the average ranking and, for at least two
+    instances and methods, the Friedman statistic; the header alone when
+    there is no run to summarise."""
     header = ["instance"]
     for m in matrix.methods:
         header += [f"{m}_mean", f"{m}_rsd"]
-    rows = []
-    for i, name in enumerate(matrix.instances):
-        row = [name]
-        for j in range(len(matrix.methods)):
-            row += [f"{means[i, j]:.6g}", f"{rsds[i, j]:.4g}"]
-        rows.append(row)
-    footer = ["average_ranking"]
-    ranks = average_ranking(means)
-    for j in range(len(matrix.methods)):
-        footer += [f"{ranks[j]:.4g}", ""]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if not matrix.instances:
+            return
+        means = matrix.means()
+        rsds = matrix.rsds()
+        for i, name in enumerate(matrix.instances):
+            row = [name]
+            for j in range(len(matrix.methods)):
+                row += [f"{means[i, j]:.6g}", f"{rsds[i, j]:.4g}"]
+            writer.writerow(row)
+        footer = ["average_ranking"]
+        ranks = average_ranking(means)
+        for j in range(len(matrix.methods)):
+            footer += [f"{ranks[j]:.4g}", ""]
         writer.writerow(footer)
         if means.shape[0] >= 2 and means.shape[1] >= 2:
             f, rank_sums, df = friedman_statistic(means)
@@ -330,11 +313,11 @@ def cmd_rank(args) -> int:
             matrices.append(_load_means_csv(path))
     if records:
         matrices.append(_matrix_from_records(records))
-    if not matrices:
-        print("error: no result files given", file=sys.stderr)
-        return EXIT_USAGE
     if len(matrices) > 1:
         print("error: pass either run records or one summary CSV, not a mix", file=sys.stderr)
+        return EXIT_USAGE
+    if not matrices or not matrices[0].instances:
+        print("error: the result files hold no runs to rank", file=sys.stderr)
         return EXIT_USAGE
     matrix = matrices[0]
     out = Path(args.csv) if args.csv else None
@@ -360,6 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance")
         if tour_opt:
             p.add_argument("--tour", help="tour file (whitespace-separated permutation)")
+
+    def beta_opt(p):
+        p.add_argument("--beta", type=_beta, default="auto",
+                       help="phase-1 picking threshold in [0, 1], or auto (from the item factor)")
 
     p = sub.add_parser("parse", help="validate an instance file")
     common(p)
@@ -387,17 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="build the initial picking plan")
     common(p, tour_opt=True)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--beta", default="auto")
-    p.add_argument("--sa-t0", dest="sa_t0", type=float)
-    p.add_argument("--sa-cooling", dest="sa_cooling", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=0)
+    beta_opt(p)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("solve", help="run the full solver")
     common(p)
     p.add_argument("--time", type=float, default=10.0)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--beta", default="auto")
+    beta_opt(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bitflip", action="store_true", help="bit-flip hill climbing instead of SA")
     p.add_argument("--tour-in", dest="tour_in")
@@ -410,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--time", type=float, default=10.0)
     p.add_argument("--alpha", type=float, action="append", help="repeat for one config per value")
-    p.add_argument("--beta", default="auto")
+    beta_opt(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-restarts", dest="max_restarts", type=int)

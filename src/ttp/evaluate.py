@@ -169,12 +169,12 @@ def delta_flip(inst: Instance, sol: Solution, cache: PrefixCache, item: int) -> 
         raise IndexError(f"item index out of range: {item}")
     delta = cache.deltas.get(item)
     if delta is None:
-        it = inst.items[item - 1]
-        sign = -1.0 if sol.packing[item - 1] else 1.0
-        k0 = cache.position[it.city - 1]
-        new_inv = 1.0 / velocities(inst, cache.cum_weight[k0:] + sign * it.weight)
+        j = item - 1  # .item(j) reads a Python number, cheaper than a numpy scalar
+        sign = -1.0 if sol.packing[j] else 1.0
+        k0 = cache.position[inst.city.item(j) - 1]
+        new_inv = 1.0 / velocities(inst, cache.cum_weight[k0:] + sign * inst.weight.item(j))
         dt = (cache.leg_dist[k0:] * (new_inv - cache.inv_speed[k0:])).cumsum()[-1]
-        delta = cache.deltas[item] = sign * it.profit - inst.renting_ratio * float(dt)
+        delta = cache.deltas[item] = sign * inst.profit.item(j) - inst.renting_ratio * float(dt)
     return delta
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from random import Random
 from typing import Optional
 
@@ -30,21 +30,37 @@ from ttp.scoring import DEFAULT_ALPHA, build_score_table
 
 
 @dataclass
-class PackingParams:
-    beta: float = 0.5
+class SolverConfig:
+    """Every setting of a solve; each check runs when the config is built."""
+
+    time_budget: float = 600.0
     alpha: float = DEFAULT_ALPHA
+    beta: Optional[float] = None  # None: default_beta, from the instance's item factor
+    seed: int = 0
+    use_sa: bool = True  # False: bit-flip hill climbing instead
+    tour_in: Optional[list[int]] = None  # externally supplied tour for restart 0
+    max_restarts: Optional[int] = None  # None: restart until the deadline
     sa_t0: Optional[float] = None  # None: 0.05 * |initial gain|, floor 1.0
     sa_cooling: float = 0.95
     sa_iters_per_temp: Optional[int] = None  # None: max(1000, m)
-    seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.beta <= 1.0):
+        if self.time_budget <= 0:
+            raise ValueError("time budget must be positive")
+        if self.beta is not None and not (0.0 <= self.beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
         if not (0.0 < self.sa_cooling < 1.0):
             raise ValueError("sa_cooling must lie in (0, 1)")
         if self.sa_t0 is not None and self.sa_t0 <= 0:
             raise ValueError("sa_t0 must be positive")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+# a second name for the same class, kept because perfbench/worker.py builds
+# the plan's settings as ``ttp.packing.PackingParams(beta=...)``
+PackingParams = SolverConfig
 
 
 def default_beta(inst: Instance) -> float:
@@ -62,7 +78,7 @@ def initial_picking_plan(
     inst: Instance,
     tour: list[int],
     cache: PrefixCache,
-    params: PackingParams,
+    config: SolverConfig,
     deadline: Optional[float] = None,
 ) -> list[int]:
     """Deterministic two-phase construction of a feasible picking plan.
@@ -73,19 +89,23 @@ def initial_picking_plan(
     nonnegative.  The walk stops once the load reaches capacity times the
     positive-item ratio.  Phase 2 fills the remainder with a greedy
     insertion pass over all positive-gain items by descending score.
-    Returns the better of the two stages by gain.  Once ``deadline`` (a
-    ``time.monotonic()`` value) has passed, neither phase picks any more.
+    Returns the better of the two stages by gain.  Only ``config.alpha`` and
+    ``config.beta`` are read; ``beta=None`` means ``default_beta(inst)``.
+    Once ``deadline`` (a ``time.monotonic()`` value) has passed, neither
+    phase picks any more.
     """
-    table = build_score_table(inst, cache, params.alpha)
+    table = build_score_table(inst, cache, config.alpha)
     z = [0] * inst.m
     if table.positive_count == 0:
         return z
-    threshold = table.avg_score + (table.max_score - table.avg_score) * params.beta
+    beta = default_beta(inst) if config.beta is None else config.beta
+    threshold = table.avg_score + (table.max_score - table.avg_score) * beta
     target = inst.capacity * table.ratio
+    item_city, item_weight = inst.city.tolist(), inst.weight.tolist()
 
     by_city: dict[int, list[int]] = {}
     for j in table.order:
-        by_city.setdefault(inst.items[j - 1].city, []).append(j)
+        by_city.setdefault(item_city[j - 1], []).append(j)
 
     sol = Solution(list(tour), z)
     cur = build_prefix_cache(inst, sol)
@@ -96,15 +116,15 @@ def initial_picking_plan(
             break
         city = tour[pos]
         for j in by_city.get(city, ()):  # already in descending score order
-            it = inst.items[j - 1]
+            w = item_weight[j - 1]
             if table.scores[j - 1] <= threshold:
                 continue
-            if weight + it.weight > inst.capacity:
+            if weight + w > inst.capacity:
                 continue
             if delta_flip(inst, sol, cur, j) < 0:
                 continue
             flip(inst, sol, cur, j)
-            weight += it.weight
+            weight += w
             if weight >= target:
                 done = True
                 break
@@ -117,12 +137,12 @@ def initial_picking_plan(
             break
         if z[j - 1]:
             continue
-        it = inst.items[j - 1]
-        if weight + it.weight > inst.capacity:
+        w = item_weight[j - 1]
+        if weight + w > inst.capacity:
             continue
         if delta_flip(inst, sol, cur, j) > 0:
             flip(inst, sol, cur, j)
-            weight += it.weight
+            weight += w
 
     phase2_gain = evaluate(inst, Solution(list(tour), z)).gain
     return z if phase2_gain >= phase1_gain else phase1
@@ -143,6 +163,7 @@ def bit_flip_search(
     sol = sol.copy()
     cache = build_prefix_cache(inst, sol) if cache is None else cache.copy()
     weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
+    item_weight = inst.weight.tolist()
     improved = True
     while improved:
         improved = False
@@ -151,13 +172,13 @@ def bit_flip_search(
         for j in order:
             if deadline is not None and _time.monotonic() >= deadline:
                 return sol.packing
-            it = inst.items[j - 1]
+            w = item_weight[j - 1]
             turning_on = not sol.packing[j - 1]
-            if turning_on and weight + it.weight > inst.capacity:
+            if turning_on and weight + w > inst.capacity:
                 continue
             if delta_flip(inst, sol, cache, j) > GAIN_EPS:
                 flip(inst, sol, cache, j)
-                weight += it.weight if turning_on else -it.weight
+                weight += w if turning_on else -w
                 improved = True
     return sol.packing
 
@@ -219,7 +240,7 @@ def simulated_annealing_kp(
     inst: Instance,
     sol: Solution,
     cache: Optional[PrefixCache],
-    params: PackingParams,
+    config: SolverConfig,
     deadline: Optional[float] = None,
     rng: Optional[Random] = None,
 ) -> list[int]:
@@ -230,7 +251,9 @@ def simulated_annealing_kp(
     cools geometrically; the run ends when T drops below a thousandth of the
     start temperature or the deadline passes.  Returns the best feasible
     packing ever visited, never worse than the input.  A given ``cache`` is
-    copied, not changed.
+    copied, not changed.  The schedule comes from ``config.sa_t0``,
+    ``sa_cooling`` and ``sa_iters_per_temp``; without ``rng`` the draws
+    come from ``Random(config.seed)``.
 
     Where every load stays below capacity, a probe whose upper bound
     ``ub`` (``_flip_bound``) is <= 0 cannot improve, so the draw u is taken
@@ -238,7 +261,7 @@ def simulated_annealing_kp(
     ``delta_flip``.  Every other probe is priced exactly.  The random
     stream and every decision are those of pricing every probe.
     """
-    rng = rng or Random(params.seed)
+    rng = rng or Random(config.seed)
     sol = sol.copy()
     cache = build_prefix_cache(inst, sol) if cache is None else cache.copy()
     if inst.m == 0:
@@ -247,8 +270,8 @@ def simulated_annealing_kp(
     weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
     best = list(sol.packing)
     best_gain = cur_gain
-    t0 = params.sa_t0 if params.sa_t0 is not None else max(0.05 * abs(cur_gain), 1.0)
-    iters = params.sa_iters_per_temp if params.sa_iters_per_temp is not None else max(1000, inst.m)
+    t0 = config.sa_t0 if config.sa_t0 is not None else max(0.05 * abs(cur_gain), 1.0)
+    iters = config.sa_iters_per_temp if config.sa_iters_per_temp is not None else max(1000, inst.m)
 
     m, packing, capacity = inst.m, sol.packing, inst.capacity
     bits = m.bit_length()
@@ -297,5 +320,5 @@ def simulated_annealing_kp(
                 top, slope = float(cache.cum_weight[-1]), _slopes(cache)
         # resync against drift accumulated by the incremental deltas
         cur_gain = evaluate(inst, sol).gain
-        temp *= params.sa_cooling
+        temp *= config.sa_cooling
     return best

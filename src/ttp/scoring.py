@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ttp.evaluate import PrefixCache
-from ttp.instance import Instance
+from ttp.instance import Instance, sequential_sum
 
 DEFAULT_ALPHA = 1.5
 
@@ -36,53 +38,42 @@ class ScoreTable:
     order: list[int]  # 1-based item indices, descending score, ties by index
 
 
-def item_score(inst: Instance, cache: PrefixCache, item: int, alpha: float) -> float:
-    """Score of one item under the current tour; +inf when the suffix
-    distance is zero (the item is effectively free to carry)."""
-    if not (1 <= item <= inst.m):
-        raise IndexError(f"item index out of range: {item}")
-    it = inst.items[item - 1]
-    suffix = float(cache.suffix_dist[int(cache.position[it.city - 1])])
-    if suffix == 0.0:
-        return math.inf
-    return it.profit / (it.weight ** alpha * suffix)
-
-
-def marginal_gain(inst: Instance, cache: PrefixCache, item: int) -> float:
-    """Standalone insertion gain of one item into an empty knapsack,
-    charging the slowed speed over the whole tour suffix.
-
-    Items heavier than the capacity can never be picked and get -inf.
-    """
-    if not (1 <= item <= inst.m):
-        raise IndexError(f"item index out of range: {item}")
-    it = inst.items[item - 1]
-    v = inst.v_max - it.weight * inst.weight_velocity_slope
-    if it.weight > inst.capacity or v <= 0:
-        return -math.inf
-    suffix = float(cache.suffix_dist[int(cache.position[it.city - 1])])
-    return it.profit - inst.renting_ratio * suffix / v
-
-
 def build_score_table(inst: Instance, cache: PrefixCache, alpha: float = DEFAULT_ALPHA) -> ScoreTable:
-    scores = [item_score(inst, cache, j, alpha) for j in range(1, inst.m + 1)]
-    marginal = [marginal_gain(inst, cache, j) for j in range(1, inst.m + 1)]
-    eligible = [j for j in range(1, inst.m + 1) if marginal[j - 1] > 0]
-    order = sorted(eligible, key=lambda j: (-scores[j - 1], j))
+    """The table of every item under the current tour, in one pass over the
+    item arrays.
+
+    An item's score is profit / (weight^alpha * suffix), +inf when its suffix
+    distance is zero (the item is effectively free to carry).  Its marginal
+    gain is its standalone insertion gain into an empty knapsack, charging
+    the slowed speed over the whole suffix: profit - R * suffix / v, -inf for
+    an item heavier than the capacity.  ``weight ** alpha`` is Python's
+    ``pow``, which ``np.power`` may not match in the last bit, and the mean
+    score is a ``sequential_sum``, whose order of additions does not depend
+    on the Python version, as the builtin ``sum``'s does from 3.12 on.
+    """
+    suffix = cache.suffix_dist[cache.position[inst.city - 1]]
+    speed = inst.v_max - inst.weight * inst.weight_velocity_slope
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero suffix divides a positive profit by zero: +inf
+        scores = inst.profit / (np.array([w ** alpha for w in inst.weight.tolist()]) * suffix)
+        marginal = inst.profit - inst.renting_ratio * suffix / speed
+    marginal[(inst.weight > inst.capacity) | (speed <= 0)] = -math.inf
+    eligible = np.flatnonzero(marginal > 0)
     l = len(eligible)
     if l:
-        finite = [scores[j - 1] for j in eligible if math.isfinite(scores[j - 1])]
-        avg = sum(finite) / l if finite else math.inf
-        mx = max(scores[j - 1] for j in eligible)
+        top = scores[eligible]
+        finite = top[np.isfinite(top)]
+        avg = sequential_sum(finite) / l if len(finite) else math.inf
+        mx = float(top.max())
     else:
         avg = 0.0
         mx = 0.0
     return ScoreTable(
-        scores=scores,
-        marginal=marginal,
+        scores=scores.tolist(),
+        marginal=marginal.tolist(),
         avg_score=avg,
         max_score=mx,
         positive_count=l,
         ratio=l / inst.m if inst.m else 0.0,
-        order=order,
+        order=(eligible[np.argsort(-scores[eligible], kind="stable")] + 1).tolist(),
     )

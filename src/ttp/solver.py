@@ -4,53 +4,14 @@ both improvement stages together."""
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from random import Random
 from typing import Optional
 
 from ttp.evaluate import Solution, build_prefix_cache, evaluate
 from ttp.instance import Instance
-from ttp.packing import (
-    PackingParams,
-    bit_flip_search,
-    default_beta,
-    initial_picking_plan,
-    simulated_annealing_kp,
-)
-from ttp.scoring import DEFAULT_ALPHA
+from ttp.packing import SolverConfig, bit_flip_search, initial_picking_plan, simulated_annealing_kp
 from ttp.tour import delaunay_candidates, nearest_neighbor_tour, two_opt_improve
-
-
-@dataclass
-class SolverConfig:
-    time_budget: float = 600.0
-    alpha: float = DEFAULT_ALPHA
-    beta: Optional[float] = None  # None: choose from the instance's item factor
-    seed: int = 0
-    use_sa: bool = True  # False: bit-flip hill climbing instead
-    tour_in: Optional[list[int]] = None  # externally supplied tour for restart 0
-    max_restarts: Optional[int] = None  # None: restart until the deadline
-    sa_t0: Optional[float] = None
-    sa_cooling: float = 0.95
-    sa_iters_per_temp: Optional[int] = None
-
-    def __post_init__(self):
-        if self.time_budget <= 0:
-            raise ValueError("time budget must be positive")
-
-    def packing_params(self, inst: Instance) -> PackingParams:
-        beta = self.beta if self.beta is not None else default_beta(inst)
-        return PackingParams(
-            beta=beta,
-            alpha=self.alpha,
-            sa_t0=self.sa_t0,
-            sa_cooling=self.sa_cooling,
-            sa_iters_per_temp=self.sa_iters_per_temp,
-            seed=self.seed,
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -96,7 +57,6 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
     start = _time.monotonic()
     deadline = start + config.time_budget
     rng = Random(config.seed)
-    params = config.packing_params(inst)
     candidates = delaunay_candidates(inst, deadline)
 
     best_gain = float("-inf")
@@ -121,7 +81,7 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
             sol = two_opt_improve(inst, sol, None, candidates, deadline)
 
         cache = build_prefix_cache(inst, sol)
-        sol.packing = initial_picking_plan(inst, sol.tour, cache, params, deadline)
+        sol.packing = initial_picking_plan(inst, sol.tour, cache, config, deadline)
         gain = evaluate(inst, sol).gain
         prev = float("-inf")
         # improve the packing before touching the tour: with a thin initial
@@ -130,7 +90,7 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
             prev = gain
             cache = build_prefix_cache(inst, sol)
             if config.use_sa:
-                sol.packing = simulated_annealing_kp(inst, sol, cache, params, deadline, rng)
+                sol.packing = simulated_annealing_kp(inst, sol, cache, config, deadline, rng)
             else:
                 sol.packing = bit_flip_search(inst, sol, cache, deadline, rng)
             cache = build_prefix_cache(inst, sol)

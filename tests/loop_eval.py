@@ -3,9 +3,11 @@ arrays, kept as the reference that the array code must match bit for bit.
 
 Each function walks the tour one position at a time with Python floats, in
 the order of additions the library promises to keep: left to right along
-the tour, and per city in item order.  ``loop_simulated_annealing`` is the
-annealing loop that prices every probe, which the filtered loop must match
-decision for decision.
+the tour, and per city in item order.  ``loop_score_table`` scores the
+items one at a time, as the picking plan's table did before it read the
+item arrays.  ``loop_simulated_annealing`` is the annealing loop that
+prices every probe, which the filtered loop must match decision for
+decision.
 """
 
 import math
@@ -76,6 +78,54 @@ def loop_delta_flip(inst: Instance, tour: list[int], packing: list[int], item: i
             1.0 / velocity_at(inst, new_w) - 1.0 / velocity_at(inst, old_w)
         )
     return sign * it.profit - inst.renting_ratio * dt
+
+
+def loop_item_score(inst: Instance, cache, item: int, alpha: float) -> float:
+    """Score of item ``item`` (1-based) under the cache's tour:
+    profit / (weight**alpha * suffix), +inf when the suffix distance is 0."""
+    it = inst.items[item - 1]
+    suffix = float(cache.suffix_dist[int(cache.position[it.city - 1])])
+    if suffix == 0.0:
+        return math.inf
+    return it.profit / (it.weight ** alpha * suffix)
+
+
+def loop_marginal_gain(inst: Instance, cache, item: int) -> float:
+    """Standalone insertion gain of item ``item`` (1-based) into an empty
+    knapsack, charging the slowed speed over the whole tour suffix; -inf for
+    an item heavier than the capacity."""
+    it = inst.items[item - 1]
+    v = inst.v_max - it.weight * inst.weight_velocity_slope
+    if it.weight > inst.capacity or v <= 0:
+        return -math.inf
+    suffix = float(cache.suffix_dist[int(cache.position[it.city - 1])])
+    return it.profit - inst.renting_ratio * suffix / v
+
+
+def loop_score_table(inst: Instance, cache, alpha: float) -> dict:
+    """The fields of ``build_score_table``, item by item: the mean adds the
+    finite scores of the items with a positive marginal gain left to right
+    and divides by the count of all those items."""
+    scores = [loop_item_score(inst, cache, j, alpha) for j in range(1, inst.m + 1)]
+    marginal = [loop_marginal_gain(inst, cache, j) for j in range(1, inst.m + 1)]
+    eligible = [j for j in range(1, inst.m + 1) if marginal[j - 1] > 0]
+    avg = mx = 0.0
+    if eligible:
+        finite = [scores[j - 1] for j in eligible if math.isfinite(scores[j - 1])]
+        total = 0.0
+        for s in finite:
+            total += s
+        avg = total / len(eligible) if finite else math.inf
+        mx = max(scores[j - 1] for j in eligible)
+    return {
+        "scores": scores,
+        "marginal": marginal,
+        "avg_score": avg,
+        "max_score": mx,
+        "positive_count": len(eligible),
+        "ratio": len(eligible) / inst.m if inst.m else 0.0,
+        "order": sorted(eligible, key=lambda j: (-scores[j - 1], j)),
+    }
 
 
 def loop_time_after_reversal(inst: Instance, tour: list[int], packing: list[int], a: int, b: int) -> float:

@@ -19,8 +19,8 @@ import pytest
 
 from ttp.cli import main as cli_main
 from ttp.evaluate import Solution, build_prefix_cache, delta_flip, evaluate
-from ttp.packing import PackingParams, initial_picking_plan, simulated_annealing_kp
-from ttp.scoring import item_score
+from ttp.packing import initial_picking_plan, simulated_annealing_kp
+from ttp.scoring import build_score_table
 from ttp.solver import SolverConfig, solve
 from ttp.stats import average_ranking, friedman_statistic
 from ttp.tour import reverse_segment, two_opt_improve
@@ -55,7 +55,7 @@ def test_criterion_1_worked_example_golden(example5):
 
 def test_criterion_2_score_golden(example5):
     cache = build_prefix_cache(example5, Solution([1, 2, 3, 4, 5], [0] * 4))
-    scores = [item_score(example5, cache, j, 1.0) for j in range(1, 5)]
+    scores = build_score_table(example5, cache, 1.0).scores
     ok = scores == pytest.approx([1.01, 0.8, 1.0, 1.0], abs=1e-12)
     report(2, ok, f"alpha=1 scores {[round(s, 4) for s in scores]}")
 
@@ -69,7 +69,7 @@ def test_criterion_3_oracle_equivalence():
         inst = make_random_instance(rng, rng.randint(4, 8), rng.randint(4, 12))
         tour = list(range(1, inst.n + 1))
         opt = brute_force_best_packing(inst, tour)
-        params = PackingParams(seed=trial)
+        params = SolverConfig(beta=0.5, seed=trial)
         cache = build_prefix_cache(inst, Solution(tour, [0] * inst.m))
         z = initial_picking_plan(inst, tour, cache, params)
         z = simulated_annealing_kp(
@@ -198,7 +198,7 @@ def test_criterion_7_invariant_suite():
         inst = make_random_instance(rng, rng.randint(3, 6), rng.randint(0, 6))
         tour = list(range(1, inst.n + 1))
         cache = build_prefix_cache(inst, Solution(tour, [0] * inst.m))
-        z = initial_picking_plan(inst, tour, cache, PackingParams())
+        z = initial_picking_plan(inst, tour, cache, SolverConfig(beta=0.5))
         assert evaluate(inst, Solution(tour, z)).feasible
 
         sol = random_solution(rng, inst)

@@ -1,7 +1,10 @@
 import csv
 import json
+import warnings
 from importlib import resources
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from ttp.cli import main
@@ -133,6 +136,15 @@ def test_solve_smoke(tmp_path, capsys):
     assert sorted(full["best_tour"]) == [1, 2, 3, 4, 5]
 
 
+def test_solve_record_validates_against_the_schema(tmp_path, capsys):
+    record = tmp_path / "record.json"
+    code, _, _ = run(capsys, "solve", EXAMPLE, "--time", "1", "--beta", "0.5",
+                     "--json", str(record))
+    assert code == 0
+    schema = json.loads((Path(__file__).parents[1] / "schemas" / "runrecord.schema.json").read_text())
+    jsonschema.validate(json.loads(record.read_text()), schema)
+
+
 def test_solve_tour_in_not_a_permutation_is_a_usage_error(tmp_path, capsys):
     tour = tmp_path / "tour.txt"
     tour.write_text("1 2 2 4 5\n")
@@ -221,6 +233,44 @@ def test_bench_keeps_the_other_records_when_a_task_raises(tmp_path, capsys, monk
     assert [r["instance_path"] for r in records] == [str(tmp_path / "a.ttp")] * 2
     with (outdir / "summary.csv").open() as fh:
         assert [row[0] for row in csv.reader(fh)][1] == records[0]["instance"]
+
+
+def test_bench_where_every_run_raises_writes_the_header_alone_and_rank_refuses_it(tmp_path, capsys, monkeypatch):
+    import ttp.cli as cli
+
+    def solve(inst, config):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(cli, "solve", solve)
+    outdir = tmp_path / "bench"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "bench", EXAMPLE, "--out", str(outdir), "--workers", "1",
+                             "--runs", "3", "--time", "5", "--max-restarts", "1")
+    assert code == 0
+    assert json.loads(out)["runs"] == 0 and json.loads(out)["failed"] == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
+    with (outdir / "summary.csv").open() as fh:
+        assert list(csv.reader(fh)) == [["instance"]]
+    for results in ("summary.csv", "records.jsonl"):
+        code, out, err = run(capsys, "rank", str(outdir / results))
+        assert code == 1 and out == "" and "no runs" in err
+
+
+def test_bench_rejects_a_bad_beta_before_any_run(tmp_path, capsys):
+    code, out, err = run(capsys, "bench", EXAMPLE, "--out", str(tmp_path / "o"), "--beta", "1.5")
+    assert code == 1
+    assert "beta" in err and out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_pack_takes_no_annealing_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["pack", "--help"])
+    usage = capsys.readouterr().out
+    assert "--beta" in usage
+    assert not any(flag in usage for flag in ("--sa-t0", "--sa-cooling", "--seed"))
 
 
 def test_bench_no_match(tmp_path, capsys):

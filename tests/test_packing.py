@@ -6,7 +6,7 @@ import pytest
 from ttp.evaluate import Solution, build_prefix_cache, evaluate
 from ttp.instance import EdgeWeightType, Instance, Item
 from ttp.packing import (
-    PackingParams,
+    SolverConfig,
     bit_flip_search,
     default_beta,
     initial_picking_plan,
@@ -21,19 +21,19 @@ TOUR5 = [1, 2, 3, 4, 5]
 
 def plan_for(inst, tour, **kw):
     cache = build_prefix_cache(inst, Solution(list(tour), [0] * inst.m))
-    return initial_picking_plan(inst, tour, cache, PackingParams(**kw))
+    return initial_picking_plan(inst, tour, cache, SolverConfig(**kw))
 
 
 # --- parameters --------------------------------------------------------------
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        PackingParams(beta=1.5)
+        SolverConfig(beta=1.5)
     with pytest.raises(ValueError):
-        PackingParams(sa_cooling=1.0)
+        SolverConfig(sa_cooling=1.0)
     with pytest.raises(ValueError):
-        PackingParams(sa_t0=0.0)
-    PackingParams(beta=0.0, sa_cooling=0.5, sa_t0=2.0)
+        SolverConfig(sa_t0=0.0)
+    SolverConfig(beta=0.0, sa_cooling=0.5, sa_t0=2.0)
 
 
 def test_default_beta_bands():
@@ -84,7 +84,7 @@ def test_initial_plan_picks_nothing_past_its_deadline():
         inst = make_random_instance(rng, rng.randint(3, 8), rng.randint(1, 12))
         tour = list(range(1, inst.n + 1))
         cache = build_prefix_cache(inst, Solution(list(tour), [0] * inst.m))
-        params = PackingParams(beta=0.0)
+        params = SolverConfig(beta=0.0)
         assert initial_picking_plan(inst, tour, cache, params, time.monotonic()) == [0] * inst.m
         later = time.monotonic() + 1e6
         plan = initial_picking_plan(inst, tour, cache, params, later)
@@ -158,7 +158,7 @@ def test_sa_returns_feasible_never_worse():
         tour = list(range(1, inst.n + 1))
         sol = Solution(tour, [0] * inst.m)
         base = evaluate(inst, sol).gain
-        params = PackingParams(sa_iters_per_temp=200)
+        params = SolverConfig(sa_iters_per_temp=200)
         z = simulated_annealing_kp(inst, sol, None, params, rng=random.Random(4))
         res = evaluate(inst, Solution(tour, z))
         assert res.feasible
@@ -169,7 +169,7 @@ def test_sa_escapes_heavy_item_local_optimum(example5):
     # a generous start temperature lets the annealer drop the heavy item and
     # repack the three light ones, which bit-flip search cannot do
     sol = Solution(TOUR5, [1, 0, 0, 0])
-    params = PackingParams(sa_t0=20.0, sa_iters_per_temp=500)
+    params = SolverConfig(sa_t0=20.0, sa_iters_per_temp=500)
     z = simulated_annealing_kp(example5, sol, None, params, rng=random.Random(5))
     gain = evaluate(example5, Solution(TOUR5, z)).gain
     assert gain == pytest.approx(2.596121799727314, abs=1e-9)
@@ -184,7 +184,7 @@ def test_sa_matches_brute_force_on_fixed_tours():
         inst = make_random_instance(rng, rng.randint(3, 6), rng.randint(2, 8))
         tour = list(range(1, inst.n + 1))
         opt = brute_force_best_packing(inst, tour)
-        params = PackingParams(sa_t0=50.0, sa_iters_per_temp=400)
+        params = SolverConfig(sa_t0=50.0, sa_iters_per_temp=400)
         z = simulated_annealing_kp(inst, Solution(tour, [0] * inst.m), None,
                                    params, rng=random.Random(6))
         if evaluate(inst, Solution(tour, z)).gain >= opt - 1e-6:
@@ -195,13 +195,13 @@ def test_sa_matches_brute_force_on_fixed_tours():
 def test_sa_no_items(example5):
     inst = make_random_instance(random.Random(40), 4, 0)
     z = simulated_annealing_kp(inst, Solution([1, 2, 3, 4], []), None,
-                               PackingParams())
+                               SolverConfig())
     assert z == []
 
 
 def test_sa_deterministic_given_rng(example5):
     sol = Solution(TOUR5, [0, 0, 0, 0])
-    params = PackingParams(sa_t0=5.0, sa_iters_per_temp=300)
+    params = SolverConfig(sa_t0=5.0, sa_iters_per_temp=300)
     z1 = simulated_annealing_kp(example5, sol, None, params, rng=random.Random(7))
     z2 = simulated_annealing_kp(example5, sol, None, params, rng=random.Random(7))
     assert z1 == z2

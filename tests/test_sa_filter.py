@@ -12,7 +12,7 @@ import loop_eval
 import ttp.packing as packing_mod
 from ttp.evaluate import Solution, build_prefix_cache, delta_flip
 from ttp.instance import EdgeWeightType, Instance, Item
-from ttp.packing import PackingParams, _flip_bound, _flip_ub, _slopes, simulated_annealing_kp
+from ttp.packing import SolverConfig, _flip_bound, _flip_ub, _slopes, simulated_annealing_kp
 
 from conftest import random_solution
 from loop_eval import loop_simulated_annealing
@@ -139,7 +139,7 @@ def test_annealing_takes_the_reference_decisions(monkeypatch, kind):
                               r=0.0 if k == 0 else None, float_weights=k % 2 == 1)
         sol = random_solution(rng, inst)
         for t0 in (None, 0.5, 20.0, 1e4):
-            params = PackingParams(sa_t0=t0, sa_cooling=0.6, sa_iters_per_temp=60)
+            params = SolverConfig(sa_t0=t0, sa_cooling=0.6, sa_iters_per_temp=60)
             a, b = run_both(monkeypatch, inst, sol, params, seed=k)
             assert a <= b
             ours, ref = ours + a, ref + b
@@ -154,7 +154,7 @@ def test_item_draws_follow_randint(monkeypatch, m):
     n = 30 if m > 100 else 6
     inst = bound_instance(rng, "ceil-float", n, m)
     sol = random_solution(rng, inst)
-    params = PackingParams(sa_t0=5.0, sa_cooling=0.5, sa_iters_per_temp=40)
+    params = SolverConfig(sa_t0=5.0, sa_cooling=0.5, sa_iters_per_temp=40)
     run_both(monkeypatch, inst, sol, params, seed=m)
 
 
@@ -166,7 +166,7 @@ def test_at_capacity_every_probe_is_priced(monkeypatch):
     coords = np.array([[3.0 * i, (i * i) % 7] for i in range(6)])
     total = float(np.cumsum([it.weight for it in items])[-1])
     sol = Solution([1, 2, 3, 4, 5, 6], [1] * 10)
-    params = PackingParams(sa_t0=1.0, sa_cooling=0.5, sa_iters_per_temp=50)
+    params = SolverConfig(sa_t0=1.0, sa_cooling=0.5, sa_iters_per_temp=50)
     for capacity, all_priced in ((total, True), (total * (1 + 5e-10), True), (total * (1 + 1e-6), False)):
         inst = Instance("full", 6, 10, coords, items, capacity, 0.1, 1.0, 0.5)
         ours, ref = run_both(monkeypatch, inst, sol, params, seed=3)

@@ -1,5 +1,9 @@
+import json
 import random
+import sys
 import time
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,19 @@ def test_readme_library_import():
 
     assert load_instance(FIXTURES / "example5.ttp").n == 5
     assert callable(solve) and SolverConfig().seed == 0
+
+
+def test_config_fields_match_the_run_record_schema():
+    schema = json.loads((Path(__file__).parents[1] / "schemas" / "runrecord.schema.json").read_text())
+    assert [f.name for f in fields(SolverConfig)] == list(schema["properties"]["config"]["properties"])
+
+
+def test_one_config_class_and_evaluate_names_the_module():
+    import ttp
+    import ttp.packing
+
+    assert ttp.packing.PackingParams is ttp.SolverConfig is SolverConfig
+    assert ttp.evaluate is sys.modules["ttp.evaluate"]
 
 
 def test_fixed_work_gain_is_bit_identical(category_c):

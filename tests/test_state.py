@@ -11,7 +11,7 @@ import pytest
 import ttp.tour as tour_mod
 from ttp.evaluate import Solution, build_prefix_cache, delta_flip, flip
 from ttp.instance import EdgeWeightType, Instance, Item
-from ttp.packing import PackingParams, bit_flip_search, simulated_annealing_kp
+from ttp.packing import SolverConfig, bit_flip_search, simulated_annealing_kp
 from ttp.tour import delaunay_candidates, two_opt_improve
 
 from conftest import make_random_instance, random_solution
@@ -126,6 +126,6 @@ def test_improvers_leave_a_given_state_alone():
     sol = Solution(list(range(1, 11)), [0] * inst.m)
     cache = build_prefix_cache(inst, sol)
     bit_flip_search(inst, sol, cache, rng=random.Random(1))
-    simulated_annealing_kp(inst, sol, cache, PackingParams(sa_iters_per_temp=50), rng=random.Random(2))
+    simulated_annealing_kp(inst, sol, cache, SolverConfig(sa_iters_per_temp=50), rng=random.Random(2))
     assert sol.packing == [0] * inst.m
     assert_state_is_fresh(inst, sol, cache)
