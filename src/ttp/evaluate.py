@@ -10,7 +10,6 @@ probe and discard them uniformly.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +86,18 @@ class PrefixCache:
     deltas: dict[int, float] = field(default_factory=dict)
 
     def copy(self) -> "PrefixCache":
-        return deepcopy(self)
+        return PrefixCache(
+            city_at=self.city_at.copy(),
+            position=self.position.copy(),
+            city_weight=self.city_weight.copy(),
+            cum_weight=self.cum_weight.copy(),
+            inv_speed=self.inv_speed.copy(),
+            arrive_time=self.arrive_time.copy(),
+            leg_dist=self.leg_dist.copy(),
+            suffix_dist=self.suffix_dist.copy(),
+            total_time=self.total_time,
+            deltas=dict(self.deltas),
+        )
 
 
 def velocity_at(inst: Instance, cumulative_weight: float) -> float:

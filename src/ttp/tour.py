@@ -80,16 +80,20 @@ def _knn_candidates(inst: Instance, k: int = 8, deadline: Optional[float] = None
 
 
 def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> CandidateLists:
-    """Neighbour lists from the Delaunay triangulation of the city coordinates.
+    """Neighbour lists from the Delaunay triangulation of the city coordinates,
+    each sorted by (distance, id).
 
     EXPLICIT-distance instances (no coordinates) and degenerate point sets
     fall back to k-nearest-neighbour lists (k=8).  Duplicate coordinates are
     perturbed deterministically by an index-scaled epsilon first.  Once
-    ``deadline`` (a ``time.monotonic()`` value) has passed, the lists not yet
-    built are left empty; every city still has one.
+    ``deadline`` (a ``time.monotonic()`` value) has passed, the k-nearest
+    lists not yet built are left empty; the Delaunay lists are built all at
+    once, so past the deadline before the triangulation or before the sort
+    every list is empty.  Every city always has a list.
     """
     if inst.coords is None:
         return _knn_candidates(inst, deadline=deadline)
+    n = inst.n
     pts = np.array(inst.coords, dtype=float)
     if len(np.unique(pts, axis=0)) != len(pts):
         span = max(float(np.ptp(pts)), 1.0)
@@ -101,17 +105,22 @@ def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> Can
                 pts[i] += eps * (i + 1)
             else:
                 seen[key] = i
+    empty: CandidateLists = {i: [] for i in range(1, n + 1)}
+    if _past(deadline):
+        return empty
     try:
         tri = Delaunay(pts)
     except QhullError:
         return _knn_candidates(inst, deadline=deadline)
-    neighbours: dict[int, set[int]] = {i: set() for i in range(1, inst.n + 1)}
-    for simplex in tri.simplices:
-        for a in simplex:
-            for b in simplex:
-                if a != b:
-                    neighbours[a + 1].add(b + 1)
-    return _by_distance(inst, neighbours, deadline)
+    s = tri.simplices.astype(np.intp)
+    # every directed edge of every triangle, once
+    edges = [s[:, i] * n + s[:, j] for i in range(3) for j in range(3) if i != j]
+    owner, to = np.divmod(np.unique(np.concatenate(edges)), n)
+    if _past(deadline):
+        return empty
+    order = np.lexsort((to, _distances(inst, owner, to), owner))
+    lists = np.split(to[order] + 1, np.bincount(owner, minlength=n).cumsum()[:-1])
+    return {i + 1: ns.tolist() for i, ns in enumerate(lists)}
 
 
 def reverse_segment(seq: Sequence, i: int, j: int) -> list:
@@ -127,7 +136,7 @@ def reverse_segment(seq: Sequence, i: int, j: int) -> list:
     return out
 
 
-def _reversal(inst: Instance, tour: list[int], w_city: np.ndarray, cache: PrefixCache, a: int, b: int):
+def _reversal(inst: Instance, tour: list[int], cache: PrefixCache, a: int, b: int):
     """Tour positions a-1 .. n-1 once positions [a, b] (0-based, a >= 1) are
     reversed: the 0-based cities at a .. n-1, and per position from a-1 on
     the leg, the load, the velocity and the running travel time.
@@ -149,7 +158,7 @@ def _reversal(inst: Instance, tour: list[int], w_city: np.ndarray, cache: Prefix
         [inst.distance(tour[a], tour[(b + 1) % n])],
         cache.leg_dist[b + 1 :],
     ))
-    load = w_city[cities]
+    load = cache.city_weight[cities]
     load[0] += cache.cum_weight[a - 1]
     cum_weight = np.concatenate(([cache.cum_weight[a - 1]], load.cumsum()))
     speed = velocities(inst, cum_weight)
@@ -158,25 +167,12 @@ def _reversal(inst: Instance, tour: list[int], w_city: np.ndarray, cache: Prefix
     return cities, legs, cum_weight, speed, step.cumsum()
 
 
-def _time_after_reversal(
-    inst: Instance,
-    tour: list[int],
-    w_city: np.ndarray,
-    cache: PrefixCache,
-    a: int,
-    b: int,
-) -> float:
-    """Total travel time if tour positions [a, b] (0-based, a >= 1) were
-    reversed, reusing the prefix untouched by the move."""
-    return float(_reversal(inst, tour, w_city, cache, a, b)[-1][-1])
-
-
 def _reverse(inst: Instance, sol: Solution, cache: PrefixCache, a: int, b: int) -> None:
     """Apply the reversal of tour positions [a, b] to ``sol.tour`` and to
     ``cache`` in place; every array but ``city_weight`` changes from
     position a-1 on, ``suffix_dist`` everywhere, and ``deltas`` empties."""
-    cities, legs, cum_weight, speed, elapsed = _reversal(inst, sol.tour, cache.city_weight, cache, a, b)
-    sol.tour[a : b + 1] = sol.tour[a : b + 1][::-1]
+    cities, legs, cum_weight, speed, elapsed = _reversal(inst, sol.tour, cache, a, b)
+    sol.tour[:] = reverse_segment(sol.tour, a + 1, b + 1)
     cache.city_at[a:] = cities
     cache.position[cities] = np.arange(a, inst.n)
     cache.leg_dist[a - 1 :] = legs
@@ -220,18 +216,12 @@ def _candidate_table(inst: Instance, candidates: CandidateLists):
     return count, start, to, dist
 
 
-def _first_length_move(inst: Instance, cache: PrefixCache, table) -> Optional[tuple[int, int]]:
-    """The probe loop's next move on an empty knapsack with exact travel
-    times, from one numpy pass over every probe.
-
-    A probe reverses positions [a, b] to create the candidate edge (u, v),
-    u = tour[a - 1] and v = tour[b]; its travel-time change is the length
-    change d(u, v) + d(tour[a], tour[b + 1]) - leg[a - 1] - leg[b] over
-    ``v_max``.  Under ``_exact_length_steps`` that is exactly the difference
-    of the two float totals, so the gain test below takes the probe loop's
-    decision bit for bit.  Returns the first improving probe in the loop's
-    scan order (position a, then candidate order), or None.
-    """
+def _probes(inst: Instance, cache: PrefixCache, table):
+    """Every probe of a pass, in the scan order of the descent: tour position
+    a = 1 .. n-1, then the candidate order of u = tour[a - 1].  A probe
+    reverses positions [a, b] to create the candidate edge (u, v), v =
+    tour[b]; probes with b <= a are skipped.  Returns the arrays a and b and
+    the two legs each probe creates, d(u, v) and d(tour[a], tour[b + 1])."""
     count, start, to, dist = table
     n = inst.n
     owners = cache.city_at[:-1]  # the city at position a - 1, a = 1 .. n - 1
@@ -241,39 +231,115 @@ def _first_length_move(inst: Instance, cache: PrefixCache, table) -> Optional[tu
     b = cache.position[to[entry]]
     keep = b > a
     a, b, entry = a[keep], b[keep], entry[keep]
-    fourth = _distances(inst, cache.city_at[a], cache.city_at[(b + 1) % n])
-    dlen = dist[entry] + fourth - cache.leg_dist[a - 1] - cache.leg_dist[b]
+    return a, b, dist[entry], _distances(inst, cache.city_at[a], cache.city_at[(b + 1) % n])
+
+
+def _first_length_move(inst: Instance, cache: PrefixCache, table) -> Optional[tuple[int, int]]:
+    """The descent's next move on an empty knapsack with exact travel
+    times, from one numpy pass over every probe.
+
+    A probe's travel-time change is the length change d(u, v) +
+    d(tour[a], tour[b + 1]) - leg[a - 1] - leg[b] over ``v_max``.  Under
+    ``_exact_length_steps`` that is exactly the difference of the two float
+    totals, so the gain test below takes the walk's decision bit for bit.
+    Returns the first improving probe in scan order, or None.
+    """
+    a, b, first, last = _probes(inst, cache, table)
+    dlen = first + last - cache.leg_dist[a - 1] - cache.leg_dist[b]
     improving = np.flatnonzero(inst.renting_ratio * (-dlen / inst.v_max) > GAIN_EPS)
     if not improving.size:
         return None
     return int(a[improving[0]]), int(b[improving[0]])
 
 
-def _first_probed_move(
+def _runs(lengths: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The runs first[r], first[r] + 1, .., first[r] + lengths[r] - 1,
+    concatenated."""
+    return np.repeat(first - (lengths.cumsum() - lengths), lengths) + np.arange(lengths.sum())
+
+
+def _times_after_reversals(
     inst: Instance,
-    sol: Solution,
     cache: PrefixCache,
-    candidates: CandidateLists,
-    deadline: Optional[float],
+    a: np.ndarray,
+    b: np.ndarray,
+    first: np.ndarray,
+    last: np.ndarray,
+) -> np.ndarray:
+    """Total travel time if tour positions [a[p], b[p]] (0-based, 1 <= a <= b)
+    were reversed, for every probe p, whose new legs are ``first[p]`` =
+    d(tour[a - 1], tour[b]) and ``last[p]`` = d(tour[a], tour[b + 1]).
+
+    One row per probe walks the tour positions lo - 1 .. n - 1, lo = min(a):
+    zeros before a - 1, then the load ``cum_weight[a - 1]`` with the leg
+    ``first``, then the reversed segment and the unchanged rest of the tour.
+    Adding 0.0 changes no float, each element sees the IEEE operations of a
+    walk from position a - 1 in the walk's order, and ``cumsum`` adds along
+    a row from left to right, so every total equals that walk bit for bit.
+    """
+    at = cache.city_at
+    lo = int(a.min())
+    cols = inst.n - lo + 1
+    load_at = cache.city_weight[at]
+    loads = np.empty((a.size, cols))
+    loads[:] = load_at[lo - 1 :]
+    legs = np.empty((a.size, cols))
+    legs[:] = cache.leg_dist[lo - 1 :]
+    flat_loads, flat_legs = loads.reshape(-1), legs.reshape(-1)
+    origin = np.arange(0, loads.size, cols) + 1 - lo  # flat index of position 0 per row
+    seg = b - a + 1
+    new = _runs(seg, a)  # the positions a .. b of each probe
+    old = np.repeat(a + b, seg) - new  # the position that held the city now there
+    at_new = np.repeat(origin, seg) + new
+    flat_loads[at_new] = load_at[old]
+    # the new leg at a position runs back from old to old - 1; the one
+    # written at b is replaced by ``last`` just below
+    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
+        flat_legs[at_new] = inst.explicit_dist[at[old], at[old - 1]]
+    else:  # coordinate distances are exactly symmetric
+        flat_legs[at_new] = cache.leg_dist[old - 1]
+    flat_legs[origin + b] = last
+    before = _runs(a - lo, origin + lo - 1)
+    flat_loads[before] = 0.0
+    flat_legs[before] = 0.0
+    at_start = origin + a - 1
+    flat_loads[at_start] = cache.cum_weight[a - 1]
+    flat_legs[at_start] = first
+    step = legs / velocities(inst, loads.cumsum(axis=1))
+    step.reshape(-1)[at_start] += cache.arrive_time[a - 1]
+    return step.cumsum(axis=1)[:, -1]
+
+
+# Elements per chunk of a packed pass: chunks are large enough to spread
+# numpy's fixed cost per call over many probes and small enough to stay in
+# cache, and a pass that finds a move early prices few probes past it.
+_CHUNK_ELEMENTS = 2**15
+
+
+def _first_packed_move(
+    inst: Instance, cache: PrefixCache, table, deadline: Optional[float]
 ) -> Optional[tuple[int, int]]:
-    """The first improving probe in scan order, each priced by
-    ``_time_after_reversal``; None when there is none or the deadline
-    passes."""
-    n = inst.n
-    r = inst.renting_ratio
-    for a in range(1, n):
-        if deadline is not None and _time.monotonic() >= deadline:
+    """The first improving probe in scan order, priced in chunks of probes by
+    ``_times_after_reversals``; None when there is none or the deadline
+    passes.
+
+    Chunks start at 8 probes and double, each capped at ``_CHUNK_ELEMENTS``
+    elements (at least one probe); the deadline is checked before each.
+    """
+    a, b, first, last = _probes(inst, cache, table)
+    done, rows = 0, 8
+    while done < a.size:
+        if _past(deadline):
             return None
-        u = sol.tour[a - 1]
-        for v in candidates[u]:
-            b = int(cache.position[v - 1])
-            if b <= a or b > n - 1:
-                continue
-            new_time = _time_after_reversal(inst, sol.tour, cache.city_weight, cache, a, b)
-            # gain delta is -R * (time delta); with R = 0 the objective
-            # cannot improve, so fall back to plain time descent ties off
-            if r * (cache.total_time - new_time) > GAIN_EPS:
-                return a, b
+        cols = inst.n - int(a[done]) + 1  # of a chunk starting at this probe
+        end = min(a.size, done + max(1, min(rows, _CHUNK_ELEMENTS // cols)))
+        chunk = slice(done, end)
+        times = _times_after_reversals(inst, cache, a[chunk], b[chunk], first[chunk], last[chunk])
+        # the gain change is -R * (time change); with R = 0 nothing improves
+        improving = np.flatnonzero(inst.renting_ratio * (cache.total_time - times) > GAIN_EPS)
+        if improving.size:
+            return int(a[done + improving[0]]), int(b[done + improving[0]])
+        done, rows = end, 2 * rows
     return None
 
 
@@ -294,22 +360,21 @@ def two_opt_improve(
 
     With nothing picked and exact travel times (``_exact_length_steps``),
     each pass prices every probe at once by its length change
-    (``_first_length_move``) and checks the deadline once; otherwise each
-    probe walks the reversed tour (``_time_after_reversal``).  Both accept
-    the same moves.
+    (``_first_length_move``) and checks the deadline once; otherwise it
+    walks the reversed tours in chunks of probes (``_first_packed_move``).
+    Both accept the moves of a probe-by-probe walk.
     """
     sol = sol.copy()
     if cache is None or not np.array_equal(cache.city_at, np.array(sol.tour) - 1):
         cache = build_prefix_cache(inst, sol)
     else:
         cache = cache.copy()
-    table = None
-    if not cache.cum_weight.any() and _exact_length_steps(inst):
-        table = _candidate_table(inst, candidates)
+    table = _candidate_table(inst, candidates)
+    lengths_only = not cache.cum_weight.any() and _exact_length_steps(inst)
     while True:
-        if table is None:
-            move = _first_probed_move(inst, sol, cache, candidates, deadline)
-        elif deadline is not None and _time.monotonic() >= deadline:
+        if not lengths_only:
+            move = _first_packed_move(inst, cache, table, deadline)
+        elif _past(deadline):
             move = None
         else:
             move = _first_length_move(inst, cache, table)

@@ -3,14 +3,15 @@ every 2-OPT reversal the state must equal a fresh ``build_prefix_cache``
 exactly, and the numpy probes must equal the plain loops of
 ``loop_eval.py`` exactly, not to a tolerance."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 import ttp.tour as tour_mod
-from ttp.evaluate import Solution, build_prefix_cache, delta_flip, flip
-from ttp.instance import EdgeWeightType, Instance, Item
+from ttp.evaluate import PrefixCache, Solution, build_prefix_cache, delta_flip, flip
+from ttp.instance import EdgeWeightType, Instance, Item, _distances
 from ttp.packing import SolverConfig, bit_flip_search, simulated_annealing_kp
 from ttp.tour import delaunay_candidates, two_opt_improve
 
@@ -87,7 +88,9 @@ def test_reversal_keeps_state_equal_to_fresh_build(explicit):
         for _ in range(10):
             a = rng.randint(1, inst.n - 2)
             b = rng.randint(a + 1, inst.n - 1)
-            probe = tour_mod._time_after_reversal(inst, sol.tour, cache.city_weight, cache, a, b)
+            first = _distances(inst, cache.city_at[[a - 1]], cache.city_at[[b]])
+            last = _distances(inst, cache.city_at[[a]], cache.city_at[[(b + 1) % inst.n]])
+            probe = tour_mod._times_after_reversals(inst, cache, np.array([a]), np.array([b]), first, last)[0]
             assert probe == loop_time_after_reversal(inst, sol.tour, sol.packing, a, b)
             for j in range(1, inst.m + 1):
                 delta_flip(inst, sol, cache, j)
@@ -97,6 +100,60 @@ def test_reversal_keeps_state_equal_to_fresh_build(explicit):
             assert_build_equals_loop(inst, sol)
             for j in range(1, inst.m + 1):
                 assert delta_flip(inst, sol, cache, j) == loop_delta_flip(inst, sol.tour, sol.packing, j)
+
+
+@pytest.mark.parametrize("budget", [1, 211, tour_mod._CHUNK_ELEMENTS])
+@pytest.mark.parametrize("explicit", [False, True])
+def test_batched_times_equal_the_walk_for_every_probe(monkeypatch, explicit, budget):
+    # no probe may improve, so a packed pass prices every probe of the tour
+    monkeypatch.setattr(tour_mod, "GAIN_EPS", np.inf)
+    monkeypatch.setattr(tour_mod, "_CHUNK_ELEMENTS", budget)
+    real = tour_mod._times_after_reversals
+    chunks = []
+
+    def recording(inst_, cache_, a, b, first, last):
+        times = real(inst_, cache_, a, b, first, last)
+        chunks.append((a, b, times))
+        return times
+
+    monkeypatch.setattr(tour_mod, "_times_after_reversals", recording)
+    rng = random.Random(59 + explicit)
+    priced = 0
+    for _ in range(12):
+        inst = float_instance(rng, rng.randint(3, 30), rng.randint(1, 40), explicit)
+        sol = random_solution(rng, inst, feasible=False)
+        cache = build_prefix_cache(inst, sol)
+        every = {c: [v for v in range(1, inst.n + 1) if v != c] for c in range(1, inst.n + 1)}
+        table = tour_mod._candidate_table(inst, every)
+        chunks.clear()
+        assert tour_mod._first_packed_move(inst, cache, table, None) is None
+        a, b, _, _ = tour_mod._probes(inst, cache, table)
+        assert a.size == (inst.n - 1) * (inst.n - 2) // 2  # every pair 1 <= a < b <= n - 1
+        assert np.array_equal(np.concatenate([c[0] for c in chunks]), a)
+        assert np.array_equal(np.concatenate([c[1] for c in chunks]), b)
+        for ca, cb, times in chunks:
+            assert ca.size == 1 or ca.size * (inst.n - ca[0] + 1) <= budget
+            for x, y, t in zip(ca.tolist(), cb.tolist(), times.tolist()):
+                assert t == loop_time_after_reversal(inst, sol.tour, sol.packing, x, y)
+                priced += 1
+    assert priced > 1000
+
+
+def test_copy_equals_its_source_and_shares_no_buffer():
+    rng = random.Random(61)
+    inst = float_instance(rng, 12, 20)
+    sol = random_solution(rng, inst, feasible=False)
+    cache = build_prefix_cache(inst, sol)
+    delta_flip(inst, sol, cache, 1)
+    twin = cache.copy()
+    for f in dataclasses.fields(PrefixCache):
+        mine, theirs = getattr(twin, f.name), getattr(cache, f.name)
+        if isinstance(mine, np.ndarray):
+            assert np.array_equal(mine, theirs) and mine.dtype == theirs.dtype, f.name
+            assert not np.shares_memory(mine, theirs), f.name
+        else:
+            assert mine == theirs, f.name
+    assert twin.deltas == {1: cache.deltas[1]} and twin.deltas is not cache.deltas
 
 
 def test_two_opt_accepted_moves_keep_state(monkeypatch):

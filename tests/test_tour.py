@@ -158,6 +158,8 @@ def test_grid_contains_grid_neighbours():
             for dx, dy in ((1, 0), (0, 1)):
                 if x + dx < 5 and y + dy < 5:
                     assert cid(x + dx, y + dy) in cand[cid(x, y)]
+    for i, ns in cand.items():  # ties in distance are broken by id
+        assert ns == sorted(ns, key=lambda c: (inst.distance(i, c), c))
 
 
 def test_matches_empty_circumcircle_oracle():
@@ -176,6 +178,7 @@ def test_candidate_invariants():
     for i, ns in cand.items():
         assert ns, "every city needs at least one candidate"
         assert i not in ns
+        assert ns == sorted(ns, key=lambda c: (inst.distance(i, c), c))
         for j in ns:
             assert i in cand[j]
 
@@ -214,18 +217,22 @@ def test_candidates_past_their_deadline(monkeypatch, kind):
     assert delaunay_candidates(inst, deadline=time.monotonic() + 1e6) == full
     # already passed: every city still has a (now empty) list
     assert delaunay_candidates(inst, deadline=time.monotonic()) == {i: [] for i in range(1, 16)}
-    # a clock that passes the deadline after five checks: five lists are built
     ticks = iter(range(1000))
     monkeypatch.setattr(tour_mod, "_time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
-    cand = delaunay_candidates(inst, deadline=5)
+    if kind == "delaunay":
+        # all or none: one check before the triangulation (ticks 0, then 2),
+        # one before the sort (ticks 1, then 3)
+        assert delaunay_candidates(inst, deadline=2) == full
+        assert delaunay_candidates(inst, deadline=3) == {i: [] for i in range(1, 16)}
+        return
+    # a clock that passes the deadline after five k-nearest checks (the
+    # collinear points make one more check, before the triangulation fails)
+    cand = delaunay_candidates(inst, deadline=5 if kind == "explicit-knn" else 6)
     assert list(cand) == list(range(1, 16))
     assert all(cand[i] == [] for i in range(6, 16))
-    for i in range(1, 6):
-        if kind == "delaunay":
-            assert cand[i] == full[i]
-        else:  # the 8 nearest, cut off before the lists are made mutual
-            others = sorted(set(range(1, 16)) - {i}, key=lambda c: (inst.distance(i, c), c))
-            assert cand[i] == others[:8]
+    for i in range(1, 6):  # the 8 nearest, cut off before the lists are made mutual
+        others = sorted(set(range(1, 16)) - {i}, key=lambda c: (inst.distance(i, c), c))
+        assert cand[i] == others[:8]
 
 
 def test_solve_past_its_deadline_on_knn_candidates(monkeypatch, example5):
@@ -297,25 +304,24 @@ def test_two_opt_monotone_with_packing():
 
 
 def test_two_opt_accepted_moves_match_scratch_reevaluation(monkeypatch):
-    # every accepted move's incremental time agrees with a full evaluation
-    import ttp.tour as tour_mod
-
+    # every accepted move leaves the state's time equal to a full evaluation
+    # of the new tour, and raises the gain
     rng = random.Random(29)
     inst = make_random_instance(rng, 10, 12)
     sol = random_solution(rng, inst)
-    real = tour_mod._time_after_reversal
+    assert any(sol.packing)
+    real = tour_mod._reverse
     checked = []
 
-    def checking(inst_, tour_, w_city, cache, a, b):
-        t = real(inst_, tour_, w_city, cache, a, b)
-        probe = list(tour_)
-        probe[a : b + 1] = probe[a : b + 1][::-1]
-        scratch = evaluate(inst_, Solution(probe, sol.packing)).travel_time
-        assert t == pytest.approx(scratch, rel=1e-6)
+    def checking(inst_, sol_, cache, a, b):
+        before = evaluate(inst_, sol_).gain
+        real(inst_, sol_, cache, a, b)
+        scratch = evaluate(inst_, sol_)
+        assert cache.total_time == scratch.travel_time
+        assert scratch.gain > before
         checked.append(1)
-        return t
 
-    monkeypatch.setattr(tour_mod, "_time_after_reversal", checking)
+    monkeypatch.setattr(tour_mod, "_reverse", checking)
     two_opt_improve(inst, sol, None, delaunay_candidates(inst), None)
     assert checked
 
@@ -363,15 +369,16 @@ def length_instance(rng, kind, n, v_max=1.0, r=None, m=0):
 
 
 def count_probe_walks(monkeypatch) -> list:
-    """Counts the calls of the per-probe walk, which only the probe loop makes."""
-    real = tour_mod._time_after_reversal
+    """Counts the calls of the batched walk of reversed tours, which only the
+    packed pass makes."""
+    real = tour_mod._times_after_reversals
     walks = []
 
     def counting(*args):
         walks.append(1)
         return real(*args)
 
-    monkeypatch.setattr(tour_mod, "_time_after_reversal", counting)
+    monkeypatch.setattr(tour_mod, "_times_after_reversals", counting)
     return walks
 
 
@@ -407,12 +414,13 @@ def test_empty_knapsack_descent_matches_the_probe_loop(monkeypatch, kind, v_max,
         assert two_opt_improve(inst, sol, None, cand, None).tour == expect
         moved += expect != sol.tour
     assert moved == 0 if r == 0.0 else moved > 0
-    # exact times are priced in one pass; the others walk each probe
+    # exact times are priced by their length change; the others walk the
+    # reversed tours
     assert (len(walks) == 0) if exact else (len(walks) > 0)
 
 
 def test_empty_knapsack_descent_matches_the_probe_loop_on_larger_tours(monkeypatch):
-    # the library's own probe loop is the reference here, the fast path off
+    # the library's packed pass is the reference here, the fast path off
     rng = random.Random(61)
     for kind in ("ceil-int", "euc-half", "ceil-float"):
         for _ in range(3):
@@ -438,6 +446,45 @@ def test_one_picked_item_takes_the_packed_path(monkeypatch):
     out = two_opt_improve(inst, sol, None, cand, None)
     assert walks
     assert out.tour == loop_two_opt(inst, sol.tour, sol.packing, cand)
+
+
+# (kind, v_max, renting ratio or None for random)
+PACKED_CASES = [
+    ("ceil-int", 1.0, None),
+    ("ceil-float", 0.7, None),
+    ("euc-half", 2.0, None),
+    ("ceil-float", 1.0, 0.0),  # R = 0: no move gains
+    ("explicit-float", 1.0, None),
+    ("explicit-asym", 0.7, None),
+]
+
+
+@pytest.mark.parametrize("kind,v_max,r", PACKED_CASES)
+def test_packed_descent_matches_the_probe_loop(monkeypatch, kind, v_max, r):
+    walks = count_probe_walks(monkeypatch)
+    rng = random.Random(f"packed {kind} {v_max} {r}")
+    moved = 0
+    for k in range(6):
+        inst = length_instance(rng, kind, rng.randint(8, 24), v_max, r, m=rng.randint(1, 30))
+        sol = random_solution(rng, inst, feasible=k % 2 == 0)
+        sol.packing[0] = 1
+        cand = full_candidates(inst) if k < 2 else delaunay_candidates(inst)
+        expect = loop_two_opt(inst, sol.tour, sol.packing, cand)
+        assert two_opt_improve(inst, sol, None, cand, None).tour == expect
+        moved += expect != sol.tour
+    assert moved == 0 if r == 0.0 else moved > 0
+    assert walks
+
+
+def test_packed_descent_past_its_deadline_returns_the_input_tour():
+    rng = random.Random(73)
+    inst = length_instance(rng, "ceil-float", 20, m=10)
+    sol = random_solution(rng, inst)
+    sol.packing[0] = 1
+    cand = delaunay_candidates(inst)
+    assert loop_two_opt(inst, sol.tour, sol.packing, cand) != sol.tour
+    out = two_opt_improve(inst, sol, None, cand, time.monotonic())
+    assert out.tour == sol.tour and out.packing == sol.packing
 
 
 @pytest.mark.parametrize("kind", ["ceil-int", "euc-half", "ceil-float"])
