@@ -183,6 +183,19 @@ def _outcome(fn, *args):
         return exc
 
 
+def _outcomes(tasks: list[tuple], workers: int):
+    """Each task's record, or the exception it raised, in task order, each
+    as soon as it and every task before it have finished."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_bench_task, t) for t in tasks]
+            for f in futures:
+                yield _outcome(f.result)
+    else:
+        for t in tasks:
+            yield _outcome(_bench_task, t)
+
+
 def cmd_bench(args) -> int:
     paths = sorted(_glob.glob(args.instances))
     if not paths:
@@ -208,25 +221,20 @@ def cmd_bench(args) -> int:
             continue
         tasks += [(path, label, cfg.to_dict(), run) for label, run, cfg in configs]
 
-    # a task that raises is reported as failed; the other records are kept
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_bench_task, t) for t in tasks]
-            outcomes = [_outcome(f.result) for f in futures]
-    else:
-        outcomes = [_outcome(_bench_task, t) for t in tasks]
+    # each record reaches the file as soon as its run ends; a task that
+    # raises is reported as failed and the other records are kept
     results = []
-    for (path, label, _, run), out in zip(tasks, outcomes):
-        if isinstance(out, Exception):
-            traceback.print_exception(out, file=sys.stderr)
-            failed.append(f"{path} ({label}, run {run}): {type(out).__name__}: {out}")
-        else:
-            results.append(out)
-
     records_path = outdir / "records.jsonl"
     with open(records_path, "w") as fh:
-        for rec in results:
-            fh.write(json.dumps(rec) + "\n")
+        for done, ((path, label, _, run), out) in enumerate(zip(tasks, _outcomes(tasks, args.workers)), 1):
+            if isinstance(out, Exception):
+                traceback.print_exception(out, file=sys.stderr)
+                failed.append(f"{path} ({label}, run {run}): {type(out).__name__}: {out}")
+            else:
+                results.append(out)
+                fh.write(json.dumps(out) + "\n")
+                fh.flush()
+            print(f"bench: {done}/{len(tasks)} runs", file=sys.stderr)
 
     matrix = _matrix_from_records(results)
     _write_summary(outdir / "summary.csv", matrix)

@@ -69,7 +69,8 @@ class PrefixCache:
 
     ``flip`` and the 2-OPT move update it in place.  Every update repeats the
     arithmetic of ``build_prefix_cache`` on the suffix it changes, so the
-    state stays bit-identical to a fresh build.
+    state stays bit-identical to a fresh build, and ``gain`` equals
+    ``evaluate(...).gain`` of the solution it describes.
     """
 
     city_at: np.ndarray
@@ -85,19 +86,10 @@ class PrefixCache:
     # probes the same few items thousands of times between two updates
     deltas: dict[int, float] = field(default_factory=dict)
 
-    def copy(self) -> "PrefixCache":
-        return PrefixCache(
-            city_at=self.city_at.copy(),
-            position=self.position.copy(),
-            city_weight=self.city_weight.copy(),
-            cum_weight=self.cum_weight.copy(),
-            inv_speed=self.inv_speed.copy(),
-            arrive_time=self.arrive_time.copy(),
-            leg_dist=self.leg_dist.copy(),
-            suffix_dist=self.suffix_dist.copy(),
-            total_time=self.total_time,
-            deltas=dict(self.deltas),
-        )
+    def gain(self, inst: Instance, packing: list[int]) -> float:
+        """The gain of ``packing`` on this state's tour, as ``evaluate``
+        computes it; ``packing`` must be the one the state describes."""
+        return _profit(inst, packing) - inst.renting_ratio * self.total_time
 
 
 def velocity_at(inst: Instance, cumulative_weight: float) -> float:
@@ -138,12 +130,16 @@ def _walk(inst: Instance, sol: Solution):
     return city_weight, city_at, cum_weight, speed, leg_dist, elapsed
 
 
+def _profit(inst: Instance, packing: list[int]) -> float:
+    return sequential_sum(inst.profit[np.flatnonzero(packing)])
+
+
 def evaluate(inst: Instance, sol: Solution) -> EvalResult:
     """Full objective evaluation of a solution."""
     if len(sol.packing) != inst.m:
         raise ValueError("packing length does not match item count")
     _, _, cum_weight, _, _, elapsed = _walk(inst, sol)
-    total_profit = sequential_sum(inst.profit[np.flatnonzero(sol.packing)])
+    total_profit = _profit(inst, sol.packing)
     time = float(elapsed[-1])
     final_weight = float(cum_weight[-1])
     return EvalResult(
@@ -196,10 +192,10 @@ def flip(inst: Instance, sol: Solution, cache: PrefixCache, item: int) -> None:
     left as they are."""
     sol.packing[item - 1] ^= 1
     cache.deltas.clear()
-    city = inst.city[item - 1]
+    city = inst.city.item(item - 1)
     # summed afresh in item order, as build_prefix_cache does, not adjusted
     # by the flipped weight, which would leave a rounding residue
-    homed = np.flatnonzero(inst.city == city)
+    homed = inst.city_items[city - 1]
     cache.city_weight[city - 1] = sequential_sum(inst.weight[[j for j in homed if sol.packing[j]]])
     k0 = cache.position[city - 1]
     load = cache.city_weight[cache.city_at[k0:]]

@@ -49,6 +49,8 @@ class Instance:
 
     ``profit``, ``weight`` and ``city`` hold the item data as arrays, row
     ``j - 1`` for item ``j``, next to the ``items`` tuple they are built from.
+    ``city_items[c - 1]`` lists the rows of the items homed at city ``c``, in
+    item order.
     """
 
     name: str
@@ -65,6 +67,7 @@ class Instance:
     profit: np.ndarray = field(init=False, repr=False, compare=False)
     weight: np.ndarray = field(init=False, repr=False, compare=False)
     city: np.ndarray = field(init=False, repr=False, compare=False)
+    city_items: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.items) != self.m:
@@ -88,6 +91,10 @@ class Instance:
         if misplaced.size:
             it = self.items[misplaced[0]]
             raise ValueError(f"item {it.index} homed at invalid city {it.city}")
+        homed: list[list[int]] = [[] for _ in range(self.n)]
+        for j, c in enumerate(self.city.tolist()):
+            homed[c - 1].append(j)
+        object.__setattr__(self, "city_items", tuple(map(tuple, homed)))
         empty = np.flatnonzero((self.profit <= 0) | (self.weight <= 0))
         if empty.size:
             raise ValueError(f"item {self.items[empty[0]].index} must have positive profit and weight")

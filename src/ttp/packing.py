@@ -16,15 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ttp.evaluate import (
-    GAIN_EPS,
-    PrefixCache,
-    Solution,
-    build_prefix_cache,
-    delta_flip,
-    evaluate,
-    flip,
-)
+from ttp.evaluate import GAIN_EPS, PrefixCache, Solution, build_prefix_cache, delta_flip, flip
 from ttp.instance import Instance, sequential_sum
 from ttp.scoring import DEFAULT_ALPHA, build_score_table
 
@@ -74,6 +66,14 @@ def default_beta(inst: Instance) -> float:
     return 0.5
 
 
+def _flip_to(inst: Instance, sol: Solution, cache: PrefixCache, packing: list[int]) -> list[int]:
+    """Flip the items where ``sol.packing`` differs from ``packing``, so that
+    ``cache`` describes ``packing``; returns ``packing``."""
+    for j in np.flatnonzero(np.not_equal(sol.packing, packing)).tolist():
+        flip(inst, sol, cache, j + 1)
+    return packing
+
+
 def initial_picking_plan(
     inst: Instance,
     tour: list[int],
@@ -93,6 +93,9 @@ def initial_picking_plan(
     ``config.beta`` are read; ``beta=None`` means ``default_beta(inst)``.
     Once ``deadline`` (a ``time.monotonic()`` value) has passed, neither
     phase picks any more.
+
+    ``cache`` must describe ``tour`` with nothing picked.  It is updated in
+    place and, on every return, describes ``tour`` with the returned plan.
     """
     table = build_score_table(inst, cache, config.alpha)
     z = [0] * inst.m
@@ -108,7 +111,6 @@ def initial_picking_plan(
         by_city.setdefault(item_city[j - 1], []).append(j)
 
     sol = Solution(list(tour), z)
-    cur = build_prefix_cache(inst, sol)
     weight = 0.0
     done = False
     for pos in range(inst.n - 1, 0, -1):
@@ -121,15 +123,15 @@ def initial_picking_plan(
                 continue
             if weight + w > inst.capacity:
                 continue
-            if delta_flip(inst, sol, cur, j) < 0:
+            if delta_flip(inst, sol, cache, j) < 0:
                 continue
-            flip(inst, sol, cur, j)
+            flip(inst, sol, cache, j)
             weight += w
             if weight >= target:
                 done = True
                 break
     phase1 = list(z)
-    phase1_gain = evaluate(inst, Solution(list(tour), phase1)).gain
+    phase1_gain = cache.gain(inst, z)
 
     # phase 2: insertion fill over remaining positive-gain items
     for j in table.order:
@@ -140,12 +142,14 @@ def initial_picking_plan(
         w = item_weight[j - 1]
         if weight + w > inst.capacity:
             continue
-        if delta_flip(inst, sol, cur, j) > 0:
-            flip(inst, sol, cur, j)
+        if delta_flip(inst, sol, cache, j) > 0:
+            flip(inst, sol, cache, j)
             weight += w
 
-    phase2_gain = evaluate(inst, Solution(list(tour), z)).gain
-    return z if phase2_gain >= phase1_gain else phase1
+    # phase 2 adds only items priced above 0, so it can lose only by rounding
+    if cache.gain(inst, z) >= phase1_gain:
+        return z
+    return _flip_to(inst, sol, cache, phase1)
 
 
 def bit_flip_search(
@@ -157,11 +161,12 @@ def bit_flip_search(
 ) -> list[int]:
     """Hill climbing over single-bit flips in random order; keeps a flip iff
     it strictly improves the gain and stays feasible.  Stops after a full
-    pass without improvement or at the deadline.  A given ``cache`` is
-    copied, not changed."""
+    pass without improvement or at the deadline.  ``sol`` is not changed; a
+    given ``cache``, which must describe it, is updated in place and
+    describes the returned packing on ``sol.tour``."""
     rng = rng or Random(0)
     sol = sol.copy()
-    cache = build_prefix_cache(inst, sol) if cache is None else cache.copy()
+    cache = build_prefix_cache(inst, sol) if cache is None else cache
     weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
     item_weight = inst.weight.tolist()
     improved = True
@@ -250,8 +255,11 @@ def simulated_annealing_kp(
     accepted, worsening ones with probability exp(delta / T).  Temperature
     cools geometrically; the run ends when T drops below a thousandth of the
     start temperature or the deadline passes.  Returns the best feasible
-    packing ever visited, never worse than the input.  A given ``cache`` is
-    copied, not changed.  The schedule comes from ``config.sa_t0``,
+    packing ever visited, never worse than the input.  ``sol`` is not
+    changed; a given ``cache``, which must describe it, is updated in place
+    and, on every return, describes the returned packing on ``sol.tour``:
+    where the best packing is not the current one, the differing items are
+    flipped back.  The schedule comes from ``config.sa_t0``,
     ``sa_cooling`` and ``sa_iters_per_temp``; without ``rng`` the draws
     come from ``Random(config.seed)``.
 
@@ -263,10 +271,10 @@ def simulated_annealing_kp(
     """
     rng = rng or Random(config.seed)
     sol = sol.copy()
-    cache = build_prefix_cache(inst, sol) if cache is None else cache.copy()
+    cache = build_prefix_cache(inst, sol) if cache is None else cache
     if inst.m == 0:
         return sol.packing
-    cur_gain = evaluate(inst, sol).gain
+    cur_gain = cache.gain(inst, sol.packing)
     weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
     best = list(sol.packing)
     best_gain = cur_gain
@@ -286,7 +294,7 @@ def simulated_annealing_kp(
     while temp > 1e-3 * t0:
         for _ in range(iters):
             if deadline is not None and _time.monotonic() >= deadline:
-                return best
+                return _flip_to(inst, sol, cache, best)
             # rng.randint(1, m) - 1, drawn as randint draws it
             j = getrandbits(bits)
             while j >= m:
@@ -319,6 +327,7 @@ def simulated_annealing_kp(
             if bound is not None:
                 top, slope = float(cache.cum_weight[-1]), _slopes(cache)
         # resync against drift accumulated by the incremental deltas
-        cur_gain = evaluate(inst, sol).gain
+        cur_gain = cache.gain(inst, packing)
         temp *= config.sa_cooling
-    return best
+    return _flip_to(inst, sol, cache, best)
+

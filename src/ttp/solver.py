@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Optional
 
-from ttp.evaluate import Solution, build_prefix_cache, evaluate
+from ttp.evaluate import Solution, build_prefix_cache
 from ttp.instance import Instance
 from ttp.packing import SolverConfig, bit_flip_search, initial_picking_plan, simulated_annealing_kp
 from ttp.tour import delaunay_candidates, nearest_neighbor_tour, two_opt_improve
@@ -68,6 +68,7 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
             break
         if restart > 0 and _time.monotonic() >= deadline:
             break
+        descend = False
         if restart == 0 and config.tour_in is not None:
             sol = Solution(list(config.tour_in), [0] * inst.m)
         elif restart % 2 == 0 and restart > 0:
@@ -77,25 +78,27 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
         else:
             tour = nearest_neighbor_tour(inst, rng=rng if restart > 0 else None, deadline=deadline)
             sol = Solution(tour, [0] * inst.m)
-            # tour-length descent stands in for an off-the-shelf LK initializer
-            sol = two_opt_improve(inst, sol, None, candidates, deadline)
+            descend = True
 
+        # the restart's one walk over the tour: every stage below updates
+        # this state in place and leaves it describing the solution it returns
         cache = build_prefix_cache(inst, sol)
+        if descend:
+            # tour-length descent stands in for an off-the-shelf LK initializer
+            sol = two_opt_improve(inst, sol, cache, candidates, deadline)
         sol.packing = initial_picking_plan(inst, sol.tour, cache, config, deadline)
-        gain = evaluate(inst, sol).gain
+        gain = cache.gain(inst, sol.packing)
         prev = float("-inf")
         # improve the packing before touching the tour: with a thin initial
         # plan a tour-length descent would undo the restart diversification
         while gain > prev + 1e-9:
             prev = gain
-            cache = build_prefix_cache(inst, sol)
             if config.use_sa:
                 sol.packing = simulated_annealing_kp(inst, sol, cache, config, deadline, rng)
             else:
                 sol.packing = bit_flip_search(inst, sol, cache, deadline, rng)
-            cache = build_prefix_cache(inst, sol)
             sol = two_opt_improve(inst, sol, cache, candidates, deadline)
-            gain = evaluate(inst, sol).gain
+            gain = cache.gain(inst, sol.packing)
             if _time.monotonic() >= deadline:
                 break
         trace.append(gain)

@@ -51,32 +51,32 @@ def _past(deadline: Optional[float]) -> bool:
     return deadline is not None and _time.monotonic() >= deadline
 
 
-def _by_distance(inst: Instance, neighbours, deadline: Optional[float]) -> CandidateLists:
-    """Each city's neighbours sorted by (distance, id); once ``deadline``
-    has passed, the cities not yet sorted get empty lists."""
-    out: CandidateLists = {}
-    for i, ns in neighbours.items():
-        out[i] = [] if _past(deadline) else sorted(ns, key=lambda c: (inst.distance(i, c), c))
-    return out
+def _sorted_by_distance(inst: Instance, i: int, to: np.ndarray) -> list[int]:
+    """The 0-based cities ``to`` as 1-based ids, sorted by (distance from the
+    0-based city ``i``, id)."""
+    return (to[np.lexsort((to, _distances(inst, np.full(to.size, i), to)))] + 1).tolist()
 
 
 def _knn_candidates(inst: Instance, k: int = 8, deadline: Optional[float] = None) -> CandidateLists:
-    k = min(k, inst.n - 1)
-    cand: CandidateLists = {i: [] for i in range(1, inst.n + 1)}
-    for i in cand:
+    """The k nearest cities of each city by (distance, id), made mutual and
+    sorted by (distance, id).  Past ``deadline`` the cities not yet reached
+    get empty lists: before the lists are made mutual, the lists built so far
+    are kept as they are."""
+    n = inst.n
+    k = min(k, n - 1)
+    cand: CandidateLists = {i: [] for i in range(1, n + 1)}
+    for i in range(n):
         if _past(deadline):
             return cand
-        others = sorted(
-            (c for c in range(1, inst.n + 1) if c != i),
-            key=lambda c: (inst.distance(i, c), c),
-        )
-        cand[i] = others[:k]
+        others = np.delete(np.arange(n), i)
+        cand[i + 1] = _sorted_by_distance(inst, i, others)[:k]
     # symmetrize: a knn relation is not necessarily mutual
-    for i in range(1, inst.n + 1):
+    for i in range(1, n + 1):
         for j in cand[i]:
             if i not in cand[j]:
                 cand[j].append(i)
-    return _by_distance(inst, cand, deadline)
+    return {i: [] if _past(deadline) else _sorted_by_distance(inst, i - 1, np.array(ns, dtype=np.intp) - 1)
+            for i, ns in cand.items()}
 
 
 def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> CandidateLists:
@@ -355,8 +355,9 @@ def two_opt_improve(
 
     Only moves creating a candidate-list edge are probed; first-improvement
     acceptance, scanning by tour position then candidate order.  Runs until a
-    full pass finds no improving move or the deadline passes.  A given
-    ``cache`` is copied, not changed.
+    full pass finds no improving move or the deadline passes.  ``sol`` is
+    not changed; a given ``cache``, which must describe it, is updated in
+    place and describes the returned solution.
 
     With nothing picked and exact travel times (``_exact_length_steps``),
     each pass prices every probe at once by its length change
@@ -365,10 +366,7 @@ def two_opt_improve(
     Both accept the moves of a probe-by-probe walk.
     """
     sol = sol.copy()
-    if cache is None or not np.array_equal(cache.city_at, np.array(sol.tour) - 1):
-        cache = build_prefix_cache(inst, sol)
-    else:
-        cache = cache.copy()
+    cache = build_prefix_cache(inst, sol) if cache is None else cache
     table = _candidate_table(inst, candidates)
     lengths_only = not cache.cum_weight.any() and _exact_length_steps(inst)
     while True:

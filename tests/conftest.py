@@ -45,6 +45,25 @@ def make_random_instance(rng: random.Random, n: int, m: int,
     )
 
 
+def float_instance(rng: random.Random, n: int, m: int, explicit: bool = False) -> Instance:
+    """Random instance with float profits and weights, so that sums in
+    another order would round differently; EXPLICIT distances are
+    symmetric only up to rounding, so direction matters."""
+    base = make_random_instance(rng, n, 0)
+    items = tuple(Item(j, rng.uniform(1, 100), rng.uniform(0.1, 40), rng.randint(2, n))
+                  for j in range(1, m + 1))
+    cap = max(1.0, rng.uniform(0.2, 0.7) * sum(it.weight for it in items))
+    if explicit:
+        d = np.array([[rng.uniform(1, 50) for _ in range(n)] for _ in range(n)])
+        d = (d + d.T) / 2.0
+        d = d * (1 + 1e-12 * np.triu(np.ones((n, n))))  # asymmetric in the last bits
+        np.fill_diagonal(d, 0.0)
+        return Instance(base.name, n, m, None, items, cap, 0.1, 1.0,
+                        rng.uniform(0.5, 5.0), EdgeWeightType.EXPLICIT, d)
+    return Instance(base.name, n, m, base.coords, items, cap, 0.1, 1.0,
+                    rng.uniform(0.5, 5.0), rng.choice([EdgeWeightType.CEIL_2D, EdgeWeightType.EUC_2D]))
+
+
 def feasible_packings(inst: Instance):
     for z in product([0, 1], repeat=inst.m):
         if sum(inst.items[j].weight * z[j] for j in range(inst.m)) <= inst.capacity:

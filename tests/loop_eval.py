@@ -7,15 +7,24 @@ the tour, and per city in item order.  ``loop_score_table`` scores the
 items one at a time, as the picking plan's table did before it read the
 item arrays.  ``loop_simulated_annealing`` is the annealing loop that
 prices every probe, which the filtered loop must match decision for
-decision.
+decision.  ``loop_knn_candidates`` sorts every row with a Python key, as the
+k-nearest candidate lists were built before they were sorted in numpy.
+``loop_solve`` is the restart loop that builds the tour state afresh before
+each stage and evaluates the whole tour after it, which the solve that hands
+one state from stage to stage must match bit for bit.
 """
 
 import math
+import time as _time
+from random import Random
 
 import numpy as np
 
-from ttp.evaluate import GAIN_EPS, build_prefix_cache, delta_flip, evaluate, flip, velocity_at
+from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, delta_flip, evaluate, flip, velocity_at
 from ttp.instance import Instance, sequential_sum
+from ttp.packing import bit_flip_search, initial_picking_plan, simulated_annealing_kp
+from ttp.solver import RunRecord
+from ttp.tour import delaunay_candidates, nearest_neighbor_tour, two_opt_improve
 
 
 def loop_city_weights(inst: Instance, packing: list[int]) -> np.ndarray:
@@ -174,7 +183,7 @@ def loop_simulated_annealing(inst: Instance, sol, cache, params, rng) -> list[in
     """The SA loop as it was before its flip bound: every feasible probe is
     priced with ``delta_flip`` and drawn with ``rng.randint``."""
     sol = sol.copy()
-    cache = build_prefix_cache(inst, sol) if cache is None else cache.copy()
+    cache = build_prefix_cache(inst, sol) if cache is None else cache
     if inst.m == 0:
         return sol.packing
     cur_gain = evaluate(inst, sol).gain
@@ -202,3 +211,67 @@ def loop_simulated_annealing(inst: Instance, sol, cache, params, rng) -> list[in
         cur_gain = evaluate(inst, sol).gain
         temp *= params.sa_cooling
     return best
+
+
+def loop_knn_candidates(inst: Instance, k: int = 8) -> dict:
+    """The k nearest cities of each city by (distance, id), made mutual and
+    sorted again, each sort keyed by ``Instance.distance``."""
+    k = min(k, inst.n - 1)
+    cand = {}
+    for i in range(1, inst.n + 1):
+        others = sorted((c for c in range(1, inst.n + 1) if c != i), key=lambda c: (inst.distance(i, c), c))
+        cand[i] = others[:k]
+    for i in range(1, inst.n + 1):
+        for j in cand[i]:
+            if i not in cand[j]:
+                cand[j].append(i)
+    return {i: sorted(ns, key=lambda c: (inst.distance(i, c), c)) for i, ns in cand.items()}
+
+
+def loop_solve(inst: Instance, config) -> RunRecord:
+    """``solve`` as a restart loop that hands no state from stage to stage:
+    a fresh ``build_prefix_cache`` before the plan and before each improver,
+    and a full ``evaluate`` after the plan and after each 2-OPT descent."""
+    if config.tour_in is not None:
+        Solution(list(config.tour_in), [0] * inst.m).validate(inst)
+    start = _time.monotonic()
+    deadline = start + config.time_budget
+    rng = Random(config.seed)
+    candidates = delaunay_candidates(inst, deadline)
+    best_gain, best_sol, trace, restart = float("-inf"), None, [], 0
+    while True:
+        if config.max_restarts is not None and restart >= config.max_restarts:
+            break
+        if restart > 0 and _time.monotonic() >= deadline:
+            break
+        if restart == 0 and config.tour_in is not None:
+            sol = Solution(list(config.tour_in), [0] * inst.m)
+        elif restart % 2 == 0 and restart > 0:
+            rest = list(range(2, inst.n + 1))
+            rng.shuffle(rest)
+            sol = Solution([1] + rest, [0] * inst.m)
+        else:
+            tour = nearest_neighbor_tour(inst, rng=rng if restart > 0 else None, deadline=deadline)
+            sol = two_opt_improve(inst, Solution(tour, [0] * inst.m), None, candidates, deadline)
+        sol.packing = initial_picking_plan(inst, sol.tour, build_prefix_cache(inst, sol), config, deadline)
+        gain = evaluate(inst, sol).gain
+        prev = float("-inf")
+        while gain > prev + 1e-9:
+            prev = gain
+            cache = build_prefix_cache(inst, sol)
+            if config.use_sa:
+                sol.packing = simulated_annealing_kp(inst, sol, cache, config, deadline, rng)
+            else:
+                sol.packing = bit_flip_search(inst, sol, cache, deadline, rng)
+            sol = two_opt_improve(inst, sol, build_prefix_cache(inst, sol), candidates, deadline)
+            gain = evaluate(inst, sol).gain
+            if _time.monotonic() >= deadline:
+                break
+        trace.append(gain)
+        if gain > best_gain:
+            best_gain, best_sol = gain, sol.copy()
+        restart += 1
+        if config.max_restarts is None and _time.monotonic() >= deadline:
+            break
+    return RunRecord(inst.name, config.to_dict(), best_gain, best_sol.tour, best_sol.packing,
+                     _time.monotonic() - start, trace)

@@ -235,6 +235,37 @@ def test_bench_keeps_the_other_records_when_a_task_raises(tmp_path, capsys, monk
         assert [row[0] for row in csv.reader(fh)][1] == records[0]["instance"]
 
 
+def test_bench_writes_each_record_when_its_run_ends(tmp_path, capsys, monkeypatch):
+    import ttp.cli as cli
+
+    real = cli.solve
+    outdir = tmp_path / "bench"
+    seen = []  # the records in the file as each run starts
+
+    def solve(inst, config):
+        path = outdir / "records.jsonl"
+        seen.append([json.loads(l)["run"] for l in path.open()] if path.exists() else None)
+        return real(inst, config)
+
+    monkeypatch.setattr(cli, "solve", solve)
+    code, out, err = run(capsys, "bench", EXAMPLE, "--out", str(outdir), "--workers", "1",
+                         "--runs", "3", "--time", "5", "--max-restarts", "1")
+    assert code == 0 and json.loads(out)["runs"] == 3
+    assert seen == [[], [0], [0, 1]]
+    progress = [line for line in err.splitlines() if line.startswith("bench: ")]
+    assert progress == ["bench: 1/3 runs", "bench: 2/3 runs", "bench: 3/3 runs"]
+
+
+def test_bench_on_two_workers_keeps_task_order(tmp_path, capsys):
+    outdir = tmp_path / "bench"
+    code, out, err = run(capsys, "bench", EXAMPLE, "--out", str(outdir), "--workers", "2",
+                         "--runs", "4", "--time", "5", "--max-restarts", "1")
+    assert code == 0 and json.loads(out)["runs"] == 4
+    assert [json.loads(l)["run"] for l in (outdir / "records.jsonl").open()] == [0, 1, 2, 3]
+    assert [line for line in err.splitlines() if line.startswith("bench: ")] == [
+        f"bench: {k}/4 runs" for k in range(1, 5)]
+
+
 def test_bench_where_every_run_raises_writes_the_header_alone_and_rank_refuses_it(tmp_path, capsys, monkeypatch):
     import ttp.cli as cli
 

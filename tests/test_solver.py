@@ -1,16 +1,25 @@
+import itertools
 import json
 import random
 import sys
 import time
-from dataclasses import fields
+import types
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
+import loop_eval
+import ttp.evaluate as eval_mod
+import ttp.packing as packing_mod
+import ttp.solver as solver_mod
+import ttp.tour as tour_mod
 from ttp.evaluate import Solution, evaluate
+from ttp.instance import EdgeWeightType
 from ttp.solver import RunRecord, SolverConfig, solve
 
-from conftest import FIXTURES, brute_force_best_solution, make_random_instance
+from conftest import FIXTURES, brute_force_best_solution, float_instance, make_random_instance
+from loop_eval import loop_solve
 
 
 def test_config_validation():
@@ -146,3 +155,81 @@ def test_fixed_work_gain_is_bit_identical(category_c):
                                          sa_iters_per_temp=240, sa_cooling=0.5, seed=0))
     assert rec.best_gain == 72143.22439982402
     assert rec.trace == [72143.22439982402, 70149.34993313777]
+
+
+# --- one tour state per restart ------------------------------------------------
+
+def kind_instance(kind: str, seed: int, n: int = 9, m: int = 14):
+    """A float-item instance with CEIL_2D, EUC_2D or float EXPLICIT distances."""
+    inst = float_instance(random.Random(seed), n, m, explicit=kind == "explicit")
+    if kind == "explicit":
+        return inst
+    return replace(inst, edge_weight_type=EdgeWeightType.CEIL_2D if kind == "ceil" else EdgeWeightType.EUC_2D)
+
+
+def assert_same_run(got: RunRecord, expect: RunRecord) -> None:
+    assert got.best_gain == expect.best_gain
+    assert got.trace == expect.trace
+    assert got.best_tour == expect.best_tour
+    assert got.best_packing == expect.best_packing
+
+
+FIXED = dict(time_budget=1e6, max_restarts=4, sa_iters_per_temp=40, sa_cooling=0.7)
+
+
+@pytest.mark.parametrize("tour_in", [False, True])
+@pytest.mark.parametrize("use_sa", [True, False])
+@pytest.mark.parametrize("kind", ["ceil", "euc", "explicit"])
+def test_solve_equals_the_rewalking_loop(kind, use_sa, tour_in):
+    # restarts: the NN tour (or the supplied one), a randomised NN tour, a
+    # random tour, and a randomised NN tour again
+    for seed in range(3):
+        inst = kind_instance(kind, 100 + seed)
+        tour = [1] + random.Random(seed).sample(range(2, inst.n + 1), inst.n - 1) if tour_in else None
+        config = SolverConfig(seed=seed, use_sa=use_sa, tour_in=tour, **FIXED)
+        assert_same_run(solve(inst, config), loop_solve(inst, config))
+
+
+@pytest.mark.parametrize("case", ["no items", "no positive item"])
+def test_solve_equals_the_rewalking_loop_without_a_pick(case):
+    inst = kind_instance("ceil", 7, m=0 if case == "no items" else 10)
+    if case == "no positive item":
+        inst = replace(inst, renting_ratio=1e9)  # no item pays its rent
+    for use_sa in (True, False):
+        config = SolverConfig(seed=3, use_sa=use_sa, **FIXED)
+        rec = solve(inst, config)
+        assert_same_run(rec, loop_solve(inst, config))
+        assert rec.best_packing == [0] * inst.m
+
+
+@pytest.mark.parametrize("budget", [3, 30, 90, 250, 700, 2000, 6000])
+@pytest.mark.parametrize("use_sa", [True, False])
+def test_solve_equals_the_rewalking_loop_at_a_deadline(monkeypatch, budget, use_sa):
+    # a clock that ticks once per check, so that both loops stop at the same
+    # check: in the candidate build, the NN walk, a descent, the plan or an
+    # improver of some restart
+    ticks = iter(())
+    clock = types.SimpleNamespace(monotonic=lambda: next(ticks))
+    for module in (solver_mod, packing_mod, tour_mod, loop_eval):
+        monkeypatch.setattr(module, "_time", clock)
+    inst = kind_instance("euc", 11, n=8, m=12)
+    config = SolverConfig(time_budget=budget, seed=5, use_sa=use_sa, sa_iters_per_temp=20, sa_cooling=0.6)
+    ticks = itertools.count()
+    got = solve(inst, config)
+    ticks = itertools.count()
+    assert_same_run(got, loop_solve(inst, config))
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("use_sa", [True, False])
+def test_solve_walks_the_tour_once_per_restart(monkeypatch, category_c, use_sa, restarts):
+    walks = []
+    real = eval_mod._walk
+    monkeypatch.setattr(eval_mod, "_walk", lambda *args: walks.append(1) or real(*args))
+    rec = solve(category_c, SolverConfig(time_budget=1e6, max_restarts=restarts, sa_t0=1.0,
+                                         sa_iters_per_temp=240, sa_cooling=0.5, use_sa=use_sa))
+    # the tour state is built once per restart and handed from stage to
+    # stage; neither the annealer's best packing nor the plan's phase-1
+    # fallback is rebuilt
+    assert len(rec.trace) == restarts
+    assert len(walks) == restarts

@@ -1,44 +1,28 @@
 """Differential tests of the incremental tour state: after every ``flip`` and
 every 2-OPT reversal the state must equal a fresh ``build_prefix_cache``
 exactly, and the numpy probes must equal the plain loops of
-``loop_eval.py`` exactly, not to a tolerance."""
+``loop_eval.py`` exactly, not to a tolerance.  An improver given a state
+must hand it back describing the solution it returns, on every return."""
 
 import dataclasses
 import random
+import types
 
 import numpy as np
 import pytest
 
+import ttp.packing as packing_mod
 import ttp.tour as tour_mod
-from ttp.evaluate import PrefixCache, Solution, build_prefix_cache, delta_flip, flip
+from ttp.evaluate import Solution, build_prefix_cache, delta_flip, evaluate, flip
 from ttp.instance import EdgeWeightType, Instance, Item, _distances
-from ttp.packing import SolverConfig, bit_flip_search, simulated_annealing_kp
+from ttp.packing import SolverConfig, bit_flip_search, initial_picking_plan, simulated_annealing_kp
 from ttp.tour import delaunay_candidates, two_opt_improve
 
-from conftest import make_random_instance, random_solution
+from conftest import float_instance, random_solution
 from loop_eval import loop_delta_flip, loop_prefix_arrays, loop_time_after_reversal
 
 ARRAYS = ("city_at", "position", "city_weight", "cum_weight", "inv_speed",
           "arrive_time", "leg_dist", "suffix_dist")
-
-
-def float_instance(rng: random.Random, n: int, m: int, explicit: bool = False) -> Instance:
-    """Random instance with float profits and weights, so that sums in
-    another order would round differently; EXPLICIT distances are
-    symmetric only up to rounding, so direction matters."""
-    base = make_random_instance(rng, n, 0)
-    items = tuple(Item(j, rng.uniform(1, 100), rng.uniform(0.1, 40), rng.randint(2, n))
-                  for j in range(1, m + 1))
-    cap = max(1.0, rng.uniform(0.2, 0.7) * sum(it.weight for it in items))
-    if explicit:
-        d = np.array([[rng.uniform(1, 50) for _ in range(n)] for _ in range(n)])
-        d = (d + d.T) / 2.0
-        d = d * (1 + 1e-12 * np.triu(np.ones((n, n))))  # asymmetric in the last bits
-        np.fill_diagonal(d, 0.0)
-        return Instance(base.name, n, m, None, items, cap, 0.1, 1.0,
-                        rng.uniform(0.5, 5.0), EdgeWeightType.EXPLICIT, d)
-    return Instance(base.name, n, m, base.coords, items, cap, 0.1, 1.0,
-                    rng.uniform(0.5, 5.0), rng.choice([EdgeWeightType.CEIL_2D, EdgeWeightType.EUC_2D]))
 
 
 def assert_state_is_fresh(inst: Instance, sol: Solution, cache) -> None:
@@ -74,6 +58,7 @@ def test_flip_keeps_state_equal_to_fresh_build(explicit):
             flip(inst, sol, cache, j)
             assert sol.packing[j - 1] == 1 - before[j - 1]
             assert_state_is_fresh(inst, sol, cache)
+            assert cache.gain(inst, sol.packing) == evaluate(inst, sol).gain
             flips += 1
     assert flips > 500
 
@@ -97,6 +82,7 @@ def test_reversal_keeps_state_equal_to_fresh_build(explicit):
             tour_mod._reverse(inst, sol, cache, a, b)
             assert probe == cache.total_time
             assert_state_is_fresh(inst, sol, cache)
+            assert cache.gain(inst, sol.packing) == evaluate(inst, sol).gain
             assert_build_equals_loop(inst, sol)
             for j in range(1, inst.m + 1):
                 assert delta_flip(inst, sol, cache, j) == loop_delta_flip(inst, sol.tour, sol.packing, j)
@@ -139,23 +125,6 @@ def test_batched_times_equal_the_walk_for_every_probe(monkeypatch, explicit, bud
     assert priced > 1000
 
 
-def test_copy_equals_its_source_and_shares_no_buffer():
-    rng = random.Random(61)
-    inst = float_instance(rng, 12, 20)
-    sol = random_solution(rng, inst, feasible=False)
-    cache = build_prefix_cache(inst, sol)
-    delta_flip(inst, sol, cache, 1)
-    twin = cache.copy()
-    for f in dataclasses.fields(PrefixCache):
-        mine, theirs = getattr(twin, f.name), getattr(cache, f.name)
-        if isinstance(mine, np.ndarray):
-            assert np.array_equal(mine, theirs) and mine.dtype == theirs.dtype, f.name
-            assert not np.shares_memory(mine, theirs), f.name
-        else:
-            assert mine == theirs, f.name
-    assert twin.deltas == {1: cache.deltas[1]} and twin.deltas is not cache.deltas
-
-
 def test_two_opt_accepted_moves_keep_state(monkeypatch):
     real = tour_mod._reverse
     accepted = []
@@ -171,18 +140,95 @@ def test_two_opt_accepted_moves_keep_state(monkeypatch):
         inst = float_instance(rng, rng.randint(5, 20), rng.randint(0, 20), explicit=k % 3 == 0)
         sol = random_solution(rng, inst, feasible=False)
         given = build_prefix_cache(inst, sol)
+        before = sol.copy()
         out = two_opt_improve(inst, sol, given, delaunay_candidates(inst), None)
-        assert_state_is_fresh(inst, sol, given)  # the caller's state is left alone
-        assert out.packing == sol.packing
+        assert_state_is_fresh(inst, out, given)  # the given state describes the returned tour
+        assert sol == before and out.packing == sol.packing
     assert len(accepted) > 20
 
 
-def test_improvers_leave_a_given_state_alone():
+def test_improvers_hand_back_the_state_of_what_they_return(monkeypatch):
+    real = packing_mod._flip_to
+    flipped_back = []
+
+    def recording(inst_, sol_, cache_, packing):
+        flipped_back.append(sum(a != b for a, b in zip(sol_.packing, packing)))
+        return real(inst_, sol_, cache_, packing)
+
+    monkeypatch.setattr(packing_mod, "_flip_to", recording)
     rng = random.Random(53)
-    inst = float_instance(rng, 10, 20)
-    sol = Solution(list(range(1, 11)), [0] * inst.m)
-    cache = build_prefix_cache(inst, sol)
-    bit_flip_search(inst, sol, cache, rng=random.Random(1))
-    simulated_annealing_kp(inst, sol, cache, SolverConfig(sa_iters_per_temp=50), rng=random.Random(2))
-    assert sol.packing == [0] * inst.m
-    assert_state_is_fresh(inst, sol, cache)
+    for k in range(12):
+        inst = float_instance(rng, rng.randint(3, 12), rng.randint(0, 20), explicit=k % 3 == 0)
+        sol = random_solution(rng, inst, feasible=True)
+        before = sol.copy()
+        for improve in (
+            lambda cache: bit_flip_search(inst, sol, cache, rng=random.Random(k)),
+            # a high final temperature ends the run away from its best packing
+            lambda cache: simulated_annealing_kp(
+                inst, sol, cache, SolverConfig(sa_t0=1e4, sa_cooling=0.1, sa_iters_per_temp=30),
+                rng=random.Random(k)),
+        ):
+            given = build_prefix_cache(inst, sol)
+            packing = improve(given)
+            assert_state_is_fresh(inst, Solution(sol.tour, packing), given)
+            assert given.gain(inst, packing) == evaluate(inst, Solution(sol.tour, packing)).gain
+            assert sol == before
+        empty = Solution(sol.tour, [0] * inst.m)
+        given = build_prefix_cache(inst, empty)
+        plan = initial_picking_plan(inst, sol.tour, given, SolverConfig(beta=rng.random()))
+        assert_state_is_fresh(inst, Solution(sol.tour, plan), given)
+    assert any(flipped_back)
+
+
+def test_plan_hands_back_its_phase_1_state(monkeypatch):
+    # phase 2 adds only items priced above 0, so it loses to phase 1 only by
+    # rounding.  Priced at +1 here, it adds item 2 to phase 1's item 1; the
+    # full knapsack then crawls at v_min over the 100-long rest of the tour
+    # and costs more rent than item 2's profit, so phase 1's plan wins
+    monkeypatch.setattr(packing_mod, "delta_flip", lambda *args: 1.0)
+    d = np.array([[0.0, 1.0, 50.0], [1.0, 0.0, 50.0], [50.0, 50.0, 0.0]])
+    items = (Item(1, 6.0, 5.0, 2), Item(2, 5.0, 5.0, 2))
+    inst = Instance("fallback", 3, 2, None, items, 10.0, 0.1, 1.0, 0.01, EdgeWeightType.EXPLICIT, d)
+    tour = [1, 2, 3]
+    given = build_prefix_cache(inst, Solution(tour, [0, 0]))
+    assert initial_picking_plan(inst, tour, given, SolverConfig(beta=0.0)) == [1, 0]
+    assert evaluate(inst, Solution(tour, [1, 0])).gain > evaluate(inst, Solution(tour, [1, 1])).gain
+    assert_state_is_fresh(inst, Solution(tour, [1, 0]), given)
+
+
+@pytest.mark.parametrize("stop", range(1, 40, 3))
+def test_improvers_hand_back_the_state_at_their_deadline(monkeypatch, stop):
+    # a clock that passes the deadline after ``stop`` checks, mid-run
+    rng = random.Random(71 + stop)
+    inst = float_instance(rng, 9, 14)
+    sol = random_solution(rng, inst, feasible=True)
+    config = SolverConfig(sa_t0=50.0, sa_iters_per_temp=4)
+    clock = types.SimpleNamespace(monotonic=lambda: next(ticks))
+    monkeypatch.setattr(packing_mod, "_time", clock)
+    monkeypatch.setattr(tour_mod, "_time", clock)
+    for improve in (
+        lambda cache: Solution(sol.tour, bit_flip_search(inst, sol, cache, stop, random.Random(1))),
+        lambda cache: Solution(sol.tour, simulated_annealing_kp(inst, sol, cache, config, stop, random.Random(2))),
+        lambda cache: two_opt_improve(inst, sol, cache, delaunay_candidates(inst), stop),
+    ):
+        ticks = iter(range(1000))
+        given = build_prefix_cache(inst, sol)
+        assert_state_is_fresh(inst, improve(given), given)
+    ticks = iter(range(1000))
+    empty = Solution(sol.tour, [0] * inst.m)
+    given = build_prefix_cache(inst, empty)
+    plan = initial_picking_plan(inst, sol.tour, given, SolverConfig(beta=0.0), stop)
+    assert_state_is_fresh(inst, Solution(sol.tour, plan), given)
+
+
+def test_improvers_hand_back_the_state_on_an_early_return():
+    rng = random.Random(67)
+    # no items, and items of which none can pay its rent: the plan and the
+    # annealer return at once, with nothing picked
+    for inst in (float_instance(rng, 6, 0), dataclasses.replace(float_instance(rng, 7, 9), renting_ratio=1e9)):
+        sol = Solution(list(range(1, inst.n + 1)), [0] * inst.m)
+        given = build_prefix_cache(inst, sol)
+        assert initial_picking_plan(inst, sol.tour, given, SolverConfig()) == [0] * inst.m
+        assert_state_is_fresh(inst, sol, given)
+        assert simulated_annealing_kp(inst, sol, given, SolverConfig(), rng=random.Random(1)) == sol.packing
+        assert_state_is_fresh(inst, sol, given)

@@ -21,7 +21,7 @@ from ttp.tour import (
 )
 
 from conftest import make_random_instance, random_solution
-from loop_eval import loop_two_opt
+from loop_eval import loop_knn_candidates, loop_two_opt
 
 
 def coord_instance(points, **kw):
@@ -366,6 +366,20 @@ def length_instance(rng, kind, n, v_max=1.0, r=None, m=0):
         pts = [(x * step, y * step) for x, y in cells]
     ewt = EdgeWeightType.EUC_2D if kind == "euc-half" else EdgeWeightType.CEIL_2D
     return Instance(coords=np.array(pts, dtype=float), edge_weight_type=ewt, **common)
+
+
+@pytest.mark.parametrize("kind", ["explicit-int", "explicit-asym", "explicit-float", "ceil-int", "euc-half"])
+def test_knn_candidates_equal_the_loop_sort(kind):
+    # integer matrices and grid points give many equal distances, which the
+    # ids must order; k-nearest lists are built for EXPLICIT and collinear
+    # instances, and here also straight from the coordinates
+    rng = random.Random(23)
+    for n in (2, 3, 9, 10, 40):
+        inst = length_instance(rng, kind, n)
+        for k in (1, 8, n):
+            assert tour_mod._knn_candidates(inst, k) == loop_knn_candidates(inst, k)
+    collinear = coord_instance([(float(x), 0.0) for x in rng.sample(range(60), 25)])
+    assert delaunay_candidates(collinear) == loop_knn_candidates(collinear)
 
 
 def count_probe_walks(monkeypatch) -> list:
