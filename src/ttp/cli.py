@@ -105,8 +105,9 @@ def cmd_tour(args) -> int:
     inst, sol = _instance_and_tour(args.instance, args.tour_in)
     candidates = delaunay_candidates(inst)
     deadline = _time.monotonic() + args.time
-    sol = two_opt_improve(inst, sol, None, candidates, deadline)
-    text = " ".join(str(c) for c in sol.tour)
+    cache = build_prefix_cache(inst, sol)
+    two_opt_improve(inst, cache, candidates, deadline)
+    text = " ".join(str(c) for c in cache.solution().tour)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:

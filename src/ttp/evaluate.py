@@ -65,12 +65,15 @@ class PrefixCache:
     ``leg_dist[k]`` the distance from position k to the next (cyclically);
     ``suffix_dist[k]`` the tour distance from position k to the end of the
     cyclic tour (back to city 1);
+    ``packing`` the picking plan, one 0/1 entry per item;
     ``deltas[item]`` a ``delta_flip`` result already computed on this state.
 
-    ``flip`` and the 2-OPT move update it in place.  Every update repeats the
-    arithmetic of ``build_prefix_cache`` on the suffix it changes, so the
-    state stays bit-identical to a fresh build, and ``gain`` equals
-    ``evaluate(...).gain`` of the solution it describes.
+    The state is the solution: its tour is ``city_at`` and its plan
+    ``packing``, and ``solution()`` copies both out.  ``flip`` and the 2-OPT
+    move update it in place.  Every update repeats the arithmetic of
+    ``build_prefix_cache`` on the suffix it changes, so the state stays
+    bit-identical to a fresh build, and ``gain`` equals ``evaluate(...).gain``
+    of ``solution()``.
     """
 
     city_at: np.ndarray
@@ -82,27 +85,23 @@ class PrefixCache:
     leg_dist: np.ndarray
     suffix_dist: np.ndarray
     total_time: float
+    packing: list[int]
     # a probe costs a fixed ~10 us of numpy calls; on tiny instances SA
     # probes the same few items thousands of times between two updates
     deltas: dict[int, float] = field(default_factory=dict)
 
-    def gain(self, inst: Instance, packing: list[int]) -> float:
-        """The gain of ``packing`` on this state's tour, as ``evaluate``
-        computes it; ``packing`` must be the one the state describes."""
-        return _profit(inst, packing) - inst.renting_ratio * self.total_time
+    def gain(self, inst: Instance) -> float:
+        """The gain of this solution, as ``evaluate`` computes it."""
+        return _profit(inst, self.packing) - inst.renting_ratio * self.total_time
 
-
-def velocity_at(inst: Instance, cumulative_weight: float) -> float:
-    """Velocity under the given load; exactly v_min at capacity, clamped
-    at v_min past it."""
-    if cumulative_weight >= inst.capacity:
-        return inst.v_min
-    v = inst.v_max - cumulative_weight * inst.weight_velocity_slope
-    return max(v, inst.v_min)
+    def solution(self) -> Solution:
+        """A copy of the solution this state describes."""
+        return Solution((self.city_at + 1).tolist(), list(self.packing))
 
 
 def velocities(inst: Instance, carried: np.ndarray) -> np.ndarray:
-    """``velocity_at`` over an array of loads, with the same arithmetic."""
+    """The velocity under each load: v_max - load * (v_max - v_min) / capacity,
+    clamped at v_min, and exactly v_min at or past capacity."""
     v = np.maximum(inst.v_max - carried * inst.weight_velocity_slope, inst.v_min)
     v[carried >= inst.capacity] = inst.v_min
     return v
@@ -152,6 +151,9 @@ def evaluate(inst: Instance, sol: Solution) -> EvalResult:
 
 
 def build_prefix_cache(inst: Instance, sol: Solution) -> PrefixCache:
+    """The tour state of ``sol``, which it copies; raises ``ValueError``
+    when ``sol`` fails ``Solution.validate``."""
+    sol.validate(inst)
     city_weight, city_at, cum_weight, speed, leg_dist, elapsed = _walk(inst, sol)
     position = np.empty(inst.n, dtype=np.intp)
     position[city_at] = np.arange(inst.n)
@@ -165,10 +167,11 @@ def build_prefix_cache(inst: Instance, sol: Solution) -> PrefixCache:
         leg_dist=leg_dist,
         suffix_dist=leg_dist[::-1].cumsum()[::-1].copy(),
         total_time=float(elapsed[-1]),
+        packing=list(sol.packing),
     )
 
 
-def delta_flip(inst: Instance, sol: Solution, cache: PrefixCache, item: int) -> float:
+def delta_flip(inst: Instance, cache: PrefixCache, item: int) -> float:
     """Gain change from flipping item ``item`` (1-based), in time proportional
     to the tour suffix after the item's home city."""
     if not (1 <= item <= inst.m):
@@ -176,7 +179,7 @@ def delta_flip(inst: Instance, sol: Solution, cache: PrefixCache, item: int) -> 
     delta = cache.deltas.get(item)
     if delta is None:
         j = item - 1  # .item(j) reads a Python number, cheaper than a numpy scalar
-        sign = -1.0 if sol.packing[j] else 1.0
+        sign = -1.0 if cache.packing[j] else 1.0
         k0 = cache.position[inst.city.item(j) - 1]
         new_inv = 1.0 / velocities(inst, cache.cum_weight[k0:] + sign * inst.weight.item(j))
         dt = (cache.leg_dist[k0:] * (new_inv - cache.inv_speed[k0:])).cumsum()[-1]
@@ -184,19 +187,19 @@ def delta_flip(inst: Instance, sol: Solution, cache: PrefixCache, item: int) -> 
     return delta
 
 
-def flip(inst: Instance, sol: Solution, cache: PrefixCache, item: int) -> None:
-    """Flip item ``item`` (1-based) in ``sol.packing`` and bring ``cache`` up
-    to date in place: ``city_weight`` at the item's city, then
-    ``cum_weight``, ``inv_speed``, ``arrive_time`` and ``total_time`` over the
-    tour suffix from that city, and empties ``deltas``.  The tour fields are
-    left as they are."""
-    sol.packing[item - 1] ^= 1
+def flip(inst: Instance, cache: PrefixCache, item: int) -> None:
+    """Flip item ``item`` (1-based) in ``cache.packing`` and bring the rest
+    of the state up to date in place: ``city_weight`` at the item's city,
+    then ``cum_weight``, ``inv_speed``, ``arrive_time`` and ``total_time``
+    over the tour suffix from that city, and empties ``deltas``.  The tour
+    fields are left as they are."""
+    cache.packing[item - 1] ^= 1
     cache.deltas.clear()
     city = inst.city.item(item - 1)
     # summed afresh in item order, as build_prefix_cache does, not adjusted
     # by the flipped weight, which would leave a rounding residue
     homed = inst.city_items[city - 1]
-    cache.city_weight[city - 1] = sequential_sum(inst.weight[[j for j in homed if sol.packing[j]]])
+    cache.city_weight[city - 1] = sequential_sum(inst.weight[[j for j in homed if cache.packing[j]]])
     k0 = cache.position[city - 1]
     load = cache.city_weight[cache.city_at[k0:]]
     if k0:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ttp.evaluate import GAIN_EPS, PrefixCache, Solution, build_prefix_cache, delta_flip, flip
+from ttp.evaluate import GAIN_EPS, PrefixCache, delta_flip, flip
 from ttp.instance import Instance, sequential_sum
 from ttp.scoring import DEFAULT_ALPHA, build_score_table
 
@@ -66,12 +66,10 @@ def default_beta(inst: Instance) -> float:
     return 0.5
 
 
-def _flip_to(inst: Instance, sol: Solution, cache: PrefixCache, packing: list[int]) -> list[int]:
-    """Flip the items where ``sol.packing`` differs from ``packing``, so that
-    ``cache`` describes ``packing``; returns ``packing``."""
-    for j in np.flatnonzero(np.not_equal(sol.packing, packing)).tolist():
-        flip(inst, sol, cache, j + 1)
-    return packing
+def _flip_to(inst: Instance, cache: PrefixCache, packing: list[int]) -> None:
+    """Flip the items where ``cache.packing`` differs from ``packing``."""
+    for j in np.flatnonzero(np.not_equal(cache.packing, packing)).tolist():
+        flip(inst, cache, j + 1)
 
 
 def initial_picking_plan(
@@ -89,18 +87,21 @@ def initial_picking_plan(
     nonnegative.  The walk stops once the load reaches capacity times the
     positive-item ratio.  Phase 2 fills the remainder with a greedy
     insertion pass over all positive-gain items by descending score.
-    Returns the better of the two stages by gain.  Only ``config.alpha`` and
+    Keeps the better of the two stages by gain.  Only ``config.alpha`` and
     ``config.beta`` are read; ``beta=None`` means ``default_beta(inst)``.
     Once ``deadline`` (a ``time.monotonic()`` value) has passed, neither
     phase picks any more.
 
-    ``cache`` must describe ``tour`` with nothing picked.  It is updated in
-    place and, on every return, describes ``tour`` with the returned plan.
+    The plan replaces the packing of ``cache``, whose tour ``tour`` must be
+    (``ValueError`` otherwise); ``cache`` ends holding the plan, and a copy
+    of it is returned.
     """
+    if not np.array_equal(cache.city_at + 1, tour):
+        raise ValueError("tour is not the state's tour")
+    _flip_to(inst, cache, [0] * inst.m)
     table = build_score_table(inst, cache, config.alpha)
-    z = [0] * inst.m
     if table.positive_count == 0:
-        return z
+        return list(cache.packing)
     beta = default_beta(inst) if config.beta is None else config.beta
     threshold = table.avg_score + (table.max_score - table.avg_score) * beta
     target = inst.capacity * table.ratio
@@ -110,7 +111,6 @@ def initial_picking_plan(
     for j in table.order:
         by_city.setdefault(item_city[j - 1], []).append(j)
 
-    sol = Solution(list(tour), z)
     weight = 0.0
     done = False
     for pos in range(inst.n - 1, 0, -1):
@@ -123,51 +123,42 @@ def initial_picking_plan(
                 continue
             if weight + w > inst.capacity:
                 continue
-            if delta_flip(inst, sol, cache, j) < 0:
+            if delta_flip(inst, cache, j) < 0:
                 continue
-            flip(inst, sol, cache, j)
+            flip(inst, cache, j)
             weight += w
             if weight >= target:
                 done = True
                 break
-    phase1 = list(z)
-    phase1_gain = cache.gain(inst, z)
+    phase1 = list(cache.packing)
+    phase1_gain = cache.gain(inst)
 
     # phase 2: insertion fill over remaining positive-gain items
     for j in table.order:
         if deadline is not None and _time.monotonic() >= deadline:
             break
-        if z[j - 1]:
+        if cache.packing[j - 1]:
             continue
         w = item_weight[j - 1]
         if weight + w > inst.capacity:
             continue
-        if delta_flip(inst, sol, cache, j) > 0:
-            flip(inst, sol, cache, j)
+        if delta_flip(inst, cache, j) > 0:
+            flip(inst, cache, j)
             weight += w
 
     # phase 2 adds only items priced above 0, so it can lose only by rounding
-    if cache.gain(inst, z) >= phase1_gain:
-        return z
-    return _flip_to(inst, sol, cache, phase1)
+    if cache.gain(inst) < phase1_gain:
+        _flip_to(inst, cache, phase1)
+    return list(cache.packing)
 
 
-def bit_flip_search(
-    inst: Instance,
-    sol: Solution,
-    cache: Optional[PrefixCache],
-    deadline: Optional[float] = None,
-    rng: Optional[Random] = None,
-) -> list[int]:
-    """Hill climbing over single-bit flips in random order; keeps a flip iff
-    it strictly improves the gain and stays feasible.  Stops after a full
-    pass without improvement or at the deadline.  ``sol`` is not changed; a
-    given ``cache``, which must describe it, is updated in place and
-    describes the returned packing on ``sol.tour``."""
-    rng = rng or Random(0)
-    sol = sol.copy()
-    cache = build_prefix_cache(inst, sol) if cache is None else cache
-    weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
+def bit_flip_search(inst: Instance, cache: PrefixCache, deadline: Optional[float], rng: Random) -> None:
+    """Hill climbing over single-bit flips of ``cache.packing``, in place, in
+    random order; keeps a flip iff it strictly improves the gain and stays
+    feasible.  Stops after a full pass without improvement or at the
+    deadline."""
+    packing = cache.packing
+    weight = sequential_sum(inst.weight[np.flatnonzero(packing)])
     item_weight = inst.weight.tolist()
     improved = True
     while improved:
@@ -176,16 +167,15 @@ def bit_flip_search(
         rng.shuffle(order)
         for j in order:
             if deadline is not None and _time.monotonic() >= deadline:
-                return sol.packing
+                return
             w = item_weight[j - 1]
-            turning_on = not sol.packing[j - 1]
+            turning_on = not packing[j - 1]
             if turning_on and weight + w > inst.capacity:
                 continue
-            if delta_flip(inst, sol, cache, j) > GAIN_EPS:
-                flip(inst, sol, cache, j)
+            if delta_flip(inst, cache, j) > GAIN_EPS:
+                flip(inst, cache, j)
                 weight += w if turning_on else -w
                 improved = True
-    return sol.packing
 
 
 # exp(ub / T) is scaled up by this before it may reject a probe, so that
@@ -243,25 +233,21 @@ def _slopes(cache: PrefixCache) -> list[float]:
 
 def simulated_annealing_kp(
     inst: Instance,
-    sol: Solution,
-    cache: Optional[PrefixCache],
+    cache: PrefixCache,
     config: SolverConfig,
-    deadline: Optional[float] = None,
-    rng: Optional[Random] = None,
-) -> list[int]:
-    """Simulated annealing over single-bit flips of the picking plan.
+    deadline: Optional[float],
+    rng: Random,
+) -> None:
+    """Simulated annealing over single-bit flips of ``cache.packing``.
 
     Infeasible neighbours are rejected outright; improving flips are always
     accepted, worsening ones with probability exp(delta / T).  Temperature
     cools geometrically; the run ends when T drops below a thousandth of the
-    start temperature or the deadline passes.  Returns the best feasible
-    packing ever visited, never worse than the input.  ``sol`` is not
-    changed; a given ``cache``, which must describe it, is updated in place
-    and, on every return, describes the returned packing on ``sol.tour``:
-    where the best packing is not the current one, the differing items are
-    flipped back.  The schedule comes from ``config.sa_t0``,
-    ``sa_cooling`` and ``sa_iters_per_temp``; without ``rng`` the draws
-    come from ``Random(config.seed)``.
+    start temperature or the deadline passes.  ``cache`` ends holding the
+    best feasible packing ever visited, never worse than the one it started
+    with: where that is not the current one, the differing items are
+    flipped back.  The schedule comes from ``config.sa_t0``, ``sa_cooling``
+    and ``sa_iters_per_temp``.
 
     Where every load stays below capacity, a probe whose upper bound
     ``ub`` (``_flip_bound``) is <= 0 cannot improve, so the draw u is taken
@@ -269,19 +255,16 @@ def simulated_annealing_kp(
     ``delta_flip``.  Every other probe is priced exactly.  The random
     stream and every decision are those of pricing every probe.
     """
-    rng = rng or Random(config.seed)
-    sol = sol.copy()
-    cache = build_prefix_cache(inst, sol) if cache is None else cache
     if inst.m == 0:
-        return sol.packing
-    cur_gain = cache.gain(inst, sol.packing)
-    weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
-    best = list(sol.packing)
+        return
+    m, packing, capacity = inst.m, cache.packing, inst.capacity
+    cur_gain = cache.gain(inst)
+    weight = sequential_sum(inst.weight[np.flatnonzero(packing)])
+    best = list(packing)
     best_gain = cur_gain
     t0 = config.sa_t0 if config.sa_t0 is not None else max(0.05 * abs(cur_gain), 1.0)
     iters = config.sa_iters_per_temp if config.sa_iters_per_temp is not None else max(1000, inst.m)
 
-    m, packing, capacity = inst.m, sol.packing, inst.capacity
     bits = m.bit_length()
     getrandbits, random = rng.getrandbits, rng.random
     profit, item_weight = inst.profit.tolist(), inst.weight.tolist()
@@ -294,7 +277,7 @@ def simulated_annealing_kp(
     while temp > 1e-3 * t0:
         for _ in range(iters):
             if deadline is not None and _time.monotonic() >= deadline:
-                return _flip_to(inst, sol, cache, best)
+                return _flip_to(inst, cache, best)
             # rng.randint(1, m) - 1, drawn as randint draws it
             j = getrandbits(bits)
             while j >= m:
@@ -311,14 +294,14 @@ def simulated_annealing_kp(
                     u = random()
                     if u >= math.exp(ub / temp) * _EXP_MARGIN:
                         continue
-                    delta = delta_flip(inst, sol, cache, j + 1)
+                    delta = delta_flip(inst, cache, j + 1)
                     if u >= math.exp(delta / temp):
                         continue
             if delta is None:
-                delta = delta_flip(inst, sol, cache, j + 1)
+                delta = delta_flip(inst, cache, j + 1)
                 if not (delta > 0 or random() < math.exp(delta / temp)):
                     continue
-            flip(inst, sol, cache, j + 1)
+            flip(inst, cache, j + 1)
             weight += w if turning_on else -w
             cur_gain += delta
             if cur_gain > best_gain + GAIN_EPS:
@@ -327,7 +310,7 @@ def simulated_annealing_kp(
             if bound is not None:
                 top, slope = float(cache.cum_weight[-1]), _slopes(cache)
         # resync against drift accumulated by the incremental deltas
-        cur_gain = cache.gain(inst, packing)
+        cur_gain = cache.gain(inst)
         temp *= config.sa_cooling
-    return _flip_to(inst, sol, cache, best)
+    _flip_to(inst, cache, best)
 

@@ -70,41 +70,41 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
             break
         descend = False
         if restart == 0 and config.tour_in is not None:
-            sol = Solution(list(config.tour_in), [0] * inst.m)
+            tour = list(config.tour_in)
         elif restart % 2 == 0 and restart > 0:
             rest = list(range(2, inst.n + 1))
             rng.shuffle(rest)
-            sol = Solution([1] + rest, [0] * inst.m)
+            tour = [1] + rest
         else:
             tour = nearest_neighbor_tour(inst, rng=rng if restart > 0 else None, deadline=deadline)
-            sol = Solution(tour, [0] * inst.m)
             descend = True
 
         # the restart's one walk over the tour: every stage below updates
-        # this state in place and leaves it describing the solution it returns
-        cache = build_prefix_cache(inst, sol)
+        # this state, the restart's solution, in place
+        cache = build_prefix_cache(inst, Solution(tour, [0] * inst.m))
         if descend:
             # tour-length descent stands in for an off-the-shelf LK initializer
-            sol = two_opt_improve(inst, sol, cache, candidates, deadline)
-        sol.packing = initial_picking_plan(inst, sol.tour, cache, config, deadline)
-        gain = cache.gain(inst, sol.packing)
+            two_opt_improve(inst, cache, candidates, deadline)
+            tour = cache.solution().tour
+        initial_picking_plan(inst, tour, cache, config, deadline)
+        gain = cache.gain(inst)
         prev = float("-inf")
         # improve the packing before touching the tour: with a thin initial
         # plan a tour-length descent would undo the restart diversification
         while gain > prev + 1e-9:
             prev = gain
             if config.use_sa:
-                sol.packing = simulated_annealing_kp(inst, sol, cache, config, deadline, rng)
+                simulated_annealing_kp(inst, cache, config, deadline, rng)
             else:
-                sol.packing = bit_flip_search(inst, sol, cache, deadline, rng)
-            sol = two_opt_improve(inst, sol, cache, candidates, deadline)
-            gain = cache.gain(inst, sol.packing)
+                bit_flip_search(inst, cache, deadline, rng)
+            two_opt_improve(inst, cache, candidates, deadline)
+            gain = cache.gain(inst)
             if _time.monotonic() >= deadline:
                 break
         trace.append(gain)
         if gain > best_gain:
             best_gain = gain
-            best_sol = sol.copy()
+            best_sol = cache.solution()
         restart += 1
         if config.max_restarts is None and _time.monotonic() >= deadline:
             break

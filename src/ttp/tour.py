@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 import time as _time
 from random import Random
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from ttp.evaluate import GAIN_EPS, PrefixCache, Solution, build_prefix_cache, velocities
+from ttp.evaluate import GAIN_EPS, PrefixCache, velocities
 from ttp.instance import EdgeWeightType, Instance, _distances
 
 CandidateLists = dict[int, list[int]]
@@ -123,20 +123,7 @@ def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> Can
     return {i + 1: ns.tolist() for i, ns in enumerate(lists)}
 
 
-def reverse_segment(seq: Sequence, i: int, j: int) -> list:
-    """Reverse the elements between 1-based positions ``i`` and ``j`` inclusive.
-
-    Works on any element type (city ids, or per-city item sets when walking
-    attribute sequences in reverse).
-    """
-    if not (1 <= i <= j <= len(seq)):
-        raise IndexError(f"segment ({i}, {j}) out of bounds for length {len(seq)}")
-    out = list(seq)
-    out[i - 1 : j] = out[i - 1 : j][::-1]
-    return out
-
-
-def _reversal(inst: Instance, tour: list[int], cache: PrefixCache, a: int, b: int):
+def _reversal(inst: Instance, cache: PrefixCache, a: int, b: int):
     """Tour positions a-1 .. n-1 once positions [a, b] (0-based, a >= 1) are
     reversed: the 0-based cities at a .. n-1, and per position from a-1 on
     the leg, the load, the velocity and the running travel time.
@@ -145,7 +132,7 @@ def _reversal(inst: Instance, tour: list[int], cache: PrefixCache, a: int, b: in
     unchanged, but the loads are summed again in the new order, as a fresh
     walk would, so the result equals that walk bit for bit.
     """
-    n = len(tour)
+    n = inst.n
     at = cache.city_at
     cities = np.concatenate((at[b:a - 1:-1], at[b + 1:]))
     if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
@@ -153,9 +140,9 @@ def _reversal(inst: Instance, tour: list[int], cache: PrefixCache, a: int, b: in
     else:  # coordinate distances are exactly symmetric
         inner = cache.leg_dist[a:b][::-1]
     legs = np.concatenate((
-        [inst.distance(tour[a - 1], tour[b])],
+        [inst.distance(at.item(a - 1) + 1, at.item(b) + 1)],
         inner,
-        [inst.distance(tour[a], tour[(b + 1) % n])],
+        [inst.distance(at.item(a) + 1, at.item((b + 1) % n) + 1)],
         cache.leg_dist[b + 1 :],
     ))
     load = cache.city_weight[cities]
@@ -167,12 +154,11 @@ def _reversal(inst: Instance, tour: list[int], cache: PrefixCache, a: int, b: in
     return cities, legs, cum_weight, speed, step.cumsum()
 
 
-def _reverse(inst: Instance, sol: Solution, cache: PrefixCache, a: int, b: int) -> None:
-    """Apply the reversal of tour positions [a, b] to ``sol.tour`` and to
-    ``cache`` in place; every array but ``city_weight`` changes from
-    position a-1 on, ``suffix_dist`` everywhere, and ``deltas`` empties."""
-    cities, legs, cum_weight, speed, elapsed = _reversal(inst, sol.tour, cache, a, b)
-    sol.tour[:] = reverse_segment(sol.tour, a + 1, b + 1)
+def _reverse(inst: Instance, cache: PrefixCache, a: int, b: int) -> None:
+    """Apply the reversal of tour positions [a, b] to ``cache`` in place;
+    every array but ``city_weight`` changes from position a-1 on,
+    ``suffix_dist`` everywhere, and ``deltas`` empties."""
+    cities, legs, cum_weight, speed, elapsed = _reversal(inst, cache, a, b)
     cache.city_at[a:] = cities
     cache.position[cities] = np.arange(a, inst.n)
     cache.leg_dist[a - 1 :] = legs
@@ -345,19 +331,16 @@ def _first_packed_move(
 
 def two_opt_improve(
     inst: Instance,
-    sol: Solution,
-    cache: Optional[PrefixCache],
+    cache: PrefixCache,
     candidates: CandidateLists,
     deadline: Optional[float] = None,
-) -> Solution:
-    """2-OPT descent on the tour, scored against the full TTP gain with the
-    packing held fixed.
+) -> None:
+    """2-OPT descent on the tour of ``cache``, in place, scored against the
+    full TTP gain with the packing held fixed.
 
     Only moves creating a candidate-list edge are probed; first-improvement
     acceptance, scanning by tour position then candidate order.  Runs until a
-    full pass finds no improving move or the deadline passes.  ``sol`` is
-    not changed; a given ``cache``, which must describe it, is updated in
-    place and describes the returned solution.
+    full pass finds no improving move or the deadline passes.
 
     With nothing picked and exact travel times (``_exact_length_steps``),
     each pass prices every probe at once by its length change
@@ -365,8 +348,6 @@ def two_opt_improve(
     walks the reversed tours in chunks of probes (``_first_packed_move``).
     Both accept the moves of a probe-by-probe walk.
     """
-    sol = sol.copy()
-    cache = build_prefix_cache(inst, sol) if cache is None else cache
     table = _candidate_table(inst, candidates)
     lengths_only = not cache.cum_weight.any() and _exact_length_steps(inst)
     while True:
@@ -377,5 +358,5 @@ def two_opt_improve(
         else:
             move = _first_length_move(inst, cache, table)
         if move is None:
-            return sol
-        _reverse(inst, sol, cache, *move)
+            return
+        _reverse(inst, cache, *move)

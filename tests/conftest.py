@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttp.evaluate import Solution, evaluate
+from ttp.evaluate import Solution, build_prefix_cache, evaluate
 from ttp.instance import EdgeWeightType, Instance, Item, load_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -100,3 +100,11 @@ def random_solution(rng: random.Random, inst: Instance, feasible: bool = True) -
             packing[j] = 1
             weight += w
     return Solution(tour, packing)
+
+
+def improved(inst: Instance, sol: Solution, improve, *args) -> Solution:
+    """The solution that ``improve(inst, state, *args)`` leaves in a state
+    built for ``sol``; ``sol`` is not changed."""
+    cache = build_prefix_cache(inst, sol)
+    improve(inst, cache, *args)
+    return cache.solution()

@@ -7,8 +7,10 @@ the tour, and per city in item order.  ``loop_score_table`` scores the
 items one at a time, as the picking plan's table did before it read the
 item arrays.  ``loop_simulated_annealing`` is the annealing loop that
 prices every probe, which the filtered loop must match decision for
-decision.  ``loop_knn_candidates`` sorts every row with a Python key, as the
-k-nearest candidate lists were built before they were sorted in numpy.
+decision.  ``velocity_at`` is the velocity under one load, which
+``ttp.evaluate.velocities`` computes over arrays.  ``loop_knn_candidates``
+sorts every row with a Python key, as the k-nearest candidate lists were
+built before they were sorted in numpy.
 ``loop_solve`` is the restart loop that builds the tour state afresh before
 each stage and evaluates the whole tour after it, which the solve that hands
 one state from stage to stage must match bit for bit.
@@ -20,11 +22,20 @@ from random import Random
 
 import numpy as np
 
-from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, delta_flip, evaluate, flip, velocity_at
+from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, delta_flip, evaluate, flip
 from ttp.instance import Instance, sequential_sum
 from ttp.packing import bit_flip_search, initial_picking_plan, simulated_annealing_kp
 from ttp.solver import RunRecord
 from ttp.tour import delaunay_candidates, nearest_neighbor_tour, two_opt_improve
+
+
+def velocity_at(inst: Instance, cumulative_weight: float) -> float:
+    """Velocity under the given load; exactly v_min at capacity, clamped
+    at v_min past it."""
+    if cumulative_weight >= inst.capacity:
+        return inst.v_min
+    v = inst.v_max - cumulative_weight * inst.weight_velocity_slope
+    return max(v, inst.v_min)
 
 
 def loop_city_weights(inst: Instance, packing: list[int]) -> np.ndarray:
@@ -179,13 +190,12 @@ def loop_two_opt(inst: Instance, tour: list[int], packing: list[int], candidates
         tour[a : b + 1] = tour[a : b + 1][::-1]
 
 
-def loop_simulated_annealing(inst: Instance, sol, cache, params, rng) -> list[int]:
+def loop_simulated_annealing(inst: Instance, sol, params, rng) -> list[int]:
     """The SA loop as it was before its flip bound: every feasible probe is
     priced with ``delta_flip`` and drawn with ``rng.randint``."""
-    sol = sol.copy()
-    cache = build_prefix_cache(inst, sol) if cache is None else cache
+    cache = build_prefix_cache(inst, sol)
     if inst.m == 0:
-        return sol.packing
+        return cache.packing
     cur_gain = evaluate(inst, sol).gain
     weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
     best = list(sol.packing)
@@ -197,18 +207,18 @@ def loop_simulated_annealing(inst: Instance, sol, cache, params, rng) -> list[in
         for _ in range(iters):
             j = rng.randint(1, inst.m)
             it = inst.items[j - 1]
-            turning_on = not sol.packing[j - 1]
+            turning_on = not cache.packing[j - 1]
             if turning_on and weight + it.weight > inst.capacity:
                 continue
-            delta = delta_flip(inst, sol, cache, j)
+            delta = delta_flip(inst, cache, j)
             if delta > 0 or rng.random() < math.exp(delta / temp):
-                flip(inst, sol, cache, j)
+                flip(inst, cache, j)
                 weight += it.weight if turning_on else -it.weight
                 cur_gain += delta
                 if cur_gain > best_gain + GAIN_EPS:
-                    best = list(sol.packing)
+                    best = list(cache.packing)
                     best_gain = cur_gain
-        cur_gain = evaluate(inst, sol).gain
+        cur_gain = evaluate(inst, cache.solution()).gain
         temp *= params.sa_cooling
     return best
 
@@ -252,7 +262,9 @@ def loop_solve(inst: Instance, config) -> RunRecord:
             sol = Solution([1] + rest, [0] * inst.m)
         else:
             tour = nearest_neighbor_tour(inst, rng=rng if restart > 0 else None, deadline=deadline)
-            sol = two_opt_improve(inst, Solution(tour, [0] * inst.m), None, candidates, deadline)
+            cache = build_prefix_cache(inst, Solution(tour, [0] * inst.m))
+            two_opt_improve(inst, cache, candidates, deadline)
+            sol = cache.solution()
         sol.packing = initial_picking_plan(inst, sol.tour, build_prefix_cache(inst, sol), config, deadline)
         gain = evaluate(inst, sol).gain
         prev = float("-inf")
@@ -260,10 +272,12 @@ def loop_solve(inst: Instance, config) -> RunRecord:
             prev = gain
             cache = build_prefix_cache(inst, sol)
             if config.use_sa:
-                sol.packing = simulated_annealing_kp(inst, sol, cache, config, deadline, rng)
+                simulated_annealing_kp(inst, cache, config, deadline, rng)
             else:
-                sol.packing = bit_flip_search(inst, sol, cache, deadline, rng)
-            sol = two_opt_improve(inst, sol, build_prefix_cache(inst, sol), candidates, deadline)
+                bit_flip_search(inst, cache, deadline, rng)
+            cache = build_prefix_cache(inst, cache.solution())
+            two_opt_improve(inst, cache, candidates, deadline)
+            sol = cache.solution()
             gain = evaluate(inst, sol).gain
             if _time.monotonic() >= deadline:
                 break

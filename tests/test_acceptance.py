@@ -17,18 +17,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ttp.tour as tour_mod
 from ttp.cli import main as cli_main
 from ttp.evaluate import Solution, build_prefix_cache, delta_flip, evaluate
 from ttp.packing import initial_picking_plan, simulated_annealing_kp
 from ttp.scoring import build_score_table
 from ttp.solver import SolverConfig, solve
 from ttp.stats import average_ranking, friedman_statistic
-from ttp.tour import reverse_segment, two_opt_improve
+from ttp.tour import two_opt_improve
 
 from conftest import (
     FIXTURES,
     brute_force_best_packing,
     brute_force_best_solution,
+    improved,
     make_random_instance,
     random_solution,
 )
@@ -71,12 +73,9 @@ def test_criterion_3_oracle_equivalence():
         opt = brute_force_best_packing(inst, tour)
         params = SolverConfig(beta=0.5, seed=trial)
         cache = build_prefix_cache(inst, Solution(tour, [0] * inst.m))
-        z = initial_picking_plan(inst, tour, cache, params)
-        z = simulated_annealing_kp(
-            inst, Solution(tour, z), None, params,
-            deadline=time.monotonic() + 5.0, rng=random.Random(trial),
-        )
-        if evaluate(inst, Solution(tour, z)).gain >= opt - 1e-6:
+        initial_picking_plan(inst, tour, cache, params)
+        simulated_annealing_kp(inst, cache, params, time.monotonic() + 5.0, random.Random(trial))
+        if evaluate(inst, cache.solution()).gain >= opt - 1e-6:
             pack_hits += 1
 
     # free tours: the full solver vs exhaustive tour x packing enumeration
@@ -108,7 +107,7 @@ def test_criterion_4_differential_evaluator():
         assert cache.total_time == pytest.approx(ref_time, rel=1e-6)
         for _ in range(min(inst.m, 10_000 - probes)):
             j = rng.randint(1, inst.m)
-            got = delta_flip(inst, sol, cache, j)
+            got = delta_flip(inst, cache, j)
             flipped = list(sol.packing)
             flipped[j - 1] ^= 1
             expect = ref_evaluate(inst, sol.tour, flipped)[2] - ref_gain
@@ -178,13 +177,17 @@ def test_criterion_7_invariant_suite():
     rng = random.Random(2024)
     cases = 1000
 
-    # reversal involution
+    # reversal involution: reversing one tour segment twice restores the state
     for _ in range(cases):
-        n = rng.randint(1, 20)
-        seq = [rng.randint(0, 99) for _ in range(n)]
-        i = rng.randint(1, n)
-        j = rng.randint(i, n)
-        assert reverse_segment(reverse_segment(seq, i, j), i, j) == seq
+        inst = make_random_instance(rng, rng.randint(2, 20), rng.randint(0, 6))
+        sol = random_solution(rng, inst, feasible=False)
+        a = rng.randint(1, inst.n - 1)
+        b = rng.randint(a, inst.n - 1)
+        state = build_prefix_cache(inst, sol)
+        tour_mod._reverse(inst, state, a, b)
+        tour_mod._reverse(inst, state, a, b)
+        assert state.solution() == sol
+        assert state.total_time == build_prefix_cache(inst, sol).total_time
 
     # rank-sum identity
     for _ in range(cases):
@@ -205,7 +208,7 @@ def test_criterion_7_invariant_suite():
         before = evaluate(inst, sol).gain
         cand = {i: [c for c in range(1, inst.n + 1) if c != i]
                 for i in range(1, inst.n + 1)}
-        out = two_opt_improve(inst, sol, None, cand, None)
+        out = improved(inst, sol, two_opt_improve, cand, None)
         assert evaluate(inst, out).gain >= before - 1e-9
 
     report(7, True, f"{cases} cases each: involution, rank-sum identity, "

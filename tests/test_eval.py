@@ -9,11 +9,11 @@ from ttp.evaluate import (
     build_prefix_cache,
     delta_flip,
     evaluate,
-    velocity_at,
+    velocities,
 )
 
 from conftest import make_random_instance, random_solution
-from loop_eval import loop_city_weights
+from loop_eval import loop_city_weights, velocity_at
 from reference_eval import ref_evaluate
 
 
@@ -51,6 +51,8 @@ def test_velocity_at(example5):
     # exact floor at capacity, clamped past it
     assert velocity_at(example5, example5.capacity) == example5.v_min
     assert velocity_at(example5, example5.capacity * 2) == example5.v_min
+    loads = [0.0, 6.0, 10.0, example5.capacity, example5.capacity * 2]
+    assert velocities(example5, np.array(loads)).tolist() == [velocity_at(example5, w) for w in loads]
 
 
 def test_empty_packing_travels_at_vmax(example5):
@@ -102,7 +104,7 @@ def test_delta_flip_hand_case(example5):
     sol = Solution([1, 2, 3, 4, 5], [0, 0, 0, 0])
     cache = build_prefix_cache(example5, sol)
     # picking item 1 slows only the 10 units of suffix after city 2
-    assert delta_flip(example5, sol, cache, 1) == pytest.approx(101 - (10 / 0.1 - 10 / 1))
+    assert delta_flip(example5, cache, 1) == pytest.approx(101 - (10 / 0.1 - 10 / 1))
 
 
 def test_delta_flip_involution(example5):
@@ -111,10 +113,10 @@ def test_delta_flip_involution(example5):
         sol = random_solution(rng, example5)
         cache = build_prefix_cache(example5, sol)
         j = rng.randint(1, example5.m)
-        d1 = delta_flip(example5, sol, cache, j)
+        d1 = delta_flip(example5, cache, j)
         sol.packing[j - 1] ^= 1
         cache2 = build_prefix_cache(example5, sol)
-        d2 = delta_flip(example5, sol, cache2, j)
+        d2 = delta_flip(example5, cache2, j)
         assert d1 + d2 == pytest.approx(0.0, abs=1e-9)
 
 
@@ -129,7 +131,7 @@ def test_delta_flip_matches_brute_force():
             flipped = sol.copy()
             flipped.packing[j - 1] ^= 1
             expect = evaluate(inst, flipped).gain - base
-            got = delta_flip(inst, sol, cache, j)
+            got = delta_flip(inst, cache, j)
             assert got == pytest.approx(expect, rel=1e-6, abs=1e-9)
 
 
@@ -137,9 +139,9 @@ def test_delta_flip_bad_index(example5):
     sol = Solution([1, 2, 3, 4, 5], [0, 0, 0, 0])
     cache = build_prefix_cache(example5, sol)
     with pytest.raises(IndexError):
-        delta_flip(example5, sol, cache, 0)
+        delta_flip(example5, cache, 0)
     with pytest.raises(IndexError):
-        delta_flip(example5, sol, cache, 5)
+        delta_flip(example5, cache, 5)
 
 
 def test_matches_reference_evaluator():
@@ -187,3 +189,13 @@ def test_solution_validation(example5):
     with pytest.raises(ValueError):
         Solution([1, 2, 3, 4, 5], [0, 0, 2, 0]).validate(example5)
     Solution([1, 2, 3, 4, 5], [1, 0, 1, 0]).validate(example5)
+
+
+@pytest.mark.parametrize("tour, packing", [
+    ([1, 2, 3, 4, 5], [1]),  # one entry for four items
+    ([1, 2, 3, 4, 5], [2, 0, 0, 0]),  # an entry that is not 0 or 1
+    ([1, 2, 3, 5, 5], [0, 0, 0, 0]),  # city 4 missing, city 5 twice
+], ids=["short-packing", "entry-2", "repeated-city"])
+def test_state_rejects_an_invalid_solution(example5, tour, packing):
+    with pytest.raises(ValueError):
+        build_prefix_cache(example5, Solution(tour, packing))

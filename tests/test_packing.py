@@ -13,7 +13,7 @@ from ttp.packing import (
     simulated_annealing_kp,
 )
 
-from conftest import brute_force_best_packing, make_random_instance
+from conftest import brute_force_best_packing, improved, make_random_instance
 
 
 TOUR5 = [1, 2, 3, 4, 5]
@@ -103,6 +103,12 @@ def test_initial_plan_empty_when_nothing_profitable():
     assert plan_for(inst, tour, beta=0.5) == [0, 0]
 
 
+def test_initial_plan_rejects_a_tour_that_is_not_the_states(example5):
+    cache = build_prefix_cache(example5, Solution(TOUR5, [0] * 4))
+    with pytest.raises(ValueError):
+        initial_picking_plan(example5, [1, 3, 2, 4, 5], cache, SolverConfig())
+
+
 def test_initial_plan_no_items():
     inst = make_random_instance(random.Random(10), 5, 0)
     assert plan_for(inst, list(range(1, 6)), beta=0.5) == []
@@ -117,7 +123,7 @@ def test_bit_flip_never_worsens_and_is_feasible():
         tour = list(range(1, inst.n + 1))
         sol = Solution(tour, [0] * inst.m)
         base = evaluate(inst, sol).gain
-        z = bit_flip_search(inst, sol, None, rng=random.Random(1))
+        z = improved(inst, sol, bit_flip_search, None, random.Random(1)).packing
         res = evaluate(inst, Solution(tour, z))
         assert res.feasible
         assert res.gain >= base - 1e-9
@@ -128,8 +134,7 @@ def test_bit_flip_output_is_single_flip_optimal():
     for _ in range(15):
         inst = make_random_instance(rng, rng.randint(3, 6), rng.randint(1, 8))
         tour = list(range(1, inst.n + 1))
-        z = bit_flip_search(inst, Solution(tour, [0] * inst.m), None,
-                            rng=random.Random(2))
+        z = improved(inst, Solution(tour, [0] * inst.m), bit_flip_search, None, random.Random(2)).packing
         base = evaluate(inst, Solution(tour, z)).gain
         weight = sum(it.weight for it in inst.items if z[it.index - 1])
         for j in range(inst.m):
@@ -145,7 +150,7 @@ def test_bit_flip_heavy_item_is_a_local_optimum(example5):
     # from {item 1} no single feasible flip improves: dropping item 1 costs
     # 101 - 90 = 11 of gain and nothing else fits beside it
     sol = Solution(TOUR5, [1, 0, 0, 0])
-    z = bit_flip_search(example5, sol, None, rng=random.Random(3))
+    z = improved(example5, sol, bit_flip_search, None, random.Random(3)).packing
     assert z == [1, 0, 0, 0]
 
 
@@ -159,7 +164,7 @@ def test_sa_returns_feasible_never_worse():
         sol = Solution(tour, [0] * inst.m)
         base = evaluate(inst, sol).gain
         params = SolverConfig(sa_iters_per_temp=200)
-        z = simulated_annealing_kp(inst, sol, None, params, rng=random.Random(4))
+        z = improved(inst, sol, simulated_annealing_kp, params, None, random.Random(4)).packing
         res = evaluate(inst, Solution(tour, z))
         assert res.feasible
         assert res.gain >= base - 1e-9
@@ -170,7 +175,7 @@ def test_sa_escapes_heavy_item_local_optimum(example5):
     # repack the three light ones, which bit-flip search cannot do
     sol = Solution(TOUR5, [1, 0, 0, 0])
     params = SolverConfig(sa_t0=20.0, sa_iters_per_temp=500)
-    z = simulated_annealing_kp(example5, sol, None, params, rng=random.Random(5))
+    z = improved(example5, sol, simulated_annealing_kp, params, None, random.Random(5)).packing
     gain = evaluate(example5, Solution(TOUR5, z)).gain
     assert gain == pytest.approx(2.596121799727314, abs=1e-9)
     assert z == [0, 1, 1, 1]
@@ -185,8 +190,8 @@ def test_sa_matches_brute_force_on_fixed_tours():
         tour = list(range(1, inst.n + 1))
         opt = brute_force_best_packing(inst, tour)
         params = SolverConfig(sa_t0=50.0, sa_iters_per_temp=400)
-        z = simulated_annealing_kp(inst, Solution(tour, [0] * inst.m), None,
-                                   params, rng=random.Random(6))
+        z = improved(inst, Solution(tour, [0] * inst.m), simulated_annealing_kp,
+                     params, None, random.Random(6)).packing
         if evaluate(inst, Solution(tour, z)).gain >= opt - 1e-6:
             hits += 1
     assert hits >= trials - 1
@@ -194,14 +199,15 @@ def test_sa_matches_brute_force_on_fixed_tours():
 
 def test_sa_no_items(example5):
     inst = make_random_instance(random.Random(40), 4, 0)
-    z = simulated_annealing_kp(inst, Solution([1, 2, 3, 4], []), None,
-                               SolverConfig())
+    z = improved(inst, Solution([1, 2, 3, 4], []), simulated_annealing_kp,
+                 SolverConfig(), None, random.Random(0)).packing
     assert z == []
 
 
 def test_sa_deterministic_given_rng(example5):
     sol = Solution(TOUR5, [0, 0, 0, 0])
     params = SolverConfig(sa_t0=5.0, sa_iters_per_temp=300)
-    z1 = simulated_annealing_kp(example5, sol, None, params, rng=random.Random(7))
-    z2 = simulated_annealing_kp(example5, sol, None, params, rng=random.Random(7))
+    # each run anneals a state of its own, built from the same solution
+    z1 = improved(example5, sol, simulated_annealing_kp, params, None, random.Random(7)).packing
+    z2 = improved(example5, sol, simulated_annealing_kp, params, None, random.Random(7)).packing
     assert z1 == z2

@@ -14,7 +14,7 @@ from ttp.evaluate import Solution, build_prefix_cache, delta_flip
 from ttp.instance import EdgeWeightType, Instance, Item
 from ttp.packing import SolverConfig, _flip_bound, _flip_ub, _slopes, simulated_annealing_kp
 
-from conftest import random_solution
+from conftest import improved, random_solution
 from loop_eval import loop_simulated_annealing
 
 KINDS = ("ceil-float", "ceil-int", "euc-int", "explicit")
@@ -74,7 +74,7 @@ def check_state(inst: Instance, sol: Solution, counts: dict) -> None:
             continue
         k0 = int(cache.position[inst.city[j - 1] - 1])
         ub = _flip_ub(bound, float(inst.profit[j - 1]), w, slope[k0], adding)
-        delta = delta_flip(inst, sol, cache, j)
+        delta = delta_flip(inst, cache, j)
         assert ub >= delta, (inst.name, j, ub, delta)
         counts["checked"] += 1
         counts["decisive"] += ub <= 0
@@ -122,8 +122,8 @@ def run_both(monkeypatch, inst, sol, params, seed):
     packings, their ``delta_flip`` calls and their random states after."""
     ours, ref = count_calls(monkeypatch, packing_mod), count_calls(monkeypatch, loop_eval)
     rng_a, rng_b = random.Random(seed), random.Random(seed)
-    got = simulated_annealing_kp(inst, sol, None, params, rng=rng_a)
-    expect = loop_simulated_annealing(inst, sol, None, params, rng_b)
+    got = improved(inst, sol, simulated_annealing_kp, params, None, rng_a).packing
+    expect = loop_simulated_annealing(inst, sol, params, rng_b)
     assert got == expect
     assert rng_a.getstate() == rng_b.getstate()
     return ours["n"], ref["n"]

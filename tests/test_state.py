@@ -1,8 +1,9 @@
 """Differential tests of the incremental tour state: after every ``flip`` and
 every 2-OPT reversal the state must equal a fresh ``build_prefix_cache``
 exactly, and the numpy probes must equal the plain loops of
-``loop_eval.py`` exactly, not to a tolerance.  An improver given a state
-must hand it back describing the solution it returns, on every return."""
+``loop_eval.py`` exactly, not to a tolerance.  Every stage that updates a
+state must leave it equal to a fresh build of its own solution, on every
+return."""
 
 import dataclasses
 import random
@@ -25,12 +26,14 @@ ARRAYS = ("city_at", "position", "city_weight", "cum_weight", "inv_speed",
           "arrive_time", "leg_dist", "suffix_dist")
 
 
-def assert_state_is_fresh(inst: Instance, sol: Solution, cache) -> None:
+def assert_state_is_fresh(inst: Instance, cache) -> None:
+    sol = cache.solution()
     fresh = build_prefix_cache(inst, sol)
     for name in ARRAYS:
         assert np.array_equal(getattr(cache, name), getattr(fresh, name)), name
     assert cache.total_time == fresh.total_time
-    assert np.array_equal(cache.city_at, np.array(sol.tour) - 1)
+    assert cache.packing == fresh.packing == sol.packing
+    assert cache.gain(inst) == evaluate(inst, sol).gain
 
 
 def assert_build_equals_loop(inst: Instance, sol: Solution) -> None:
@@ -51,14 +54,14 @@ def test_flip_keeps_state_equal_to_fresh_build(explicit):
         assert_build_equals_loop(inst, sol)
         for _ in range(2 * inst.m):
             for probe in rng.choices(range(1, inst.m + 1), k=3):  # repeats hit ``deltas``
-                expect = loop_delta_flip(inst, sol.tour, sol.packing, probe)
-                assert delta_flip(inst, sol, cache, probe) == expect
+                expect = loop_delta_flip(inst, sol.tour, cache.packing, probe)
+                assert delta_flip(inst, cache, probe) == expect
             j = rng.randint(1, inst.m)
-            before = list(sol.packing)
-            flip(inst, sol, cache, j)
-            assert sol.packing[j - 1] == 1 - before[j - 1]
-            assert_state_is_fresh(inst, sol, cache)
-            assert cache.gain(inst, sol.packing) == evaluate(inst, sol).gain
+            before = list(cache.packing)
+            flip(inst, cache, j)
+            assert cache.packing[j - 1] == 1 - before[j - 1]
+            assert [a ^ b for a, b in zip(before, cache.packing)].count(1) == 1
+            assert_state_is_fresh(inst, cache)
             flips += 1
     assert flips > 500
 
@@ -78,14 +81,15 @@ def test_reversal_keeps_state_equal_to_fresh_build(explicit):
             probe = tour_mod._times_after_reversals(inst, cache, np.array([a]), np.array([b]), first, last)[0]
             assert probe == loop_time_after_reversal(inst, sol.tour, sol.packing, a, b)
             for j in range(1, inst.m + 1):
-                delta_flip(inst, sol, cache, j)
-            tour_mod._reverse(inst, sol, cache, a, b)
+                delta_flip(inst, cache, j)
+            tour_mod._reverse(inst, cache, a, b)
+            sol.tour[a : b + 1] = sol.tour[a : b + 1][::-1]
+            assert cache.solution() == sol
             assert probe == cache.total_time
-            assert_state_is_fresh(inst, sol, cache)
-            assert cache.gain(inst, sol.packing) == evaluate(inst, sol).gain
+            assert_state_is_fresh(inst, cache)
             assert_build_equals_loop(inst, sol)
             for j in range(1, inst.m + 1):
-                assert delta_flip(inst, sol, cache, j) == loop_delta_flip(inst, sol.tour, sol.packing, j)
+                assert delta_flip(inst, cache, j) == loop_delta_flip(inst, sol.tour, sol.packing, j)
 
 
 @pytest.mark.parametrize("budget", [1, 211, tour_mod._CHUNK_ELEMENTS])
@@ -129,9 +133,9 @@ def test_two_opt_accepted_moves_keep_state(monkeypatch):
     real = tour_mod._reverse
     accepted = []
 
-    def checking(inst_, sol_, cache_, a, b):
-        real(inst_, sol_, cache_, a, b)
-        assert_state_is_fresh(inst_, sol_, cache_)
+    def checking(inst_, cache_, a, b):
+        real(inst_, cache_, a, b)
+        assert_state_is_fresh(inst_, cache_)
         accepted.append((a, b))
 
     monkeypatch.setattr(tour_mod, "_reverse", checking)
@@ -140,10 +144,9 @@ def test_two_opt_accepted_moves_keep_state(monkeypatch):
         inst = float_instance(rng, rng.randint(5, 20), rng.randint(0, 20), explicit=k % 3 == 0)
         sol = random_solution(rng, inst, feasible=False)
         given = build_prefix_cache(inst, sol)
-        before = sol.copy()
-        out = two_opt_improve(inst, sol, given, delaunay_candidates(inst), None)
-        assert_state_is_fresh(inst, out, given)  # the given state describes the returned tour
-        assert sol == before and out.packing == sol.packing
+        two_opt_improve(inst, given, delaunay_candidates(inst), None)
+        assert_state_is_fresh(inst, given)
+        assert given.packing == sol.packing
     assert len(accepted) > 20
 
 
@@ -151,9 +154,9 @@ def test_improvers_hand_back_the_state_of_what_they_return(monkeypatch):
     real = packing_mod._flip_to
     flipped_back = []
 
-    def recording(inst_, sol_, cache_, packing):
-        flipped_back.append(sum(a != b for a, b in zip(sol_.packing, packing)))
-        return real(inst_, sol_, cache_, packing)
+    def recording(inst_, cache_, packing):
+        flipped_back.append(sum(a != b for a, b in zip(cache_.packing, packing)))
+        real(inst_, cache_, packing)
 
     monkeypatch.setattr(packing_mod, "_flip_to", recording)
     rng = random.Random(53)
@@ -162,21 +165,25 @@ def test_improvers_hand_back_the_state_of_what_they_return(monkeypatch):
         sol = random_solution(rng, inst, feasible=True)
         before = sol.copy()
         for improve in (
-            lambda cache: bit_flip_search(inst, sol, cache, rng=random.Random(k)),
+            lambda cache: bit_flip_search(inst, cache, None, random.Random(k)),
             # a high final temperature ends the run away from its best packing
             lambda cache: simulated_annealing_kp(
-                inst, sol, cache, SolverConfig(sa_t0=1e4, sa_cooling=0.1, sa_iters_per_temp=30),
-                rng=random.Random(k)),
+                inst, cache, SolverConfig(sa_t0=1e4, sa_cooling=0.1, sa_iters_per_temp=30),
+                None, random.Random(k)),
         ):
             given = build_prefix_cache(inst, sol)
-            packing = improve(given)
-            assert_state_is_fresh(inst, Solution(sol.tour, packing), given)
-            assert given.gain(inst, packing) == evaluate(inst, Solution(sol.tour, packing)).gain
-            assert sol == before
-        empty = Solution(sol.tour, [0] * inst.m)
-        given = build_prefix_cache(inst, empty)
-        plan = initial_picking_plan(inst, sol.tour, given, SolverConfig(beta=rng.random()))
-        assert_state_is_fresh(inst, Solution(sol.tour, plan), given)
+            improve(given)
+            assert_state_is_fresh(inst, given)
+            assert given.solution().tour == sol.tour
+            assert sol == before  # the state holds a copy of the solution
+        # the plan replaces a picked packing with the plan of an empty one
+        config = SolverConfig(beta=rng.random())
+        empty = build_prefix_cache(inst, Solution(sol.tour, [0] * inst.m))
+        given = build_prefix_cache(inst, sol)
+        plan = initial_picking_plan(inst, sol.tour, given, config)
+        assert plan == initial_picking_plan(inst, sol.tour, empty, config)
+        assert_state_is_fresh(inst, given)
+        assert given.solution() == Solution(sol.tour, plan) and plan is not given.packing
     assert any(flipped_back)
 
 
@@ -193,7 +200,8 @@ def test_plan_hands_back_its_phase_1_state(monkeypatch):
     given = build_prefix_cache(inst, Solution(tour, [0, 0]))
     assert initial_picking_plan(inst, tour, given, SolverConfig(beta=0.0)) == [1, 0]
     assert evaluate(inst, Solution(tour, [1, 0])).gain > evaluate(inst, Solution(tour, [1, 1])).gain
-    assert_state_is_fresh(inst, Solution(tour, [1, 0]), given)
+    assert given.packing == [1, 0]
+    assert_state_is_fresh(inst, given)
 
 
 @pytest.mark.parametrize("stop", range(1, 40, 3))
@@ -207,18 +215,19 @@ def test_improvers_hand_back_the_state_at_their_deadline(monkeypatch, stop):
     monkeypatch.setattr(packing_mod, "_time", clock)
     monkeypatch.setattr(tour_mod, "_time", clock)
     for improve in (
-        lambda cache: Solution(sol.tour, bit_flip_search(inst, sol, cache, stop, random.Random(1))),
-        lambda cache: Solution(sol.tour, simulated_annealing_kp(inst, sol, cache, config, stop, random.Random(2))),
-        lambda cache: two_opt_improve(inst, sol, cache, delaunay_candidates(inst), stop),
+        lambda cache: bit_flip_search(inst, cache, stop, random.Random(1)),
+        lambda cache: simulated_annealing_kp(inst, cache, config, stop, random.Random(2)),
+        lambda cache: two_opt_improve(inst, cache, delaunay_candidates(inst), stop),
     ):
         ticks = iter(range(1000))
         given = build_prefix_cache(inst, sol)
-        assert_state_is_fresh(inst, improve(given), given)
+        improve(given)
+        assert_state_is_fresh(inst, given)
     ticks = iter(range(1000))
-    empty = Solution(sol.tour, [0] * inst.m)
-    given = build_prefix_cache(inst, empty)
+    given = build_prefix_cache(inst, Solution(sol.tour, [0] * inst.m))
     plan = initial_picking_plan(inst, sol.tour, given, SolverConfig(beta=0.0), stop)
-    assert_state_is_fresh(inst, Solution(sol.tour, plan), given)
+    assert given.packing == plan
+    assert_state_is_fresh(inst, given)
 
 
 def test_improvers_hand_back_the_state_on_an_early_return():
@@ -229,6 +238,7 @@ def test_improvers_hand_back_the_state_on_an_early_return():
         sol = Solution(list(range(1, inst.n + 1)), [0] * inst.m)
         given = build_prefix_cache(inst, sol)
         assert initial_picking_plan(inst, sol.tour, given, SolverConfig()) == [0] * inst.m
-        assert_state_is_fresh(inst, sol, given)
-        assert simulated_annealing_kp(inst, sol, given, SolverConfig(), rng=random.Random(1)) == sol.packing
-        assert_state_is_fresh(inst, sol, given)
+        assert_state_is_fresh(inst, given)
+        simulated_annealing_kp(inst, given, SolverConfig(), None, random.Random(1))
+        assert given.solution() == sol
+        assert_state_is_fresh(inst, given)

@@ -6,21 +6,15 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import ttp.solver as solver_mod
 import ttp.tour as tour_mod
 from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, evaluate
 from ttp.instance import EdgeWeightType, Instance, Item
 from ttp.solver import SolverConfig, solve
-from ttp.tour import (
-    delaunay_candidates,
-    nearest_neighbor_tour,
-    reverse_segment,
-    two_opt_improve,
-)
+from ttp.tour import delaunay_candidates, nearest_neighbor_tour, two_opt_improve
 
-from conftest import make_random_instance, random_solution
+from conftest import improved, make_random_instance, random_solution
 from loop_eval import loop_knn_candidates, loop_two_opt
 
 
@@ -71,37 +65,6 @@ def test_nn_randomized_second_city_is_valid():
         assert tour[0] == 1 and sorted(tour) == list(range(1, 9))
         seen.add(tour[1])
     assert len(seen) > 1
-
-
-# --- reverse_segment ---------------------------------------------------------
-
-def test_reverse_segment_basic():
-    assert reverse_segment([1, 2, 3, 4, 5], 2, 4) == [1, 4, 3, 2, 5]
-
-
-def test_reverse_segment_identity_when_i_equals_j():
-    assert reverse_segment([1, 2, 3], 2, 2) == [1, 2, 3]
-
-
-def test_reverse_segment_works_on_sets():
-    seq = [{"a"}, {"b"}, {"c"}]
-    assert reverse_segment(seq, 1, 3) == [{"c"}, {"b"}, {"a"}]
-
-
-def test_reverse_segment_bounds():
-    with pytest.raises(IndexError):
-        reverse_segment([1, 2, 3], 0, 2)
-    with pytest.raises(IndexError):
-        reverse_segment([1, 2, 3], 2, 4)
-    with pytest.raises(IndexError):
-        reverse_segment([1, 2, 3], 3, 2)
-
-
-@given(st.lists(st.integers(), min_size=1, max_size=30), st.data())
-def test_reverse_segment_involution(seq, data):
-    i = data.draw(st.integers(1, len(seq)))
-    j = data.draw(st.integers(i, len(seq)))
-    assert reverse_segment(reverse_segment(seq, i, j), i, j) == seq
 
 
 # --- Delaunay candidates -----------------------------------------------------
@@ -256,7 +219,7 @@ def test_two_opt_uncrosses_quadrilateral():
     inst = coord_instance([(0, 0), (10, 0), (10, 10), (0, 10)])
     sol = Solution([1, 3, 2, 4], [])
     before = evaluate(inst, sol).gain
-    out = two_opt_improve(inst, sol, None, full_candidates(inst), None)
+    out = improved(inst, sol, two_opt_improve, full_candidates(inst), None)
     after = evaluate(inst, out).gain
     assert after > before
     assert out.tour in ([1, 2, 3, 4], [1, 4, 3, 2])
@@ -265,7 +228,7 @@ def test_two_opt_uncrosses_quadrilateral():
 def test_two_opt_fixed_point():
     inst = coord_instance([(0, 0), (10, 0), (10, 10), (0, 10)])
     sol = Solution([1, 2, 3, 4], [])
-    out = two_opt_improve(inst, sol, None, full_candidates(inst), None)
+    out = improved(inst, sol, two_opt_improve, full_candidates(inst), None)
     assert out.tour == [1, 2, 3, 4]
 
 
@@ -278,7 +241,7 @@ def test_two_opt_reaches_local_optimum_on_random_instances():
     for _ in range(10):
         inst = make_random_instance(rng, 9, 0)
         sol = random_solution(rng, inst)
-        out = two_opt_improve(inst, sol, None, full_candidates(inst), None)
+        out = improved(inst, sol, two_opt_improve, full_candidates(inst), None)
         assert tour_length(inst, out.tour) <= tour_length(inst, sol.tour)
         # no improving 2-opt move remains (brute force over all pairs)
         base = evaluate(inst, out).gain
@@ -296,7 +259,7 @@ def test_two_opt_monotone_with_packing():
         sol = random_solution(rng, inst)
         before = evaluate(inst, sol).gain
         cand = delaunay_candidates(inst)
-        out = two_opt_improve(inst, sol, None, cand, None)
+        out = improved(inst, sol, two_opt_improve, cand, None)
         after = evaluate(inst, out).gain
         assert after >= before - 1e-9
         assert out.tour[0] == 1 and sorted(out.tour) == list(range(1, inst.n + 1))
@@ -313,16 +276,16 @@ def test_two_opt_accepted_moves_match_scratch_reevaluation(monkeypatch):
     real = tour_mod._reverse
     checked = []
 
-    def checking(inst_, sol_, cache, a, b):
-        before = evaluate(inst_, sol_).gain
-        real(inst_, sol_, cache, a, b)
-        scratch = evaluate(inst_, sol_)
+    def checking(inst_, cache, a, b):
+        before = evaluate(inst_, cache.solution()).gain
+        real(inst_, cache, a, b)
+        scratch = evaluate(inst_, cache.solution())
         assert cache.total_time == scratch.travel_time
         assert scratch.gain > before
         checked.append(1)
 
     monkeypatch.setattr(tour_mod, "_reverse", checking)
-    two_opt_improve(inst, sol, None, delaunay_candidates(inst), None)
+    improved(inst, sol, two_opt_improve, delaunay_candidates(inst), None)
     assert checked
 
 
@@ -425,7 +388,7 @@ def test_empty_knapsack_descent_matches_the_probe_loop(monkeypatch, kind, v_max,
         sol = random_solution(rng, inst)
         cand = full_candidates(inst) if k == 0 else delaunay_candidates(inst)
         expect = loop_two_opt(inst, sol.tour, sol.packing, cand)
-        assert two_opt_improve(inst, sol, None, cand, None).tour == expect
+        assert improved(inst, sol, two_opt_improve, cand, None).tour == expect
         moved += expect != sol.tour
     assert moved == 0 if r == 0.0 else moved > 0
     # exact times are priced by their length change; the others walk the
@@ -441,11 +404,11 @@ def test_empty_knapsack_descent_matches_the_probe_loop_on_larger_tours(monkeypat
             inst = length_instance(rng, kind, 60)
             sol = random_solution(rng, inst)
             cand = delaunay_candidates(inst)
-            fast = two_opt_improve(inst, sol, None, cand, None)
+            fast = improved(inst, sol, two_opt_improve, cand, None)
             with monkeypatch.context() as mp:
                 mp.setattr(tour_mod, "_exact_length_steps", lambda inst: False)
                 walks = count_probe_walks(mp)
-                assert two_opt_improve(inst, sol, None, cand, None).tour == fast.tour
+                assert improved(inst, sol, two_opt_improve, cand, None).tour == fast.tour
                 assert walks
 
 
@@ -457,7 +420,7 @@ def test_one_picked_item_takes_the_packed_path(monkeypatch):
     sol.packing = [0] * inst.m
     sol.packing[2] = 1
     cand = delaunay_candidates(inst)
-    out = two_opt_improve(inst, sol, None, cand, None)
+    out = improved(inst, sol, two_opt_improve, cand, None)
     assert walks
     assert out.tour == loop_two_opt(inst, sol.tour, sol.packing, cand)
 
@@ -484,7 +447,7 @@ def test_packed_descent_matches_the_probe_loop(monkeypatch, kind, v_max, r):
         sol.packing[0] = 1
         cand = full_candidates(inst) if k < 2 else delaunay_candidates(inst)
         expect = loop_two_opt(inst, sol.tour, sol.packing, cand)
-        assert two_opt_improve(inst, sol, None, cand, None).tour == expect
+        assert improved(inst, sol, two_opt_improve, cand, None).tour == expect
         moved += expect != sol.tour
     assert moved == 0 if r == 0.0 else moved > 0
     assert walks
@@ -497,7 +460,7 @@ def test_packed_descent_past_its_deadline_returns_the_input_tour():
     sol.packing[0] = 1
     cand = delaunay_candidates(inst)
     assert loop_two_opt(inst, sol.tour, sol.packing, cand) != sol.tour
-    out = two_opt_improve(inst, sol, None, cand, time.monotonic())
+    out = improved(inst, sol, two_opt_improve, cand, time.monotonic())
     assert out.tour == sol.tour and out.packing == sol.packing
 
 
