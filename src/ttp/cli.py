@@ -51,12 +51,11 @@ def _beta(text: str) -> float | None:
 
 def _instance_and_tour(instance: str, tour_file: str | None) -> tuple[Instance, Solution]:
     """The instance, and its tour from ``tour_file`` or else the
-    nearest-neighbour tour, validated, with nothing picked."""
+    nearest-neighbour tour, with nothing picked; not validated, since the
+    caller builds its tour state next."""
     inst = load_instance(instance)
     tour = _read_ints(tour_file) if tour_file else nearest_neighbor_tour(inst)
-    sol = Solution(tour, [0] * inst.m)
-    sol.validate(inst)
-    return inst, sol
+    return inst, Solution(tour, [0] * inst.m)
 
 
 def _solver_config(args) -> SolverConfig:
@@ -88,9 +87,7 @@ def cmd_parse(args) -> int:
 
 def cmd_eval(args) -> int:
     inst = load_instance(args.instance)
-    sol = Solution(_read_ints(args.tour), _read_ints(args.packing))
-    sol.validate(inst)
-    res = evaluate(inst, sol)
+    res = evaluate(inst, Solution(_read_ints(args.tour), _read_ints(args.packing)))
     print(json.dumps({
         "gain": res.gain,
         "travel_time": res.travel_time,
@@ -103,9 +100,9 @@ def cmd_eval(args) -> int:
 
 def cmd_tour(args) -> int:
     inst, sol = _instance_and_tour(args.instance, args.tour_in)
+    cache = build_prefix_cache(inst, sol)
     candidates = delaunay_candidates(inst)
     deadline = _time.monotonic() + args.time
-    cache = build_prefix_cache(inst, sol)
     two_opt_improve(inst, cache, candidates, deadline)
     text = " ".join(str(c) for c in cache.solution().tour)
     if args.out:

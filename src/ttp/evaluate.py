@@ -70,10 +70,10 @@ class PrefixCache:
 
     The state is the solution: its tour is ``city_at`` and its plan
     ``packing``, and ``solution()`` copies both out.  ``flip`` and the 2-OPT
-    move update it in place.  Every update repeats the arithmetic of
-    ``build_prefix_cache`` on the suffix it changes, so the state stays
-    bit-identical to a fresh build, and ``gain`` equals ``evaluate(...).gain``
-    of ``solution()``.
+    move update it in place.  The build and every update write the loads
+    and times through one routine, ``_retime``, from the first tour position
+    they change, so the state stays bit-identical to a fresh build, and
+    ``gain`` equals ``evaluate(...).gain`` of ``solution()``.
     """
 
     city_at: np.ndarray
@@ -107,44 +107,20 @@ def velocities(inst: Instance, carried: np.ndarray) -> np.ndarray:
     return v
 
 
-def _walk(inst: Instance, sol: Solution):
-    """One pass over the tour: the picked weight per city, the tour as 0-based
-    city ids, loads, velocities and legs per position, and the running travel
-    time after each leg.
-
-    Legs come from ``_distances``, which equals ``Instance.distance``, and
-    every sum runs left to right (``cumsum``), so the floats equal those of a
-    plain loop over the tour.
-    """
-    picked = np.flatnonzero(sol.packing)
-    city_weight = np.zeros(inst.n)
-    np.add.at(city_weight, inst.city[picked] - 1, inst.weight[picked])  # in item order
-    city_at = np.array(sol.tour, dtype=np.intp) - 1
-    if city_at.size and not 0 <= city_at.min() <= city_at.max() < inst.n:
-        raise IndexError("city id out of range")
-    cum_weight = city_weight[city_at].cumsum()
-    speed = velocities(inst, cum_weight)
-    leg_dist = _distances(inst, city_at, np.roll(city_at, -1))
-    elapsed = (leg_dist / speed).cumsum()
-    return city_weight, city_at, cum_weight, speed, leg_dist, elapsed
-
-
 def _profit(inst: Instance, packing: list[int]) -> float:
     return sequential_sum(inst.profit[np.flatnonzero(packing)])
 
 
 def evaluate(inst: Instance, sol: Solution) -> EvalResult:
-    """Full objective evaluation of a solution."""
-    if len(sol.packing) != inst.m:
-        raise ValueError("packing length does not match item count")
-    _, _, cum_weight, _, _, elapsed = _walk(inst, sol)
+    """Full objective evaluation of a solution; raises ``ValueError`` when
+    ``sol`` fails ``Solution.validate``."""
+    cache = build_prefix_cache(inst, sol)
     total_profit = _profit(inst, sol.packing)
-    time = float(elapsed[-1])
-    final_weight = float(cum_weight[-1])
+    final_weight = float(cache.cum_weight[-1])
     return EvalResult(
         total_profit=total_profit,
-        travel_time=time,
-        gain=total_profit - inst.renting_ratio * time,
+        travel_time=cache.total_time,
+        gain=total_profit - inst.renting_ratio * cache.total_time,
         final_weight=final_weight,
         feasible=final_weight <= inst.capacity + 1e-12,
     )
@@ -152,23 +128,57 @@ def evaluate(inst: Instance, sol: Solution) -> EvalResult:
 
 def build_prefix_cache(inst: Instance, sol: Solution) -> PrefixCache:
     """The tour state of ``sol``, which it copies; raises ``ValueError``
-    when ``sol`` fails ``Solution.validate``."""
+    when ``sol`` fails ``Solution.validate``.
+
+    Legs come from ``_distances``, which equals ``Instance.distance``, and
+    the picked weight per city is summed in item order.
+    """
     sol.validate(inst)
-    city_weight, city_at, cum_weight, speed, leg_dist, elapsed = _walk(inst, sol)
+    picked = np.flatnonzero(sol.packing)
+    city_weight = np.zeros(inst.n)
+    np.add.at(city_weight, inst.city[picked] - 1, inst.weight[picked])  # in item order
+    city_at = np.array(sol.tour, dtype=np.intp) - 1
     position = np.empty(inst.n, dtype=np.intp)
     position[city_at] = np.arange(inst.n)
-    return PrefixCache(
+    leg_dist = _distances(inst, city_at, np.roll(city_at, -1))
+    cache = PrefixCache(
         city_at=city_at,
         position=position,
         city_weight=city_weight,
-        cum_weight=cum_weight,
-        inv_speed=1.0 / speed,
-        arrive_time=np.concatenate(([0.0], elapsed[:-1])),
+        cum_weight=np.empty(inst.n),
+        inv_speed=np.empty(inst.n),
+        arrive_time=np.zeros(inst.n),
         leg_dist=leg_dist,
         suffix_dist=leg_dist[::-1].cumsum()[::-1].copy(),
-        total_time=float(elapsed[-1]),
+        total_time=0.0,
         packing=list(sol.packing),
     )
+    _retime(inst, cache, 0)
+    return cache
+
+
+def _retime(inst: Instance, cache: PrefixCache, k: int) -> None:
+    """Rewrite ``cum_weight[k:]``, ``inv_speed[k:]``, ``arrive_time[k+1:]``
+    and ``total_time`` from ``city_at``, ``city_weight`` and ``leg_dist``,
+    continuing from ``cum_weight[k-1]`` and ``arrive_time[k]``.
+
+    Every sum runs left to right (``cumsum``) and continues from the entry
+    before k, so it adds the same floats in the same order as a walk over
+    the whole tour, and the state equals a fresh ``build_prefix_cache``
+    bit for bit.
+    """
+    load = cache.city_weight[cache.city_at[k:]]
+    if k:
+        load[0] += cache.cum_weight[k - 1]
+    cum_weight = load.cumsum()
+    speed = velocities(inst, cum_weight)
+    step = cache.leg_dist[k:] / speed
+    step[0] += cache.arrive_time[k]  # 0.0 at k = 0, which changes no float
+    elapsed = step.cumsum()
+    cache.cum_weight[k:] = cum_weight
+    cache.inv_speed[k:] = 1.0 / speed
+    cache.arrive_time[k + 1:] = elapsed[:-1]
+    cache.total_time = float(elapsed[-1])
 
 
 def delta_flip(inst: Instance, cache: PrefixCache, item: int) -> float:
@@ -200,16 +210,4 @@ def flip(inst: Instance, cache: PrefixCache, item: int) -> None:
     # by the flipped weight, which would leave a rounding residue
     homed = inst.city_items[city - 1]
     cache.city_weight[city - 1] = sequential_sum(inst.weight[[j for j in homed if cache.packing[j]]])
-    k0 = cache.position[city - 1]
-    load = cache.city_weight[cache.city_at[k0:]]
-    if k0:
-        load[0] += cache.cum_weight[k0 - 1]
-    cum_weight = load.cumsum()
-    speed = velocities(inst, cum_weight)
-    step = cache.leg_dist[k0:] / speed
-    step[0] += cache.arrive_time[k0]
-    elapsed = step.cumsum()
-    cache.cum_weight[k0:] = cum_weight
-    cache.inv_speed[k0:] = 1.0 / speed
-    cache.arrive_time[k0 + 1:] = elapsed[:-1]
-    cache.total_time = float(elapsed[-1])
+    _retime(inst, cache, cache.position[city - 1])

@@ -317,32 +317,6 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
         raise ParseError(str(exc)) from exc
 
 
-def serialize_instance(inst: Instance) -> str:
-    """Render an Instance back into the benchmark file format."""
-    out = [
-        f"PROBLEM NAME: {inst.name}",
-        f"DIMENSION: {inst.n}",
-        f"NUMBER OF ITEMS: {inst.m}",
-        f"CAPACITY OF KNAPSACK: {inst.capacity:g}",
-        f"MIN SPEED: {inst.v_min:g}",
-        f"MAX SPEED: {inst.v_max:g}",
-        f"RENTING RATIO: {inst.renting_ratio:g}",
-        f"EDGE_WEIGHT_TYPE: {inst.edge_weight_type.value}",
-    ]
-    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
-        out.append("EDGE_WEIGHT_SECTION")
-        for row in inst.explicit_dist:
-            out.append(" ".join(f"{v:g}" for v in row))
-    else:
-        out.append("NODE_COORD_SECTION (INDEX, X, Y):")
-        for i, (x, y) in enumerate(inst.coords, start=1):
-            out.append(f"{i} {x:g} {y:g}")
-    out.append("ITEMS SECTION (INDEX, PROFIT, WEIGHT, ASSIGNED NODE NUMBER):")
-    for it in inst.items:
-        out.append(f"{it.index} {it.profit:g} {it.weight:g} {it.city}")
-    return "\n".join(out) + "\n"
-
-
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance(fh)

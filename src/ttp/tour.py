@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from ttp.evaluate import GAIN_EPS, PrefixCache, velocities
+from ttp.evaluate import GAIN_EPS, PrefixCache, _retime, velocities
 from ttp.instance import EdgeWeightType, Instance, _distances
 
 CandidateLists = dict[int, list[int]]
@@ -123,51 +123,27 @@ def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> Can
     return {i + 1: ns.tolist() for i, ns in enumerate(lists)}
 
 
-def _reversal(inst: Instance, cache: PrefixCache, a: int, b: int):
-    """Tour positions a-1 .. n-1 once positions [a, b] (0-based, a >= 1) are
-    reversed: the 0-based cities at a .. n-1, and per position from a-1 on
-    the leg, the load, the velocity and the running travel time.
-
-    The prefix before a is untouched.  Past b the set of cities carried is
-    unchanged, but the loads are summed again in the new order, as a fresh
-    walk would, so the result equals that walk bit for bit.
-    """
-    n = inst.n
-    at = cache.city_at
-    cities = np.concatenate((at[b:a - 1:-1], at[b + 1:]))
-    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
-        inner = inst.explicit_dist[cities[: b - a], cities[1 : b - a + 1]]
-    else:  # coordinate distances are exactly symmetric
-        inner = cache.leg_dist[a:b][::-1]
-    legs = np.concatenate((
-        [inst.distance(at.item(a - 1) + 1, at.item(b) + 1)],
-        inner,
-        [inst.distance(at.item(a) + 1, at.item((b + 1) % n) + 1)],
-        cache.leg_dist[b + 1 :],
-    ))
-    load = cache.city_weight[cities]
-    load[0] += cache.cum_weight[a - 1]
-    cum_weight = np.concatenate(([cache.cum_weight[a - 1]], load.cumsum()))
-    speed = velocities(inst, cum_weight)
-    step = legs / speed
-    step[0] += cache.arrive_time[a - 1]
-    return cities, legs, cum_weight, speed, step.cumsum()
-
-
 def _reverse(inst: Instance, cache: PrefixCache, a: int, b: int) -> None:
-    """Apply the reversal of tour positions [a, b] to ``cache`` in place;
-    every array but ``city_weight`` changes from position a-1 on,
-    ``suffix_dist`` everywhere, and ``deltas`` empties."""
-    cities, legs, cum_weight, speed, elapsed = _reversal(inst, cache, a, b)
-    cache.city_at[a:] = cities
-    cache.position[cities] = np.arange(a, inst.n)
-    cache.leg_dist[a - 1 :] = legs
-    cache.cum_weight[a:] = cum_weight[1:]
-    cache.inv_speed[a:] = 1.0 / speed[1:]
-    cache.arrive_time[a:] = elapsed[:-1]
-    cache.total_time = float(elapsed[-1])
-    cache.suffix_dist[:] = cache.leg_dist[::-1].cumsum()[::-1]
+    """Apply the reversal of tour positions [a, b] (0-based, 1 <= a <= b) to
+    ``cache`` in place: ``city_at`` and ``position`` over the segment,
+    ``leg_dist`` from a-1 to b, all of ``suffix_dist``, the loads and times
+    from a-1 on (``_retime``), and ``deltas`` empties.
+
+    Past b the set of cities carried is unchanged, but the loads are summed
+    again in the new order, as a fresh walk would.
+    """
+    at, legs = cache.city_at, cache.leg_dist
+    at[a : b + 1] = at[a : b + 1][::-1].copy()
+    cache.position[at[a : b + 1]] = np.arange(a, b + 1)
+    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
+        legs[a:b] = inst.explicit_dist[at[a:b], at[a + 1 : b + 1]]
+    else:  # coordinate distances are exactly symmetric
+        legs[a:b] = legs[a:b][::-1].copy()
+    legs[a - 1] = inst.distance(at.item(a - 1) + 1, at.item(a) + 1)
+    legs[b] = inst.distance(at.item(b) + 1, at.item((b + 1) % inst.n) + 1)
+    cache.suffix_dist[:] = legs[::-1].cumsum()[::-1]
     cache.deltas.clear()
+    _retime(inst, cache, a - 1)
 
 
 def _exact_length_steps(inst: Instance) -> bool:

@@ -61,9 +61,14 @@ def test_empty_packing_travels_at_vmax(example5):
     assert res.gain == pytest.approx(-example5.renting_ratio * tour_len / example5.v_max)
 
 
-def test_evaluate_rejects_bad_packing_length(example5):
+@pytest.mark.parametrize("tour, packing", [
+    ([1, 2, 3, 4, 5], [0, 0]),  # two entries for four items
+    ([1, 2, 3, 5, 5], [0, 0, 0, 0]),  # city 4 missing, city 5 twice
+    ([1, 2, 3, 4, 5], [2, 0, 0, 0]),  # an entry that is not 0 or 1
+], ids=["short-packing", "repeated-city", "entry-2"])
+def test_evaluate_rejects_bad_packing_length(example5, tour, packing):
     with pytest.raises(ValueError):
-        evaluate(example5, Solution([1, 2, 3, 4, 5], [0, 0]))
+        evaluate(example5, Solution(tour, packing))
 
 
 def test_overweight_packing_flagged_infeasible(example5):

@@ -10,12 +10,10 @@ from ttp.instance import (
     Instance,
     Item,
     ParseError,
-    load_instance,
     parse_instance,
-    serialize_instance,
 )
 
-from conftest import FIXTURES, make_random_instance
+from conftest import make_random_instance
 
 
 MINIMAL = """\
@@ -130,23 +128,6 @@ def test_distance_symmetry(seed):
     j = rng.randint(1, inst.n)
     assert inst.distance(i, j) == inst.distance(j, i)
     assert inst.distance(i, i) == 0
-
-
-def test_roundtrip_serialization(example5):
-    for path in (FIXTURES / "example5.ttp", FIXTURES / "category_c_20.ttp"):
-        inst = load_instance(path)
-        again = parse_instance(serialize_instance(inst))
-        assert again.name == inst.name
-        assert again.n == inst.n and again.m == inst.m
-        assert again.items == inst.items
-        assert again.capacity == inst.capacity
-        assert again.edge_weight_type == inst.edge_weight_type
-        if inst.coords is not None:
-            assert np.array_equal(again.coords, inst.coords)
-        if inst.explicit_dist is not None:
-            assert np.array_equal(again.explicit_dist, inst.explicit_dist)
-        # twice round is byte-identical
-        assert serialize_instance(again) == serialize_instance(inst)
 
 
 def test_total_item_weight(example5):

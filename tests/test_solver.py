@@ -224,8 +224,10 @@ def test_solve_equals_the_rewalking_loop_at_a_deadline(monkeypatch, budget, use_
 @pytest.mark.parametrize("use_sa", [True, False])
 def test_solve_walks_the_tour_once_per_restart(monkeypatch, category_c, use_sa, restarts):
     walks = []
-    real = eval_mod._walk
-    monkeypatch.setattr(eval_mod, "_walk", lambda *args: walks.append(1) or real(*args))
+    real = eval_mod.build_prefix_cache
+    counting = lambda *args: walks.append(1) or real(*args)
+    for module in (eval_mod, solver_mod):
+        monkeypatch.setattr(module, "build_prefix_cache", counting)
     rec = solve(category_c, SolverConfig(time_budget=1e6, max_restarts=restarts, sa_t0=1.0,
                                          sa_iters_per_temp=240, sa_cooling=0.5, use_sa=use_sa))
     # the tour state is built once per restart and handed from stage to
