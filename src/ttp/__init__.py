@@ -6,7 +6,7 @@ weight-exponent scoring and reverse-order allocation, then improved by
 bit-flip hill climbing or simulated annealing.
 """
 
-from ttp.instance import EdgeWeightType, Instance, Item, ParseError, load_instance, parse_instance
+from ttp.instance import EdgeWeightType, Instance, ParseError, load_instance, parse_instance
 # ``evaluate`` the function is not bound here, so that ``ttp.evaluate`` stays the module
 from ttp.evaluate import EvalResult, PrefixCache, Solution
 from ttp.solver import RunRecord, SolverConfig, solve
@@ -15,7 +15,6 @@ __all__ = [
     "EdgeWeightType",
     "EvalResult",
     "Instance",
-    "Item",
     "ParseError",
     "PrefixCache",
     "RunRecord",

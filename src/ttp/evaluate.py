@@ -28,9 +28,6 @@ class Solution:
     tour: list[int]
     packing: list[int]
 
-    def copy(self) -> "Solution":
-        return Solution(list(self.tour), list(self.packing))
-
     def validate(self, inst: Instance) -> None:
         if len(self.tour) != inst.n or sorted(self.tour) != list(range(1, inst.n + 1)):
             raise ValueError("tour is not a permutation of 1..n")

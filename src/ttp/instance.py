@@ -33,48 +33,37 @@ class EdgeWeightType(str, Enum):
     EXPLICIT = "EXPLICIT"
 
 
-@dataclass(frozen=True)
-class Item:
-    """One collectible item, 1-based index, homed at a city in 2..n."""
-
-    index: int
-    profit: float
-    weight: float
-    city: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable problem data.  City and item ids are 1-based.
 
-    ``profit``, ``weight`` and ``city`` hold the item data as arrays, row
-    ``j - 1`` for item ``j``, next to the ``items`` tuple they are built from.
-    ``city_items[c - 1]`` lists the rows of the items homed at city ``c``, in
-    item order.
+    ``profit``, ``weight`` and ``city`` hold the item data, row ``j - 1`` for
+    item ``j``, whose home city lies in 2..n.  ``city_items[c - 1]`` lists the
+    rows of the items homed at city ``c``, in item order.  Two instances are
+    equal only if they are the same object.
     """
 
     name: str
     n: int
     m: int
     coords: Optional[np.ndarray]  # shape (n, 2) or None for EXPLICIT
-    items: tuple[Item, ...]
+    profit: np.ndarray
+    weight: np.ndarray
+    city: np.ndarray
     capacity: float
     v_min: float
     v_max: float
     renting_ratio: float
     edge_weight_type: EdgeWeightType = EdgeWeightType.CEIL_2D
     explicit_dist: Optional[np.ndarray] = None
-    profit: np.ndarray = field(init=False, repr=False, compare=False)
-    weight: np.ndarray = field(init=False, repr=False, compare=False)
-    city: np.ndarray = field(init=False, repr=False, compare=False)
-    city_items: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    city_items: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.items) != self.m:
-            raise ValueError("item count mismatch")
-        object.__setattr__(self, "profit", np.array([it.profit for it in self.items], dtype=float))
-        object.__setattr__(self, "weight", np.array([it.weight for it in self.items], dtype=float))
-        object.__setattr__(self, "city", np.array([it.city for it in self.items], dtype=np.intp))
+        for name, dtype in (("profit", float), ("weight", float), ("city", np.intp)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.shape != (self.m,):
+                raise ValueError("item count mismatch")
+            object.__setattr__(self, name, column)
         numbers = [self.profit, self.weight, [self.capacity, self.v_min, self.v_max, self.renting_ratio]]
         numbers += [np.ravel(a) for a in (self.coords, self.explicit_dist) if a is not None]
         if not np.isfinite(np.concatenate(numbers)).all():
@@ -89,15 +78,15 @@ class Instance:
             raise ValueError("renting ratio must be nonnegative")
         misplaced = np.flatnonzero((self.city < 2) | (self.city > self.n))
         if misplaced.size:
-            it = self.items[misplaced[0]]
-            raise ValueError(f"item {it.index} homed at invalid city {it.city}")
+            j = misplaced[0]
+            raise ValueError(f"item {j + 1} homed at invalid city {self.city[j]}")
         homed: list[list[int]] = [[] for _ in range(self.n)]
         for j, c in enumerate(self.city.tolist()):
             homed[c - 1].append(j)
         object.__setattr__(self, "city_items", tuple(map(tuple, homed)))
         empty = np.flatnonzero((self.profit <= 0) | (self.weight <= 0))
         if empty.size:
-            raise ValueError(f"item {self.items[empty[0]].index} must have positive profit and weight")
+            raise ValueError(f"item {empty[0] + 1} must have positive profit and weight")
         if self.edge_weight_type is EdgeWeightType.EXPLICIT:
             d = self.explicit_dist
             if d is None or d.shape != (self.n, self.n):
@@ -186,6 +175,13 @@ def _parse_number(text: str, lineno: int) -> float:
         raise ParseError(f"expected a number, got {text!r}", lineno) from None
 
 
+def _parse_int(text: str, lineno: int) -> int:
+    value = _parse_number(text, lineno)
+    if not value.is_integer():
+        raise ParseError(f"expected a whole number, got {text!r}", lineno)
+    return int(value)
+
+
 def parse_instance(text: str | Iterable[str]) -> Instance:
     """Parse a TTP benchmark file into a validated :class:`Instance`."""
     if isinstance(text, str):
@@ -195,7 +191,7 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
 
     header: dict[str, object] = {"name": "unnamed", "edge_weight_type": "CEIL_2D"}
     coords: dict[int, tuple[float, float]] = {}
-    items: dict[int, Item] = {}
+    items: dict[int, tuple[float, float, int]] = {}  # index -> (profit, weight, city)
     matrix_rows: list[list[float]] = []
     section = None  # None | "coords" | "items" | "matrix"
 
@@ -231,14 +227,14 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
             if field_name in ("name", "edge_weight_type"):
                 header[field_name] = value
             elif field_name in ("n", "m"):
-                header[field_name] = int(_parse_number(value, lineno))
+                header[field_name] = _parse_int(value, lineno)
             else:
                 header[field_name] = _parse_number(value, lineno)
         elif section == "coords":
             parts = line.split()
             if len(parts) != 3:
                 raise ParseError(f"expected 'index x y', got {line!r}", lineno)
-            idx = int(_parse_number(parts[0], lineno))
+            idx = _parse_int(parts[0], lineno)
             n = header.get("n")
             if n is None or not (1 <= idx <= n):
                 raise ParseError(f"city index {idx} out of range", lineno)
@@ -249,24 +245,19 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
             parts = line.split()
             if len(parts) != 4:
                 raise ParseError(f"expected 'index profit weight city', got {line!r}", lineno)
-            idx = int(_parse_number(parts[0], lineno))
+            idx = _parse_int(parts[0], lineno)
             m = header.get("m")
             if m is None or not (1 <= idx <= m):
                 raise ParseError(f"item index {idx} out of range", lineno)
             if idx in items:
                 raise ParseError(f"duplicate item index {idx}", lineno)
-            city = int(_parse_number(parts[3], lineno))
+            city = _parse_int(parts[3], lineno)
             n = header.get("n", 0)
             if city == 1:
                 raise ParseError(f"item {idx} assigned to the start city", lineno)
             if not (2 <= city <= n):
                 raise ParseError(f"item {idx} references invalid city {city}", lineno)
-            items[idx] = Item(
-                index=idx,
-                profit=_parse_number(parts[1], lineno),
-                weight=_parse_number(parts[2], lineno),
-                city=city,
-            )
+            items[idx] = (_parse_number(parts[1], lineno), _parse_number(parts[2], lineno), city)
         elif section == "matrix":
             matrix_rows.append([_parse_number(p, lineno) for p in line.split()])
 
@@ -274,8 +265,8 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
         if req not in header:
             raise ParseError(f"missing required header field for {req!r}")
 
-    n = int(header["n"])
-    m = int(header["m"])
+    n = header["n"]
+    m = header["m"]
     try:
         ewt = EdgeWeightType(str(header["edge_weight_type"]))
     except ValueError:
@@ -283,7 +274,7 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
 
     if len(items) != m:
         raise ParseError(f"expected {m} items, found {len(items)}")
-    item_tuple = tuple(items[k] for k in sorted(items))
+    profit, weight, city = zip(*(items[j] for j in range(1, m + 1))) if m else ((), (), ())
 
     explicit = None
     coord_arr = None
@@ -305,7 +296,9 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
             n=n,
             m=m,
             coords=coord_arr,
-            items=item_tuple,
+            profit=profit,
+            weight=weight,
+            city=city,
             capacity=float(header["capacity"]),
             v_min=float(header["v_min"]),
             v_max=float(header["v_max"]),

@@ -4,7 +4,7 @@ both improvement stages together."""
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import Optional
 
@@ -25,15 +25,7 @@ class RunRecord:
     trace: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "config": self.config,
-            "best_gain": self.best_gain,
-            "best_tour": self.best_tour,
-            "best_packing": self.best_packing,
-            "wall_time": self.wall_time,
-            "trace": self.trace,
-        }
+        return asdict(self)
 
 
 def solve(inst: Instance, config: SolverConfig) -> RunRecord:

@@ -18,20 +18,18 @@ CandidateLists = dict[int, list[int]]
 
 def nearest_neighbor_tour(
     inst: Instance,
-    start: int = 1,
     rng: Optional[Random] = None,
     deadline: Optional[float] = None,
 ) -> list[int]:
-    """Greedy nearest-neighbour tour from ``start``; ties broken by lowest id.
+    """Greedy nearest-neighbour tour from city 1; ties broken by lowest id.
 
     When ``rng`` is given the second city is chosen uniformly at random and
     the rest of the walk stays greedy, which is how the solver diversifies
     restarts.  Once ``deadline`` (a ``time.monotonic()`` value) has passed,
     the cities not yet visited are appended in id order.
     """
-    unvisited = set(range(1, inst.n + 1))
-    unvisited.discard(start)
-    tour = [start]
+    unvisited = set(range(2, inst.n + 1))
+    tour = [1]
     if rng is not None and unvisited:
         second = rng.choice(sorted(unvisited))
         tour.append(second)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ttp.evaluate import Solution, build_prefix_cache, evaluate
-from ttp.instance import EdgeWeightType, Instance, Item, load_instance
+from ttp.instance import EdgeWeightType, Instance, load_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -22,21 +22,24 @@ def category_c() -> Instance:
     return load_instance(FIXTURES / "category_c_20.ttp")
 
 
+def columns(rows) -> dict:
+    """``Instance`` keyword arguments for items given as (profit, weight, city) rows."""
+    profit, weight, city = zip(*rows) if rows else ((), (), ())
+    return dict(profit=profit, weight=weight, city=city)
+
+
 def make_random_instance(rng: random.Random, n: int, m: int,
                          cap_fraction: tuple[float, float] = (0.3, 0.8)) -> Instance:
     coords = np.array([[rng.uniform(0, 100), rng.uniform(0, 100)] for _ in range(n)])
-    items = tuple(
-        Item(j, rng.randint(10, 100), rng.randint(1, 50), rng.randint(2, n))
-        for j in range(1, m + 1)
-    )
-    total = sum(it.weight for it in items)
+    rows = [(rng.randint(10, 100), rng.randint(1, 50), rng.randint(2, n)) for _ in range(m)]
+    total = sum(w for _, w, _ in rows)
     cap = max(1.0, round(rng.uniform(*cap_fraction) * total)) if m else 10.0
     return Instance(
         name=f"rand-n{n}-m{m}",
         n=n,
         m=m,
         coords=coords,
-        items=items,
+        **columns(rows),
         capacity=cap,
         v_min=0.1,
         v_max=1.0,
@@ -50,23 +53,24 @@ def float_instance(rng: random.Random, n: int, m: int, explicit: bool = False) -
     another order would round differently; EXPLICIT distances are
     symmetric only up to rounding, so direction matters."""
     base = make_random_instance(rng, n, 0)
-    items = tuple(Item(j, rng.uniform(1, 100), rng.uniform(0.1, 40), rng.randint(2, n))
-                  for j in range(1, m + 1))
-    cap = max(1.0, rng.uniform(0.2, 0.7) * sum(it.weight for it in items))
+    rows = [(rng.uniform(1, 100), rng.uniform(0.1, 40), rng.randint(2, n)) for _ in range(m)]
+    cap = max(1.0, rng.uniform(0.2, 0.7) * sum(w for _, w, _ in rows))
     if explicit:
         d = np.array([[rng.uniform(1, 50) for _ in range(n)] for _ in range(n)])
         d = (d + d.T) / 2.0
         d = d * (1 + 1e-12 * np.triu(np.ones((n, n))))  # asymmetric in the last bits
         np.fill_diagonal(d, 0.0)
-        return Instance(base.name, n, m, None, items, cap, 0.1, 1.0,
-                        rng.uniform(0.5, 5.0), EdgeWeightType.EXPLICIT, d)
-    return Instance(base.name, n, m, base.coords, items, cap, 0.1, 1.0,
-                    rng.uniform(0.5, 5.0), rng.choice([EdgeWeightType.CEIL_2D, EdgeWeightType.EUC_2D]))
+        return Instance(base.name, n, m, None, **columns(rows), capacity=cap, v_min=0.1, v_max=1.0,
+                        renting_ratio=rng.uniform(0.5, 5.0), edge_weight_type=EdgeWeightType.EXPLICIT,
+                        explicit_dist=d)
+    return Instance(base.name, n, m, base.coords, **columns(rows), capacity=cap, v_min=0.1, v_max=1.0,
+                    renting_ratio=rng.uniform(0.5, 5.0),
+                    edge_weight_type=rng.choice([EdgeWeightType.CEIL_2D, EdgeWeightType.EUC_2D]))
 
 
 def feasible_packings(inst: Instance):
     for z in product([0, 1], repeat=inst.m):
-        if sum(inst.items[j].weight * z[j] for j in range(inst.m)) <= inst.capacity:
+        if sum(inst.weight.item(j) * z[j] for j in range(inst.m)) <= inst.capacity:
             yield list(z)
 
 
@@ -94,7 +98,7 @@ def random_solution(rng: random.Random, inst: Instance, feasible: bool = True) -
     weight = 0.0
     for j in order:
         if rng.random() < 0.5:
-            w = inst.items[j].weight
+            w = inst.weight.item(j)
             if feasible and weight + w > inst.capacity:
                 continue
             packing[j] = 1

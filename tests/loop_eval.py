@@ -38,12 +38,18 @@ def velocity_at(inst: Instance, cumulative_weight: float) -> float:
     return max(v, inst.v_min)
 
 
+def item_row(inst: Instance, item: int) -> tuple[float, float, int]:
+    """(profit, weight, city) of item ``item`` (1-based) as Python numbers,
+    so that the loops below do Python's arithmetic, not numpy's."""
+    return inst.profit.item(item - 1), inst.weight.item(item - 1), inst.city.item(item - 1)
+
+
 def loop_city_weights(inst: Instance, packing: list[int]) -> np.ndarray:
     """Picked weight collected at each city, indexed by 0-based city id."""
     w = np.zeros(inst.n)
-    for it in inst.items:
-        if packing[it.index - 1]:
-            w[it.city - 1] += it.weight
+    for weight, city, picked in zip(inst.weight.tolist(), inst.city.tolist(), packing):
+        if picked:
+            w[city - 1] += weight
     return w
 
 
@@ -88,38 +94,38 @@ def loop_delta_flip(inst: Instance, tour: list[int], packing: list[int], item: i
     """Gain change from flipping item ``item`` (1-based), re-pricing the
     tour suffix from the item's city one leg at a time."""
     arrays = loop_prefix_arrays(inst, tour, packing)
-    it = inst.items[item - 1]
+    profit, weight, city = item_row(inst, item)
     sign = -1.0 if packing[item - 1] else 1.0
     dt = 0.0
-    for k in range(int(arrays["position"][it.city - 1]), inst.n):
+    for k in range(int(arrays["position"][city - 1]), inst.n):
         old_w = arrays["cum_weight"][k]
-        new_w = old_w + sign * it.weight
+        new_w = old_w + sign * weight
         dt += arrays["leg_dist"][k] * (
             1.0 / velocity_at(inst, new_w) - 1.0 / velocity_at(inst, old_w)
         )
-    return sign * it.profit - inst.renting_ratio * dt
+    return sign * profit - inst.renting_ratio * dt
 
 
 def loop_item_score(inst: Instance, cache, item: int, alpha: float) -> float:
     """Score of item ``item`` (1-based) under the cache's tour:
     profit / (weight**alpha * suffix), +inf when the suffix distance is 0."""
-    it = inst.items[item - 1]
-    suffix = float(cache.suffix_dist[int(cache.position[it.city - 1])])
+    profit, weight, city = item_row(inst, item)
+    suffix = float(cache.suffix_dist[int(cache.position[city - 1])])
     if suffix == 0.0:
         return math.inf
-    return it.profit / (it.weight ** alpha * suffix)
+    return profit / (weight ** alpha * suffix)
 
 
 def loop_marginal_gain(inst: Instance, cache, item: int) -> float:
     """Standalone insertion gain of item ``item`` (1-based) into an empty
     knapsack, charging the slowed speed over the whole tour suffix; -inf for
     an item heavier than the capacity."""
-    it = inst.items[item - 1]
-    v = inst.v_max - it.weight * inst.weight_velocity_slope
-    if it.weight > inst.capacity or v <= 0:
+    profit, weight, city = item_row(inst, item)
+    v = inst.v_max - weight * inst.weight_velocity_slope
+    if weight > inst.capacity or v <= 0:
         return -math.inf
-    suffix = float(cache.suffix_dist[int(cache.position[it.city - 1])])
-    return it.profit - inst.renting_ratio * suffix / v
+    suffix = float(cache.suffix_dist[int(cache.position[city - 1])])
+    return profit - inst.renting_ratio * suffix / v
 
 
 def loop_score_table(inst: Instance, cache, alpha: float) -> dict:
@@ -206,14 +212,14 @@ def loop_simulated_annealing(inst: Instance, sol, params, rng) -> list[int]:
     while temp > 1e-3 * t0:
         for _ in range(iters):
             j = rng.randint(1, inst.m)
-            it = inst.items[j - 1]
+            w = inst.weight.item(j - 1)
             turning_on = not cache.packing[j - 1]
-            if turning_on and weight + it.weight > inst.capacity:
+            if turning_on and weight + w > inst.capacity:
                 continue
             delta = delta_flip(inst, cache, j)
             if delta > 0 or rng.random() < math.exp(delta / temp):
                 flip(inst, cache, j)
-                weight += it.weight if turning_on else -it.weight
+                weight += w if turning_on else -w
                 cur_gain += delta
                 if cur_gain > best_gain + GAIN_EPS:
                     best = list(cache.packing)
@@ -283,7 +289,7 @@ def loop_solve(inst: Instance, config) -> RunRecord:
                 break
         trace.append(gain)
         if gain > best_gain:
-            best_gain, best_sol = gain, sol.copy()
+            best_gain, best_sol = gain, Solution(list(sol.tour), list(sol.packing))
         restart += 1
         if config.max_restarts is None and _time.monotonic() >= deadline:
             break

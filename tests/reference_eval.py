@@ -26,10 +26,10 @@ def ref_evaluate(inst: Instance, tour: list[int], packing: list[int]):
     slope = (inst.v_max - inst.v_min) / inst.capacity
     profit = 0.0
     weight_at = {c: 0.0 for c in range(1, inst.n + 1)}
-    for it in inst.items:
-        if packing[it.index - 1]:
-            profit += it.profit
-            weight_at[it.city] += it.weight
+    for j in range(inst.m):
+        if packing[j]:
+            profit += inst.profit.item(j)
+            weight_at[inst.city.item(j)] += inst.weight.item(j)
     time = 0.0
     carried = 0.0
     for k in range(inst.n):

@@ -133,7 +133,7 @@ def test_delta_flip_matches_brute_force():
         cache = build_prefix_cache(inst, sol)
         base = evaluate(inst, sol).gain
         for j in range(1, inst.m + 1):
-            flipped = sol.copy()
+            flipped = Solution(sol.tour, list(sol.packing))
             flipped.packing[j - 1] ^= 1
             expect = evaluate(inst, flipped).gain - base
             got = delta_flip(inst, cache, j)

@@ -8,12 +8,11 @@ from hypothesis import given, strategies as st
 from ttp.instance import (
     EdgeWeightType,
     Instance,
-    Item,
     ParseError,
     parse_instance,
 )
 
-from conftest import make_random_instance
+from conftest import FIXTURES, make_random_instance
 
 
 MINIMAL = """\
@@ -40,7 +39,7 @@ def test_parse_minimal():
     assert inst.name == "mini"
     assert inst.n == 3 and inst.m == 2
     assert inst.capacity == 5
-    assert inst.items[0] == Item(index=1, profit=10, weight=2, city=2)
+    assert (inst.profit[0], inst.weight[0], inst.city[0]) == (10, 2, 2)
     assert inst.edge_weight_type is EdgeWeightType.CEIL_2D
 
 
@@ -59,7 +58,7 @@ def test_parse_empty_items_section():
     text = MINIMAL.replace("NUMBER OF ITEMS: 2", "NUMBER OF ITEMS: 0")
     text = text[: text.index("ITEMS SECTION")] + "ITEMS SECTION (INDEX, PROFIT, WEIGHT, ASSIGNED NODE NUMBER):\n"
     inst = parse_instance(text)
-    assert inst.m == 0 and inst.items == ()
+    assert inst.m == 0 and inst.profit.size == inst.weight.size == inst.city.size == 0
 
 
 @pytest.mark.parametrize(
@@ -77,6 +76,22 @@ def test_parse_errors_carry_context(mangle, message):
     with pytest.raises(ParseError) as err:
         parse_instance(mangle(MINIMAL))
     assert message.split()[0] in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "old, whole, fractional, lineno",
+    [
+        ("4 2 2 5", "4 2 2 5.0", "4 2 2 5.9", 20),  # the item's node
+        ("4 2 2 5", "4.0 2 2 5", "4.5 2 2 5", 20),  # the item index
+        ("NUMBER OF ITEMS: 4", "NUMBER OF ITEMS: 4.0", "NUMBER OF ITEMS: 4.7", 4),
+    ],
+)
+def test_parse_rejects_fractional_whole_numbers(old, whole, fractional, lineno):
+    text = (FIXTURES / "example5.ttp").read_text()
+    assert parse_instance(text.replace(old, whole)).city.tolist() == [2, 3, 4, 5]
+    with pytest.raises(ParseError, match="whole number") as err:
+        parse_instance(text.replace(old, fractional))
+    assert err.value.line == lineno
 
 
 @pytest.mark.parametrize(
@@ -131,36 +146,48 @@ def test_distance_symmetry(seed):
 
 
 def test_total_item_weight(example5):
-    assert example5.total_item_weight == sum(it.weight for it in example5.items)
+    assert example5.total_item_weight == sum(example5.weight.tolist())
     assert example5.total_item_weight == 18
 
 
 def test_invariant_rejections():
     with pytest.raises(ValueError):
-        Instance("bad", 1, 0, np.zeros((1, 2)), (), 10, 0.1, 1, 1)
+        Instance("bad", 1, 0, np.zeros((1, 2)), [], [], [], 10, 0.1, 1, 1)
     with pytest.raises(ValueError):
-        Instance("bad", 2, 0, np.zeros((2, 2)), (), -1, 0.1, 1, 1)
+        Instance("bad", 2, 0, np.zeros((2, 2)), [], [], [], -1, 0.1, 1, 1)
     with pytest.raises(ValueError):
-        Instance("bad", 2, 0, np.zeros((2, 2)), (), 10, 1, 0.1, 1)
-    with pytest.raises(ValueError):
-        Instance("bad", 2, 1, np.zeros((2, 2)),
-                 (Item(1, -5, 1, 2),), 10, 0.1, 1, 1)
+        Instance("bad", 2, 0, np.zeros((2, 2)), [], [], [], 10, 1, 0.1, 1)
+    with pytest.raises(ValueError, match="item 2 must have positive profit and weight"):
+        Instance("bad", 2, 2, np.zeros((2, 2)), [5, -5], [1, 1], [2, 2], 10, 0.1, 1, 1)
+    with pytest.raises(ValueError, match="item 2 homed at invalid city 3"):
+        Instance("bad", 2, 2, np.zeros((2, 2)), [5, 5], [1, 1], [2, 3], 10, 0.1, 1, 1)
+    with pytest.raises(ValueError, match="item count mismatch"):
+        Instance("bad", 2, 2, np.zeros((2, 2)), [5, 5], [1], [2, 2], 10, 0.1, 1, 1)
 
 
 def test_explicit_matrix_must_be_finite():
     bad = np.array([[0.0, np.inf], [np.inf, 0.0]])
     with pytest.raises(ValueError, match="finite"):
-        Instance("bad", 2, 0, None, (), 10, 0.1, 1, 1, EdgeWeightType.EXPLICIT, bad)
+        Instance("bad", 2, 0, None, [], [], [], 10, 0.1, 1, 1, EdgeWeightType.EXPLICIT, bad)
 
 
 def test_item_arrays_follow_items(example5):
-    assert example5.profit.tolist() == [it.profit for it in example5.items]
-    assert example5.weight.tolist() == [it.weight for it in example5.items]
-    assert example5.city.tolist() == [it.city for it in example5.items]
+    # row j - 1 holds item j of the fixture's ITEMS SECTION
+    assert example5.profit.tolist() == [101, 8, 8, 2] and example5.profit.dtype == float
+    assert example5.weight.tolist() == [10, 2, 4, 2] and example5.weight.dtype == float
+    assert example5.city.tolist() == [2, 3, 4, 5] and example5.city.dtype == np.intp
+    assert example5.city_items == ((), (0,), (1,), (2,), (3,))
+
+
+def test_instances_compare_by_identity():
+    text = (FIXTURES / "example5.ttp").read_text()
+    a, b = parse_instance(text), parse_instance(text)
+    assert a == a and a != b
+    assert len({a, b}) == 2
 
 
 def test_explicit_matrix_must_be_symmetric():
     bad = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
-        Instance("bad", 2, 0, None, (), 10, 0.1, 1, 1,
+        Instance("bad", 2, 0, None, [], [], [], 10, 0.1, 1, 1,
                  EdgeWeightType.EXPLICIT, bad)

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from ttp.evaluate import Solution, build_prefix_cache, evaluate
-from ttp.instance import EdgeWeightType, Instance, Item
+from ttp.instance import EdgeWeightType, Instance
 from ttp.packing import (
     SolverConfig,
     bit_flip_search,
@@ -96,9 +96,8 @@ def test_initial_plan_picks_nothing_past_its_deadline():
 def test_initial_plan_empty_when_nothing_profitable():
     # profits too small to pay the rent of slowing down: empty plan
     inst = make_random_instance(random.Random(9), 4, 0)
-    items = (Item(1, 0.001, 50.0, 2), Item(2, 0.001, 50.0, 3))
-    inst = Instance(inst.name, 4, 2, inst.coords, items, 60.0, 0.1, 1.0, 10.0,
-                    EdgeWeightType.CEIL_2D)
+    inst = Instance(inst.name, 4, 2, inst.coords, [0.001, 0.001], [50.0, 50.0], [2, 3], 60.0, 0.1, 1.0,
+                    10.0, EdgeWeightType.CEIL_2D)
     tour = [1, 2, 3, 4]
     assert plan_for(inst, tour, beta=0.5) == [0, 0]
 
@@ -136,11 +135,11 @@ def test_bit_flip_output_is_single_flip_optimal():
         tour = list(range(1, inst.n + 1))
         z = improved(inst, Solution(tour, [0] * inst.m), bit_flip_search, None, random.Random(2)).packing
         base = evaluate(inst, Solution(tour, z)).gain
-        weight = sum(it.weight for it in inst.items if z[it.index - 1])
+        weight = sum(w for w, picked in zip(inst.weight.tolist(), z) if picked)
         for j in range(inst.m):
             flipped = list(z)
             flipped[j] ^= 1
-            w = weight + (inst.items[j].weight if flipped[j] else -inst.items[j].weight)
+            w = weight + (inst.weight.item(j) if flipped[j] else -inst.weight.item(j))
             if w > inst.capacity:
                 continue
             assert evaluate(inst, Solution(tour, flipped)).gain <= base + 1e-9

@@ -3,6 +3,7 @@ without ``delta_flip``: the bound must never fall below the exact delta
 where it is used, and the filtered loop must take every decision of the
 loop that prices every probe, from the same random stream."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -11,10 +12,10 @@ import pytest
 import loop_eval
 import ttp.packing as packing_mod
 from ttp.evaluate import Solution, build_prefix_cache, delta_flip
-from ttp.instance import EdgeWeightType, Instance, Item
+from ttp.instance import EdgeWeightType, Instance
 from ttp.packing import SolverConfig, _flip_bound, _flip_ub, _slopes, simulated_annealing_kp
 
-from conftest import improved, random_solution
+from conftest import columns, improved, random_solution
 from loop_eval import loop_simulated_annealing
 
 KINDS = ("ceil-float", "ceil-int", "euc-int", "explicit")
@@ -26,14 +27,13 @@ def bound_instance(rng: random.Random, kind: str, n: int, m: int, v_max: float =
     symmetric only up to the last bits.  With float weights every third item
     is so light that the bound's tangent is tight to rounding level."""
     if float_weights:
-        items = tuple(Item(j, rng.uniform(1, 100), rng.uniform(0.1, 40), rng.randint(2, n)) if j % 3
-                      else Item(j, rng.uniform(1e-6, 1e-3), rng.uniform(1e-9, 1e-6), rng.randint(2, n))
-                      for j in range(1, m + 1))
+        rows = [(rng.uniform(1, 100), rng.uniform(0.1, 40), rng.randint(2, n)) if j % 3
+                else (rng.uniform(1e-6, 1e-3), rng.uniform(1e-9, 1e-6), rng.randint(2, n))
+                for j in range(1, m + 1)]
     else:
-        items = tuple(Item(j, rng.randint(1, 100), rng.randint(1, 40), rng.randint(2, n))
-                      for j in range(1, m + 1))
-    cap = max(1.0, rng.uniform(0.2, 0.7) * sum(it.weight for it in items))
-    common = dict(name=kind, n=n, m=m, items=items, capacity=cap, v_min=v_min, v_max=v_max,
+        rows = [(rng.randint(1, 100), rng.randint(1, 40), rng.randint(2, n)) for _ in range(m)]
+    cap = max(1.0, rng.uniform(0.2, 0.7) * sum(w for _, w, _ in rows))
+    common = dict(name=kind, n=n, m=m, **columns(rows), capacity=cap, v_min=v_min, v_max=v_max,
                   renting_ratio=rng.uniform(0.1, 5.0) if r is None else r)
     if kind == "explicit":
         d = np.array([[rng.uniform(1, 60) for _ in range(n)] for _ in range(n)])
@@ -49,8 +49,7 @@ def bound_instance(rng: random.Random, kind: str, n: int, m: int, v_max: float =
 
 
 def with_capacity(inst: Instance, capacity: float) -> Instance:
-    return Instance(inst.name, inst.n, inst.m, inst.coords, inst.items, capacity, inst.v_min,
-                    inst.v_max, inst.renting_ratio, inst.edge_weight_type, inst.explicit_dist)
+    return dataclasses.replace(inst, capacity=capacity)
 
 
 def bound_applies(inst: Instance, cache, w: float, adding: bool) -> bool:
@@ -100,7 +99,7 @@ def test_bound_is_never_below_the_exact_delta(kind, v_max, v_min):
 
 def test_bound_fails_on_a_negative_leg():
     d = np.array([[0.0, 5.0, -1.0], [5.0, 0.0, 4.0], [-1.0, 4.0, 0.0]])
-    inst = Instance("neg", 3, 1, None, (Item(1, 10.0, 1.0, 2),), 5.0, 0.1, 1.0, 1.0,
+    inst = Instance("neg", 3, 1, None, [10.0], [1.0], [2], 5.0, 0.1, 1.0, 1.0,
                     EdgeWeightType.EXPLICIT, d)
     assert _flip_bound(inst, build_prefix_cache(inst, Solution([1, 2, 3], [0]))) is None
 
@@ -162,13 +161,14 @@ def test_at_capacity_every_probe_is_priced(monkeypatch):
     # everything picked and the capacity right at the load: additions are
     # infeasible and every drop takes the exact path; with the capacity
     # 1e-6 above the load, the bound rejects the drops instead
-    items = tuple(Item(j, 1000.0 + j, 1.0 + 0.1 * j, 2 + j % 5) for j in range(1, 11))
+    items = columns([(1000.0 + j, 1.0 + 0.1 * j, 2 + j % 5) for j in range(1, 11)])
     coords = np.array([[3.0 * i, (i * i) % 7] for i in range(6)])
-    total = float(np.cumsum([it.weight for it in items])[-1])
+    total = float(np.cumsum(items["weight"])[-1])
     sol = Solution([1, 2, 3, 4, 5, 6], [1] * 10)
     params = SolverConfig(sa_t0=1.0, sa_cooling=0.5, sa_iters_per_temp=50)
     for capacity, all_priced in ((total, True), (total * (1 + 5e-10), True), (total * (1 + 1e-6), False)):
-        inst = Instance("full", 6, 10, coords, items, capacity, 0.1, 1.0, 0.5)
+        inst = Instance("full", 6, 10, coords, **items, capacity=capacity, v_min=0.1, v_max=1.0,
+                        renting_ratio=0.5)
         ours, ref = run_both(monkeypatch, inst, sol, params, seed=3)
         assert ref == 500
         assert (ours == ref) is all_priced

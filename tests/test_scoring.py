@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,9 +7,9 @@ import pytest
 from ttp.evaluate import Solution, build_prefix_cache
 from ttp.scoring import build_score_table
 
-from conftest import make_random_instance
+from conftest import columns, make_random_instance
 from loop_eval import loop_item_score, loop_score_table
-from ttp.instance import EdgeWeightType, Instance, Item
+from ttp.instance import EdgeWeightType, Instance
 import numpy as np
 
 
@@ -29,7 +30,7 @@ def test_score_alpha_15(example5, ex_cache):
 def test_zero_suffix_gives_infinite_score():
     # both cities at the same spot: suffix distance from city 2 is 0
     inst = Instance("dup", 2, 1, np.array([[0.0, 0.0], [0.0, 0.0]]),
-                    (Item(1, 5, 1, 2),), 10, 0.1, 1, 1, EdgeWeightType.CEIL_2D)
+                    [5], [1], [2], 10, 0.1, 1, 1, EdgeWeightType.CEIL_2D)
     cache = build_prefix_cache(inst, Solution([1, 2], [0]))
     table = build_score_table(inst, cache, 1.5)
     assert table.scores == [math.inf]
@@ -46,8 +47,7 @@ def test_marginal_gain_hand_values(example5, ex_cache):
 
 def test_marginal_gain_weightless_limit():
     inst = make_random_instance(random.Random(1), 5, 0)
-    items = (Item(1, 1000.0, 1e-9, 3),)
-    inst = Instance(inst.name, inst.n, 1, inst.coords, items, inst.capacity,
+    inst = Instance(inst.name, inst.n, 1, inst.coords, [1000.0], [1e-9], [3], inst.capacity,
                     inst.v_min, inst.v_max, inst.renting_ratio, inst.edge_weight_type)
     sol = Solution(list(range(1, 6)), [0])
     cache = build_prefix_cache(inst, sol)
@@ -57,10 +57,7 @@ def test_marginal_gain_weightless_limit():
 
 
 def test_overweight_item_is_ineligible(example5):
-    items = tuple(
-        Item(it.index, it.profit, 100.0, it.city) for it in example5.items
-    )
-    inst = Instance(example5.name, 5, 4, None, items, 10, 0.1, 1, 1,
+    inst = Instance(example5.name, 5, 4, None, example5.profit, [100.0] * 4, example5.city, 10, 0.1, 1, 1,
                     EdgeWeightType.EXPLICIT, example5.explicit_dist)
     cache = build_prefix_cache(inst, Solution([1, 2, 3, 4, 5], [0] * 4))
     table = build_score_table(inst, cache, 1.0)
@@ -97,9 +94,7 @@ def test_profit_scaling_invariance():
     cache = build_prefix_cache(inst, sol)
     base = build_score_table(inst, cache, 1.5)
     lam = 3.7
-    scaled_items = tuple(Item(it.index, it.profit * lam, it.weight, it.city) for it in inst.items)
-    scaled = Instance(inst.name, inst.n, inst.m, inst.coords, scaled_items, inst.capacity,
-                      inst.v_min, inst.v_max, inst.renting_ratio, inst.edge_weight_type)
+    scaled = dataclasses.replace(inst, profit=inst.profit * lam)
     cache2 = build_prefix_cache(scaled, sol)
     table2 = build_score_table(scaled, cache2, 1.5)
     for j in range(inst.m):
@@ -155,15 +150,14 @@ def edge_case_instance(rng: random.Random, kind: EdgeWeightType, n: int, m: int)
     tour city lies on city 1 (a zero suffix distance and +inf scores), one
     item heavier than the capacity (-inf marginal gain) and one item a copy
     of another (tied scores)."""
-    items = [Item(j, rng.uniform(1, 100), rng.uniform(0.1, 40), rng.randint(2, n)) for j in range(1, m - 1)]
+    rows = [(rng.uniform(1, 100), rng.uniform(0.1, 40), rng.randint(2, n)) for _ in range(m - 2)]
     tour = [1] + rng.sample(range(2, n + 1), n - 1)
     last = tour[-1] - 1
     k = rng.randrange(m - 2)
-    items[k] = Item(k + 1, items[k].profit, items[k].weight, last + 1)
-    cap = max(1.0, rng.uniform(0.2, 0.7) * sum(it.weight for it in items))
-    twin = rng.choice(items)
-    items += [Item(m - 1, twin.profit, twin.weight, twin.city), Item(m, 50.0, 1.05 * cap, rng.randint(2, n))]
-    common = dict(name=kind.value, n=n, m=m, items=tuple(items), capacity=cap, v_min=0.1,
+    rows[k] = (*rows[k][:2], last + 1)
+    cap = max(1.0, rng.uniform(0.2, 0.7) * sum(w for _, w, _ in rows))
+    rows += [rng.choice(rows), (50.0, 1.05 * cap, rng.randint(2, n))]
+    common = dict(name=kind.value, n=n, m=m, **columns(rows), capacity=cap, v_min=0.1,
                   v_max=rng.choice([1.0, 0.7, 2.0]), renting_ratio=rng.uniform(0.1, 5.0))
     if kind is EdgeWeightType.EXPLICIT:
         d = np.array([[rng.uniform(1, 60) for _ in range(n)] for _ in range(n)])

@@ -15,7 +15,7 @@ import pytest
 import ttp.packing as packing_mod
 import ttp.tour as tour_mod
 from ttp.evaluate import Solution, build_prefix_cache, delta_flip, evaluate, flip
-from ttp.instance import EdgeWeightType, Instance, Item, _distances
+from ttp.instance import EdgeWeightType, Instance, _distances
 from ttp.packing import SolverConfig, bit_flip_search, initial_picking_plan, simulated_annealing_kp
 from ttp.tour import delaunay_candidates, two_opt_improve
 
@@ -163,7 +163,7 @@ def test_improvers_hand_back_the_state_of_what_they_return(monkeypatch):
     for k in range(12):
         inst = float_instance(rng, rng.randint(3, 12), rng.randint(0, 20), explicit=k % 3 == 0)
         sol = random_solution(rng, inst, feasible=True)
-        before = sol.copy()
+        before = Solution(list(sol.tour), list(sol.packing))
         for improve in (
             lambda cache: bit_flip_search(inst, cache, None, random.Random(k)),
             # a high final temperature ends the run away from its best packing
@@ -194,8 +194,8 @@ def test_plan_hands_back_its_phase_1_state(monkeypatch):
     # and costs more rent than item 2's profit, so phase 1's plan wins
     monkeypatch.setattr(packing_mod, "delta_flip", lambda *args: 1.0)
     d = np.array([[0.0, 1.0, 50.0], [1.0, 0.0, 50.0], [50.0, 50.0, 0.0]])
-    items = (Item(1, 6.0, 5.0, 2), Item(2, 5.0, 5.0, 2))
-    inst = Instance("fallback", 3, 2, None, items, 10.0, 0.1, 1.0, 0.01, EdgeWeightType.EXPLICIT, d)
+    inst = Instance("fallback", 3, 2, None, [6.0, 5.0], [5.0, 5.0], [2, 2], 10.0, 0.1, 1.0, 0.01,
+                    EdgeWeightType.EXPLICIT, d)
     tour = [1, 2, 3]
     given = build_prefix_cache(inst, Solution(tour, [0, 0]))
     assert initial_picking_plan(inst, tour, given, SolverConfig(beta=0.0)) == [1, 0]

@@ -10,11 +10,11 @@ import pytest
 import ttp.solver as solver_mod
 import ttp.tour as tour_mod
 from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, evaluate
-from ttp.instance import EdgeWeightType, Instance, Item
+from ttp.instance import EdgeWeightType, Instance
 from ttp.solver import SolverConfig, solve
 from ttp.tour import delaunay_candidates, nearest_neighbor_tour, two_opt_improve
 
-from conftest import improved, make_random_instance, random_solution
+from conftest import columns, improved, make_random_instance, random_solution
 from loop_eval import loop_knn_candidates, loop_two_opt
 
 
@@ -23,7 +23,7 @@ def coord_instance(points, **kw):
     defaults.update(kw)
     return Instance(
         name="pts", n=len(points), m=0, coords=np.array(points, dtype=float),
-        items=(), edge_weight_type=EdgeWeightType.EUC_2D, **defaults,
+        profit=[], weight=[], city=[], edge_weight_type=EdgeWeightType.EUC_2D, **defaults,
     )
 
 
@@ -247,8 +247,9 @@ def test_two_opt_reaches_local_optimum_on_random_instances():
         base = evaluate(inst, out).gain
         for a in range(1, inst.n - 1):
             for b in range(a + 1, inst.n):
-                probe = out.copy()
-                probe.tour[a : b + 1] = probe.tour[a : b + 1][::-1]
+                tour = list(out.tour)
+                tour[a : b + 1] = tour[a : b + 1][::-1]
+                probe = Solution(tour, out.packing)
                 assert evaluate(inst, probe).gain <= base + 1e-9
 
 
@@ -304,10 +305,9 @@ def length_instance(rng, kind, n, v_max=1.0, r=None, m=0):
       differ by 1 from their mirror, which ``Instance`` allows;
     * ``explicit-float``: a float matrix symmetric only up to the last bits.
     """
-    items = tuple(Item(j, rng.randint(10, 100), rng.randint(1, 20), rng.randint(2, n))
-                  for j in range(1, m + 1))
+    rows = [(rng.randint(10, 100), rng.randint(1, 20), rng.randint(2, n)) for _ in range(m)]
     r = rng.uniform(0.5, 5.0) if r is None else r
-    common = dict(name=kind, n=n, m=m, items=items, capacity=50.0, v_min=0.1, v_max=v_max,
+    common = dict(name=kind, n=n, m=m, **columns(rows), capacity=50.0, v_min=0.1, v_max=v_max,
                   renting_ratio=r)
     if kind.startswith("explicit"):
         if kind == "explicit-int":
