@@ -10,7 +10,7 @@ probe and discard them uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class PrefixCache:
     ``leg_dist[k]`` the distance from position k to the next (cyclically);
     ``suffix_dist[k]`` the tour distance from position k to the end of the
     cyclic tour (back to city 1);
-    ``packing`` the picking plan, one 0/1 entry per item;
-    ``deltas[item]`` a ``delta_flip`` result already computed on this state.
+    ``packing`` the picking plan, one 0/1 entry per item.
 
     The state is the solution: its tour is ``city_at`` and its plan
     ``packing``, and ``solution()`` copies both out.  ``flip`` and the 2-OPT
@@ -83,9 +82,6 @@ class PrefixCache:
     suffix_dist: np.ndarray
     total_time: float
     packing: list[int]
-    # a probe costs a fixed ~10 us of numpy calls; on tiny instances SA
-    # probes the same few items thousands of times between two updates
-    deltas: dict[int, float] = field(default_factory=dict)
 
     def gain(self, inst: Instance) -> float:
         """The gain of this solution, as ``evaluate`` computes it."""
@@ -180,28 +176,24 @@ def _retime(inst: Instance, cache: PrefixCache, k: int) -> None:
 
 def delta_flip(inst: Instance, cache: PrefixCache, item: int) -> float:
     """Gain change from flipping item ``item`` (1-based), in time proportional
-    to the tour suffix after the item's home city."""
+    to the tour suffix after the item's home city; ``cache`` is unchanged."""
     if not (1 <= item <= inst.m):
         raise IndexError(f"item index out of range: {item}")
-    delta = cache.deltas.get(item)
-    if delta is None:
-        j = item - 1  # .item(j) reads a Python number, cheaper than a numpy scalar
-        sign = -1.0 if cache.packing[j] else 1.0
-        k0 = cache.position[inst.city.item(j) - 1]
-        new_inv = 1.0 / velocities(inst, cache.cum_weight[k0:] + sign * inst.weight.item(j))
-        dt = (cache.leg_dist[k0:] * (new_inv - cache.inv_speed[k0:])).cumsum()[-1]
-        delta = cache.deltas[item] = sign * inst.profit.item(j) - inst.renting_ratio * float(dt)
-    return delta
+    j = item - 1  # .item(j) reads a Python number, cheaper than a numpy scalar
+    sign = -1.0 if cache.packing[j] else 1.0
+    k0 = cache.position[inst.city.item(j) - 1]
+    new_inv = 1.0 / velocities(inst, cache.cum_weight[k0:] + sign * inst.weight.item(j))
+    dt = (cache.leg_dist[k0:] * (new_inv - cache.inv_speed[k0:])).cumsum()[-1]
+    return sign * inst.profit.item(j) - inst.renting_ratio * float(dt)
 
 
 def flip(inst: Instance, cache: PrefixCache, item: int) -> None:
     """Flip item ``item`` (1-based) in ``cache.packing`` and bring the rest
     of the state up to date in place: ``city_weight`` at the item's city,
     then ``cum_weight``, ``inv_speed``, ``arrive_time`` and ``total_time``
-    over the tour suffix from that city, and empties ``deltas``.  The tour
-    fields are left as they are."""
+    over the tour suffix from that city.  The tour fields are left as they
+    are."""
     cache.packing[item - 1] ^= 1
-    cache.deltas.clear()
     city = inst.city.item(item - 1)
     # summed afresh in item order, as build_prefix_cache does, not adjusted
     # by the flipped weight, which would leave a rounding residue

@@ -59,12 +59,13 @@ class Instance:
     city_items: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, dtype in (("profit", float), ("weight", float), ("city", np.intp)):
-            column = np.array(getattr(self, name), dtype=dtype)
+        for name in ("profit", "weight", "city"):
+            column = np.array(getattr(self, name), dtype=float)
             if column.shape != (self.m,):
                 raise ValueError("item count mismatch")
             object.__setattr__(self, name, column)
-        numbers = [self.profit, self.weight, [self.capacity, self.v_min, self.v_max, self.renting_ratio]]
+        numbers = [self.profit, self.weight, self.city,
+                   [self.capacity, self.v_min, self.v_max, self.renting_ratio]]
         numbers += [np.ravel(a) for a in (self.coords, self.explicit_dist) if a is not None]
         if not np.isfinite(np.concatenate(numbers)).all():
             raise ValueError("instance numbers must be finite (no NaN or infinity)")
@@ -76,10 +77,11 @@ class Instance:
             raise ValueError("need 0 < v_min < v_max")
         if self.renting_ratio < 0:
             raise ValueError("renting ratio must be nonnegative")
-        misplaced = np.flatnonzero((self.city < 2) | (self.city > self.n))
+        misplaced = np.flatnonzero((self.city < 2) | (self.city > self.n) | (self.city % 1 != 0))
         if misplaced.size:
             j = misplaced[0]
-            raise ValueError(f"item {j + 1} homed at invalid city {self.city[j]}")
+            raise ValueError(f"item {j + 1} homed at invalid city {self.city[j]:g}")
+        object.__setattr__(self, "city", self.city.astype(np.intp))
         homed: list[list[int]] = [[] for _ in range(self.n)]
         for j, c in enumerate(self.city.tolist()):
             homed[c - 1].append(j)
@@ -95,6 +97,8 @@ class Instance:
                 raise ValueError("explicit distance matrix must be symmetric")
             if not np.allclose(np.diag(d), 0.0):
                 raise ValueError("explicit distance matrix must have zero diagonal")
+            if (d < 0).any():
+                raise ValueError("explicit distances must be nonnegative")
         elif self.coords is None or self.coords.shape != (self.n, 2):
             raise ValueError("coordinate instances need an n x 2 coordinate array")
 

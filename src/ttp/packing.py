@@ -37,13 +37,18 @@ class SolverConfig:
     sa_iters_per_temp: Optional[int] = None  # None: max(1000, m)
 
     def __post_init__(self):
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:  # also NaN
             raise ValueError("time budget must be positive")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if self.beta is not None and not (0.0 <= self.beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
+        for name in ("max_restarts", "sa_iters_per_temp"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not (0.0 < self.sa_cooling < 1.0):
             raise ValueError("sa_cooling must lie in (0, 1)")
-        if self.sa_t0 is not None and self.sa_t0 <= 0:
+        if self.sa_t0 is not None and not self.sa_t0 > 0:
             raise ValueError("sa_t0 must be positive")
 
     def to_dict(self) -> dict:
@@ -183,9 +188,9 @@ def bit_flip_search(inst: Instance, cache: PrefixCache, deadline: Optional[float
 _EXP_MARGIN = 1.0 + 2.0**-40
 
 
-def _flip_bound(inst: Instance, cache: PrefixCache) -> Optional[tuple[float, float, float]]:
+def _flip_bound(inst: Instance, cache: PrefixCache) -> tuple[float, float, float]:
     """Constants of an O(1) upper bound on ``delta_flip``, for a state whose
-    tour stays fixed; None when a leg is negative and the bound fails.
+    tour stays fixed; every leg is nonnegative, as ``Instance`` requires.
 
     Below capacity the inverse speed f(W) = 1/(v_max - nu*W) is convex, so
     f(W + w) - f(W) >= nu*w*f(W)**2 and f(W - w) - f(W) >= -nu*w*f(W)**2.
@@ -210,8 +215,6 @@ def _flip_bound(inst: Instance, cache: PrefixCache) -> Optional[tuple[float, flo
     tw = R*nu*w*S[k0] and L the tour length (>= D), is therefore at least
     the computed ``delta_flip``.  Returns (R*nu, eta, 3*eta*R*L/v_min).
     """
-    if cache.leg_dist.min() < 0:
-        return None
     r = inst.renting_ratio
     eta = (inst.n + 10.0 * inst.v_max / inst.v_min) * 2.0**-52
     return r * inst.weight_velocity_slope, eta, 3.0 * eta * r * float(cache.suffix_dist[0]) / inst.v_min
@@ -249,11 +252,12 @@ def simulated_annealing_kp(
     flipped back.  The schedule comes from ``config.sa_t0``, ``sa_cooling``
     and ``sa_iters_per_temp``.
 
-    Where every load stays below capacity, a probe whose upper bound
-    ``ub`` (``_flip_bound``) is <= 0 cannot improve, so the draw u is taken
-    as for any worsening probe, and u >= exp(ub / T) rejects it without
-    ``delta_flip``.  Every other probe is priced exactly.  The random
-    stream and every decision are those of pricing every probe.
+    Exact prices are memoised until the next flip.  Where every load stays
+    below capacity, an unpriced probe whose upper bound ``ub``
+    (``_flip_bound``) is <= 0 cannot improve, so the draw u is taken as for
+    any worsening probe, and u >= exp(ub / T) rejects it without
+    ``delta_flip``.  The random stream and every decision are those of
+    pricing every probe.
     """
     if inst.m == 0:
         return
@@ -269,10 +273,12 @@ def simulated_annealing_kp(
     getrandbits, random = rng.getrandbits, rng.random
     profit, item_weight = inst.profit.tolist(), inst.weight.tolist()
     bound = _flip_bound(inst, cache)
-    if bound is not None:
-        load_line = capacity * (1.0 - 1e-9)
-        pos = cache.position[inst.city - 1].tolist()  # SA never moves the tour
-        top, slope = float(cache.cum_weight[-1]), _slopes(cache)
+    load_line = capacity * (1.0 - 1e-9)
+    pos = cache.position[inst.city - 1].tolist()  # SA never moves the tour
+    top, slope = float(cache.cum_weight[-1]), _slopes(cache)
+    # a probe costs a fixed ~10 us of numpy calls; on tiny instances SA
+    # probes the same few items thousands of times between two flips
+    memo: dict[int, float] = {}
     temp = t0
     while temp > 1e-3 * t0:
         for _ in range(iters):
@@ -286,30 +292,26 @@ def simulated_annealing_kp(
             turning_on = not packing[j]
             if turning_on and weight + w > capacity:
                 continue
-            delta = None
-            if (bound is not None and j + 1 not in cache.deltas
-                    and (top + w if turning_on else top) < load_line):
-                ub = _flip_ub(bound, profit[j], w, slope[pos[j]], turning_on)
-                if ub <= 0:
-                    u = random()
-                    if u >= math.exp(ub / temp) * _EXP_MARGIN:
-                        continue
-                    delta = delta_flip(inst, cache, j + 1)
-                    if u >= math.exp(delta / temp):
-                        continue
+            u, delta = None, memo.get(j)
             if delta is None:
-                delta = delta_flip(inst, cache, j + 1)
-                if not (delta > 0 or random() < math.exp(delta / temp)):
-                    continue
+                if (top + w if turning_on else top) < load_line:
+                    ub = _flip_ub(bound, profit[j], w, slope[pos[j]], turning_on)
+                    if ub <= 0:  # so delta <= 0 too: u is drawn either way
+                        u = random()
+                        if u >= math.exp(ub / temp) * _EXP_MARGIN:
+                            continue
+                delta = memo[j] = delta_flip(inst, cache, j + 1)
+            if not (delta > 0 or (random() if u is None else u) < math.exp(delta / temp)):
+                continue
             flip(inst, cache, j + 1)
+            memo.clear()
             weight += w if turning_on else -w
             cur_gain += delta
             if cur_gain > best_gain + GAIN_EPS:
                 best = list(packing)
                 best_gain = cur_gain
-            if bound is not None:
-                top, slope = float(cache.cum_weight[-1]), _slopes(cache)
-        # resync against drift accumulated by the incremental deltas
+            top, slope = float(cache.cum_weight[-1]), _slopes(cache)
+        # resync against drift accumulated by adding up the flips' prices
         cur_gain = cache.gain(inst)
         temp *= config.sa_cooling
     _flip_to(inst, cache, best)

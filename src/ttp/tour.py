@@ -125,7 +125,7 @@ def _reverse(inst: Instance, cache: PrefixCache, a: int, b: int) -> None:
     """Apply the reversal of tour positions [a, b] (0-based, 1 <= a <= b) to
     ``cache`` in place: ``city_at`` and ``position`` over the segment,
     ``leg_dist`` from a-1 to b, all of ``suffix_dist``, the loads and times
-    from a-1 on (``_retime``), and ``deltas`` empties.
+    from a-1 on (``_retime``).
 
     Past b the set of cities carried is unchanged, but the loads are summed
     again in the new order, as a fresh walk would.
@@ -140,7 +140,6 @@ def _reverse(inst: Instance, cache: PrefixCache, a: int, b: int) -> None:
     legs[a - 1] = inst.distance(at.item(a - 1) + 1, at.item(a) + 1)
     legs[b] = inst.distance(at.item(b) + 1, at.item((b + 1) % inst.n) + 1)
     cache.suffix_dist[:] = legs[::-1].cumsum()[::-1]
-    cache.deltas.clear()
     _retime(inst, cache, a - 1)
 
 
@@ -159,7 +158,7 @@ def _exact_length_steps(inst: Instance) -> bool:
         d = inst.explicit_dist
         if not (np.array_equal(d, d.T) and np.array_equal(d, np.floor(d))):
             return False
-        longest = float(np.abs(d).max())
+        longest = float(d.max())
     else:
         longest = math.hypot(*np.ptp(inst.coords, axis=0)) + 1.0
     return inst.n * longest / inst.v_max < 2.0**53

@@ -163,6 +163,15 @@ def test_invariant_rejections():
         Instance("bad", 2, 2, np.zeros((2, 2)), [5, 5], [1, 1], [2, 3], 10, 0.1, 1, 1)
     with pytest.raises(ValueError, match="item count mismatch"):
         Instance("bad", 2, 2, np.zeros((2, 2)), [5, 5], [1], [2, 2], 10, 0.1, 1, 1)
+    # a fractional home is not truncated, and a NaN home is not a city
+    with pytest.raises(ValueError, match="item 1 homed at invalid city 2.7"):
+        Instance("bad", 3, 1, np.zeros((3, 2)), [1.0], [1.0], [2.7], 10, 0.1, 1, 1)
+    with pytest.raises(ValueError, match="finite"):
+        Instance("bad", 3, 1, np.zeros((3, 2)), [1.0], [1.0], [math.nan], 10, 0.1, 1, 1)
+    # a negative leg would break the annealing loop's bound on a flip
+    d = np.array([[0.0, 5.0, -1.0], [5.0, 0.0, 4.0], [-1.0, 4.0, 0.0]])
+    with pytest.raises(ValueError, match="explicit distances must be nonnegative"):
+        Instance("neg", 3, 1, None, [10.0], [1.0], [2], 5.0, 0.1, 1.0, 1.0, EdgeWeightType.EXPLICIT, d)
 
 
 def test_explicit_matrix_must_be_finite():
@@ -184,6 +193,13 @@ def test_instances_compare_by_identity():
     a, b = parse_instance(text), parse_instance(text)
     assert a == a and a != b
     assert len({a, b}) == 2
+
+
+def test_parse_rejects_negative_distances():
+    text = (FIXTURES / "example5.ttp").read_text()
+    text = text.replace("0 1 6 7 1\n1 0", "0 -1 6 7 1\n-1 0")
+    with pytest.raises(ParseError, match="nonnegative"):
+        parse_instance(text)
 
 
 def test_explicit_matrix_must_be_symmetric():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -23,8 +24,12 @@ from loop_eval import loop_solve
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(time_budget=0)
+    # a NaN budget never expires, and zero restarts leave solve() no result
+    for bad in (dict(time_budget=0), dict(time_budget=math.nan), dict(sa_t0=math.nan),
+                dict(alpha=math.nan), dict(alpha=math.inf), dict(max_restarts=0),
+                dict(max_restarts=-1), dict(sa_iters_per_temp=0)):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
     cfg = SolverConfig(time_budget=1.0, alpha=1.0, seed=3)
     d = cfg.to_dict()
     assert d["alpha"] == 1.0 and d["seed"] == 3

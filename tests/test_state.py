@@ -53,9 +53,10 @@ def test_flip_keeps_state_equal_to_fresh_build(explicit):
         cache = build_prefix_cache(inst, sol)
         assert_build_equals_loop(inst, sol)
         for _ in range(2 * inst.m):
-            for probe in rng.choices(range(1, inst.m + 1), k=3):  # repeats hit ``deltas``
+            for probe in rng.choices(range(1, inst.m + 1), k=3):
                 expect = loop_delta_flip(inst, sol.tour, cache.packing, probe)
                 assert delta_flip(inst, cache, probe) == expect
+            assert_state_is_fresh(inst, cache)  # a probe changes nothing
             j = rng.randint(1, inst.m)
             before = list(cache.packing)
             flip(inst, cache, j)
