@@ -64,8 +64,7 @@ class Instance:
             if column.shape != (self.m,):
                 raise ValueError("item count mismatch")
             object.__setattr__(self, name, column)
-        numbers = [self.profit, self.weight, self.city,
-                   [self.capacity, self.v_min, self.v_max, self.renting_ratio]]
+        numbers = [self.profit, self.weight, self.city, [self.capacity, self.v_min, self.v_max, self.renting_ratio]]
         numbers += [np.ravel(a) for a in (self.coords, self.explicit_dist) if a is not None]
         if not np.isfinite(np.concatenate(numbers)).all():
             raise ValueError("instance numbers must be finite (no NaN or infinity)")
@@ -80,7 +79,7 @@ class Instance:
         misplaced = np.flatnonzero((self.city < 2) | (self.city > self.n) | (self.city % 1 != 0))
         if misplaced.size:
             j = misplaced[0]
-            raise ValueError(f"item {j + 1} homed at invalid city {self.city[j]:g}")
+            raise ValueError(f"item {j + 1} homed at invalid city {float(self.city[j])!r}")
         object.__setattr__(self, "city", self.city.astype(np.intp))
         homed: list[list[int]] = [[] for _ in range(self.n)]
         for j, c in enumerate(self.city.tolist()):

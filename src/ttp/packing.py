@@ -165,6 +165,7 @@ def bit_flip_search(inst: Instance, cache: PrefixCache, deadline: Optional[float
     packing = cache.packing
     weight = sequential_sum(inst.weight[np.flatnonzero(packing)])
     item_weight = inst.weight.tolist()
+    memo: dict[int, float] = {}  # exact prices, until the next flip
     improved = True
     while improved:
         improved = False
@@ -177,8 +178,11 @@ def bit_flip_search(inst: Instance, cache: PrefixCache, deadline: Optional[float
             turning_on = not packing[j - 1]
             if turning_on and weight + w > inst.capacity:
                 continue
-            if delta_flip(inst, cache, j) > GAIN_EPS:
+            if j not in memo:
+                memo[j] = delta_flip(inst, cache, j)
+            if memo[j] > GAIN_EPS:
                 flip(inst, cache, j)
+                memo.clear()
                 weight += w if turning_on else -w
                 improved = True
 
@@ -276,8 +280,7 @@ def simulated_annealing_kp(
     load_line = capacity * (1.0 - 1e-9)
     pos = cache.position[inst.city - 1].tolist()  # SA never moves the tour
     top, slope = float(cache.cum_weight[-1]), _slopes(cache)
-    # a probe costs a fixed ~10 us of numpy calls; on tiny instances SA
-    # probes the same few items thousands of times between two flips
+    # a probe costs ~10 us of numpy calls, and tiny instances repeat probes often
     memo: dict[int, float] = {}
     temp = t0
     while temp > 1e-3 * t0:

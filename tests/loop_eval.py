@@ -7,7 +7,8 @@ the tour, and per city in item order.  ``loop_score_table`` scores the
 items one at a time, as the picking plan's table did before it read the
 item arrays.  ``loop_simulated_annealing`` is the annealing loop that
 prices every probe, which the filtered loop must match decision for
-decision.  ``velocity_at`` is the velocity under one load, which
+decision; ``loop_bit_flip_search`` likewise for the hill climber.
+``velocity_at`` is the velocity under one load, which
 ``ttp.evaluate.velocities`` computes over arrays.  ``loop_knn_candidates``
 sorts every row with a Python key, as the k-nearest candidate lists were
 built before they were sorted in numpy.
@@ -227,6 +228,28 @@ def loop_simulated_annealing(inst: Instance, sol, params, rng) -> list[int]:
         cur_gain = evaluate(inst, cache.solution()).gain
         temp *= params.sa_cooling
     return best
+
+
+def loop_bit_flip_search(inst: Instance, sol, rng) -> list[int]:
+    """The bit-flip hill climber as it was before its memo: every feasible
+    probe is priced with ``delta_flip``."""
+    cache = build_prefix_cache(inst, sol)
+    weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
+    improved = True
+    while improved:
+        improved = False
+        order = list(range(1, inst.m + 1))
+        rng.shuffle(order)
+        for j in order:
+            w = inst.weight.item(j - 1)
+            turning_on = not cache.packing[j - 1]
+            if turning_on and weight + w > inst.capacity:
+                continue
+            if delta_flip(inst, cache, j) > GAIN_EPS:
+                flip(inst, cache, j)
+                weight += w if turning_on else -w
+                improved = True
+    return cache.packing
 
 
 def loop_knn_candidates(inst: Instance, k: int = 8) -> dict:

@@ -166,6 +166,9 @@ def test_invariant_rejections():
     # a fractional home is not truncated, and a NaN home is not a city
     with pytest.raises(ValueError, match="item 1 homed at invalid city 2.7"):
         Instance("bad", 3, 1, np.zeros((3, 2)), [1.0], [1.0], [2.7], 10, 0.1, 1, 1)
+    # the bad home is reported exactly, not rounded to 6 digits
+    with pytest.raises(ValueError, match=r"item 1 homed at invalid city 1234567\.0$"):
+        Instance("bad", 3, 1, np.zeros((3, 2)), [1.0], [1.0], [1234567], 10, 0.1, 1, 1)
     with pytest.raises(ValueError, match="finite"):
         Instance("bad", 3, 1, np.zeros((3, 2)), [1.0], [1.0], [math.nan], 10, 0.1, 1, 1)
     # a negative leg would break the annealing loop's bound on a flip

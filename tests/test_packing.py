@@ -3,7 +3,9 @@ import time
 
 import pytest
 
-from ttp.evaluate import Solution, build_prefix_cache, evaluate
+import loop_eval
+import ttp.packing as packing_mod
+from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, delta_flip, evaluate
 from ttp.instance import EdgeWeightType, Instance
 from ttp.packing import (
     SolverConfig,
@@ -13,7 +15,8 @@ from ttp.packing import (
     simulated_annealing_kp,
 )
 
-from conftest import brute_force_best_packing, improved, make_random_instance
+from conftest import brute_force_best_packing, improved, make_random_instance, random_solution
+from loop_eval import loop_bit_flip_search
 
 
 TOUR5 = [1, 2, 3, 4, 5]
@@ -151,6 +154,37 @@ def test_bit_flip_heavy_item_is_a_local_optimum(example5):
     sol = Solution(TOUR5, [1, 0, 0, 0])
     z = improved(example5, sol, bit_flip_search, None, random.Random(3)).packing
     assert z == [1, 0, 0, 0]
+
+
+def test_bit_flip_takes_the_reference_decisions(monkeypatch):
+    # the memo answers repeat probes until the next flip: every flip must
+    # still improve at its exact price, and the climb must flip what the
+    # climber that prices every probe flips, from the same random stream
+    real_flip, real_delta = packing_mod.flip, packing_mod.delta_flip
+    calls = {"ours": 0, "ref": 0}
+
+    def checked_flip(inst, cache, j):
+        assert real_delta(inst, cache, j) > GAIN_EPS
+        real_flip(inst, cache, j)
+
+    def counted(key):
+        def probe(*args):
+            calls[key] += 1
+            return real_delta(*args)
+        return probe
+
+    monkeypatch.setattr(packing_mod, "flip", checked_flip)
+    monkeypatch.setattr(packing_mod, "delta_flip", counted("ours"))
+    monkeypatch.setattr(loop_eval, "delta_flip", counted("ref"))
+    rng = random.Random(16)
+    for k in range(30):
+        inst = make_random_instance(rng, rng.randint(3, 12), rng.randint(1, 30))
+        sol = random_solution(rng, inst) if k % 2 else Solution(random_solution(rng, inst).tour, [0] * inst.m)
+        rng_a, rng_b = random.Random(k), random.Random(k)
+        got = improved(inst, sol, bit_flip_search, None, rng_a).packing
+        assert got == loop_bit_flip_search(inst, sol, rng_b)
+        assert rng_a.getstate() == rng_b.getstate()
+    assert calls["ours"] < calls["ref"]
 
 
 # --- simulated annealing -----------------------------------------------------
