@@ -15,7 +15,6 @@ import math
 import sys
 import time as _time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ttp.evaluate import Solution, build_prefix_cache, evaluate
@@ -185,6 +184,8 @@ def _outcomes(tasks: list[tuple], workers: int):
     """Each task's record, or the exception it raised, in task order, each
     as soon as it and every task before it have finished."""
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads slowly
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_bench_task, t) for t in tasks]
             for f in futures:

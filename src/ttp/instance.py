@@ -9,9 +9,11 @@ are defined by travel distances rather than coordinates.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -81,10 +83,10 @@ class Instance:
             j = misplaced[0]
             raise ValueError(f"item {j + 1} homed at invalid city {float(self.city[j])!r}")
         object.__setattr__(self, "city", self.city.astype(np.intp))
-        homed: list[list[int]] = [[] for _ in range(self.n)]
-        for j, c in enumerate(self.city.tolist()):
-            homed[c - 1].append(j)
-        object.__setattr__(self, "city_items", tuple(map(tuple, homed)))
+        # the items of city c are rows[ends[c - 1]:ends[c]], in item order
+        rows = np.argsort(self.city, kind="stable").tolist()
+        ends = np.bincount(self.city, minlength=self.n + 1).cumsum().tolist()
+        object.__setattr__(self, "city_items", tuple(tuple(rows[a:b]) for a, b in zip(ends, ends[1:])))
         empty = np.flatnonzero((self.profit <= 0) | (self.weight <= 0))
         if empty.size:
             raise ValueError(f"item {empty[0] + 1} must have positive profit and weight")
@@ -186,83 +188,33 @@ def _parse_int(text: str, lineno: int) -> int:
 
 
 def parse_instance(text: str | Iterable[str]) -> Instance:
-    """Parse a TTP benchmark file into a validated :class:`Instance`."""
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in text]
+    """Parse a TTP benchmark file into a validated :class:`Instance`.
 
-    header: dict[str, object] = {"name": "unnamed", "edge_weight_type": "CEIL_2D"}
-    coords: dict[int, tuple[float, float]] = {}
-    items: dict[int, tuple[float, float, int]] = {}  # index -> (profit, weight, city)
-    matrix_rows: list[list[float]] = []
-    section = None  # None | "coords" | "items" | "matrix"
+    The file is cut at its section markers, and the bodies of each kind of
+    section are converted with one ``float`` map and checked as arrays.  Only
+    when a check fails are the bodies of that kind read again line by line,
+    for the message and line number of the first bad line; of the bad lines
+    of all kinds the earliest is reported.  The checks on the whole file
+    follow.
+    """
+    if not isinstance(text, str):
+        text = "\n".join(ln.rstrip("\n") for ln in text)
+    lines = text.splitlines()  # no line holds a line break, so the sections split at whole lines
+    header_end, spans = _split_sections(lines)
+    header = _parse_header(lines[:header_end])
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        upper = line.upper()
-        if upper.startswith("NODE_COORD_SECTION"):
-            section = "coords"
-            continue
-        if upper.startswith("ITEMS SECTION"):
-            section = "items"
-            continue
-        if upper.startswith("EDGE_WEIGHT_SECTION"):
-            section = "matrix"
-            continue
-        if upper == "EOF":
-            break
-
-        if section is None:
-            if ":" not in line:
-                raise ParseError(f"expected 'KEY: VALUE' header, got {line!r}", lineno)
-            key, _, value = line.partition(":")
-            key = key.strip().upper()
-            value = value.strip()
-            if key not in _HEADER_KEYS:
-                warnings.warn(f"ignoring unknown header key {key!r} (line {lineno})")
-                continue
-            field_name = _HEADER_KEYS[key]
-            if field_name is None:
-                continue
-            if field_name in ("name", "edge_weight_type"):
-                header[field_name] = value
-            elif field_name in ("n", "m"):
-                header[field_name] = _parse_int(value, lineno)
-            else:
-                header[field_name] = _parse_number(value, lineno)
-        elif section == "coords":
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected 'index x y', got {line!r}", lineno)
-            idx = _parse_int(parts[0], lineno)
-            n = header.get("n")
-            if n is None or not (1 <= idx <= n):
-                raise ParseError(f"city index {idx} out of range", lineno)
-            if idx in coords:
-                raise ParseError(f"duplicate city index {idx}", lineno)
-            coords[idx] = (_parse_number(parts[1], lineno), _parse_number(parts[2], lineno))
-        elif section == "items":
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(f"expected 'index profit weight city', got {line!r}", lineno)
-            idx = _parse_int(parts[0], lineno)
-            m = header.get("m")
-            if m is None or not (1 <= idx <= m):
-                raise ParseError(f"item index {idx} out of range", lineno)
-            if idx in items:
-                raise ParseError(f"duplicate item index {idx}", lineno)
-            city = _parse_int(parts[3], lineno)
-            n = header.get("n", 0)
-            if city == 1:
-                raise ParseError(f"item {idx} assigned to the start city", lineno)
-            if not (2 <= city <= n):
-                raise ParseError(f"item {idx} references invalid city {city}", lineno)
-            items[idx] = (_parse_number(parts[1], lineno), _parse_number(parts[2], lineno), city)
-        elif section == "matrix":
-            matrix_rows.append([_parse_number(p, lineno) for p in line.split()])
+    n, m = header.get("n", 0), header.get("m", 0)
+    coords = _table(lines, spans["coords"], 3)
+    items = _table(lines, spans["items"], 4)
+    matrix = _table(lines, spans["matrix"], None)
+    well_formed = {
+        "coords": coords is not None and _distinct_ids(coords[:, 0], n),
+        "items": items is not None and _distinct_ids(items[:, 0], m) and _whole_in(items[:, 3], 2, n),
+        "matrix": matrix is not None,
+    }
+    bad = [_first_bad_line(kind, lines, spans[kind], n, m) for kind, ok in well_formed.items() if not ok]
+    if bad:
+        raise min(bad, key=lambda exc: exc.line)
 
     for req in _REQUIRED:
         if req not in header:
@@ -277,21 +229,18 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
 
     if len(items) != m:
         raise ParseError(f"expected {m} items, found {len(items)}")
-    profit, weight, city = zip(*(items[j] for j in range(1, m + 1))) if m else ((), (), ())
+    items = items[items[:, 0].argsort()]
 
     explicit = None
     coord_arr = None
     if ewt is EdgeWeightType.EXPLICIT:
-        flat = [v for row in matrix_rows for v in row]
-        if len(flat) != n * n:
-            raise ParseError(f"expected {n * n} distance entries, found {len(flat)}")
-        explicit = np.array(flat, dtype=float).reshape(n, n)
-        if coords:
-            coord_arr = np.array([coords[i] for i in range(1, n + 1)], dtype=float)
-    else:
+        if matrix.size != n * n:
+            raise ParseError(f"expected {n * n} distance entries, found {matrix.size}")
+        explicit = matrix.reshape(n, n)
+    if ewt is not EdgeWeightType.EXPLICIT or len(coords):
         if len(coords) != n:
             raise ParseError(f"expected {n} coordinate lines, found {len(coords)}")
-        coord_arr = np.array([coords[i] for i in range(1, n + 1)], dtype=float)
+        coord_arr = coords[coords[:, 0].argsort(), 1:]
 
     try:
         return Instance(
@@ -299,9 +248,9 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
             n=n,
             m=m,
             coords=coord_arr,
-            profit=profit,
-            weight=weight,
-            city=city,
+            profit=items[:, 1],
+            weight=items[:, 2],
+            city=items[:, 3],
             capacity=float(header["capacity"]),
             v_min=float(header["v_min"]),
             v_max=float(header["v_max"]),
@@ -311,6 +260,132 @@ def parse_instance(text: str | Iterable[str]) -> Instance:
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+# in the upper-cased file after a newline: a line that opens a section
+# (group 1, 2 or 3) or ends the file
+_MARKER = re.compile(
+    r"\n[^\S\n]*(?:(NODE_COORD_SECTION)|(ITEMS SECTION)|(EDGE_WEIGHT_SECTION)|EOF[^\S\n]*(?=\n|\Z))"
+)
+_KINDS = {1: "coords", 2: "items", 3: "matrix"}
+
+
+def _split_sections(lines: list[str]) -> tuple[int, dict[str, list[tuple[int, int]]]]:
+    """The number of header lines, and per kind of section the (first, end)
+    line indices of each of its bodies, in file order.  A marker opens its
+    section wherever it stands; nothing after an ``EOF`` line is read."""
+    text = "\n" + "\n".join(lines).upper()  # a newline before every line
+    marks = []  # (line index, kind; None for EOF or the end of the text)
+    row = pos = 0
+    for mark in _MARKER.finditer(text):
+        row += text.count("\n", pos, mark.start())
+        pos = mark.start()
+        marks.append((row, _KINDS.get(mark.lastindex)))
+        if mark.lastindex is None:
+            break
+    else:
+        marks.append((len(lines), None))
+    spans: dict[str, list[tuple[int, int]]] = {kind: [] for kind in _KINDS.values()}
+    for (first, kind), (end, _) in zip(marks, marks[1:]):
+        spans[kind].append((first + 1, end))
+    return marks[0][0], spans
+
+
+def _parse_header(lines: list[str]) -> dict[str, object]:
+    """The ``KEY: VALUE`` lines before the first section, the first one being line 1."""
+    header: dict[str, object] = {"name": "unnamed", "edge_weight_type": "CEIL_2D"}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise ParseError(f"expected 'KEY: VALUE' header, got {line!r}", lineno)
+        key, _, value = line.partition(":")
+        key = key.strip().upper()
+        value = value.strip()
+        if key not in _HEADER_KEYS:
+            warnings.warn(f"ignoring unknown header key {key!r} (line {lineno})")
+            continue
+        field_name = _HEADER_KEYS[key]
+        if field_name is None:
+            continue
+        if field_name in ("name", "edge_weight_type"):
+            header[field_name] = value
+        elif field_name in ("n", "m"):
+            header[field_name] = _parse_int(value, lineno)
+        else:
+            header[field_name] = _parse_number(value, lineno)
+    return header
+
+
+def _table(lines: list[str], spans: list[tuple[int, int]], width: Optional[int]) -> Optional[np.ndarray]:
+    """The fields of the non-blank lines of the bodies ``spans`` as an array
+    of ``width`` columns, or flat when ``width`` is None; None when a line
+    has another number of fields or a field is not a number."""
+    rows: list[list[str]] = []
+    for first, end in spans:
+        rows += map(str.split, lines[first:end])
+    if width is not None and not set(map(len, rows)) <= {0, width}:
+        return None
+    fields = list(chain.from_iterable(rows))
+    try:
+        values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
+    except ValueError:
+        return None
+    return values if width is None else values.reshape(-1, width)
+
+
+def _whole_in(values: np.ndarray, low: int, high: int) -> bool:
+    """Whether every value is a whole number in ``low..high``."""
+    return bool(((values >= low) & (values <= high) & (np.floor(values) == values)).all())
+
+
+def _distinct_ids(ids: np.ndarray, top: int) -> bool:
+    """Whether ``ids`` are distinct whole numbers in ``1..top``."""
+    ordered = np.sort(ids)  # not np.unique, whose first call imports numpy.ma
+    return _whole_in(ids, 1, top) and bool((ordered[1:] > ordered[:-1]).all())
+
+
+def _first_bad_line(kind: str, lines: list[str], spans: list[tuple[int, int]], n: int, m: int) -> ParseError:
+    """The error of the first bad line of the ``kind`` bodies ``spans``,
+    checked one line at a time; ``n`` and ``m`` are 0 when the header lacks them."""
+    seen: set[int] = set()  # indices of the lines before, all good
+    for first, end in spans:
+        for lineno, raw in enumerate(lines[first:end], start=first + 1):
+            line = raw.strip()
+            parts = line.split()
+            try:
+                if kind == "matrix":
+                    for p in parts:
+                        _parse_number(p, lineno)
+                elif kind == "coords" and parts:
+                    if len(parts) != 3:
+                        raise ParseError(f"expected 'index x y', got {line!r}", lineno)
+                    idx = _parse_int(parts[0], lineno)
+                    if not (1 <= idx <= n):
+                        raise ParseError(f"city index {idx} out of range", lineno)
+                    if idx in seen:
+                        raise ParseError(f"duplicate city index {idx}", lineno)
+                    _parse_number(parts[1], lineno), _parse_number(parts[2], lineno)
+                    seen.add(idx)
+                elif parts:  # an item
+                    if len(parts) != 4:
+                        raise ParseError(f"expected 'index profit weight city', got {line!r}", lineno)
+                    idx = _parse_int(parts[0], lineno)
+                    if not (1 <= idx <= m):
+                        raise ParseError(f"item index {idx} out of range", lineno)
+                    if idx in seen:
+                        raise ParseError(f"duplicate item index {idx}", lineno)
+                    city = _parse_int(parts[3], lineno)
+                    if city == 1:
+                        raise ParseError(f"item {idx} assigned to the start city", lineno)
+                    if not (2 <= city <= n):
+                        raise ParseError(f"item {idx} references invalid city {city}", lineno)
+                    _parse_number(parts[1], lineno), _parse_number(parts[2], lineno)
+                    seen.add(idx)
+            except ParseError as exc:
+                return exc
+    raise AssertionError(f"the {kind} sections failed the bulk checks but no line is bad")
 
 
 def load_instance(path) -> Instance:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 # Critical chi-square values at p = 0.05 for df = 1..10.
 CHI2_CRIT_05 = {
@@ -63,8 +62,23 @@ def rsd(values: list[float]) -> float:
 
 
 def _rank_rows(means: np.ndarray) -> np.ndarray:
-    """Per-instance ranks, 1 = best (highest mean gain), ties get mid-ranks."""
-    return np.array([rankdata(-row) for row in means])
+    """Per-instance ranks, 1 = best (highest mean gain), ties get mid-ranks.
+
+    On the negated means, a value with ``below`` values less than it and
+    ``through`` values less than or equal to it shares places
+    below + 1..through with its ties and gets their mean, a whole or half
+    number, so exact.  Raises ``ValueError`` for a mean that is not finite:
+    one NaN would turn the ranks of its whole row into NaN.
+    """
+    if not np.isfinite(means).all():
+        raise ValueError("mean gains must be finite (no NaN or infinity)")
+    ranks = np.empty_like(means)
+    for rank, row in zip(ranks, -means):
+        ordered = np.sort(row)
+        below = np.searchsorted(ordered, row, "left")
+        through = np.searchsorted(ordered, row, "right")
+        rank[:] = (below + through + 1) / 2
+    return ranks
 
 
 def average_ranking(means: np.ndarray | list[list[float]]) -> np.ndarray:

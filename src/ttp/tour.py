@@ -8,7 +8,6 @@ from random import Random
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from ttp.evaluate import GAIN_EPS, PrefixCache, _retime, velocities
 from ttp.instance import EdgeWeightType, Instance, _distances
@@ -77,6 +76,15 @@ def _knn_candidates(inst: Instance, k: int = 8, deadline: Optional[float] = None
             for i, ns in cand.items()}
 
 
+def load_triangulation():
+    """scipy's ``Delaunay`` and ``QhullError``.  ``scipy.spatial`` is imported
+    here, on first use, and not with the package: it takes longer to load
+    than all the rest, and only the Delaunay candidate lists need it."""
+    from scipy.spatial import Delaunay, QhullError
+
+    return Delaunay, QhullError
+
+
 def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> CandidateLists:
     """Neighbour lists from the Delaunay triangulation of the city coordinates,
     each sorted by (distance, id).
@@ -106,6 +114,7 @@ def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> Can
     empty: CandidateLists = {i: [] for i in range(1, n + 1)}
     if _past(deadline):
         return empty
+    Delaunay, QhullError = load_triangulation()
     try:
         tri = Delaunay(pts)
     except QhullError:

@@ -45,6 +45,14 @@ def test_parse_malformed_file(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_parse_explicit_instance_with_partial_coordinates(tmp_path, capsys):
+    bad = tmp_path / "partial.ttp"
+    bad.write_text(Path(EXAMPLE).read_text().replace("ITEMS SECTION", "NODE_COORD_SECTION\n1 0 0\nITEMS SECTION"))
+    code, _, err = run(capsys, "parse", str(bad))
+    assert code == 2
+    assert err == "parse error: expected 5 coordinate lines, found 1\n"
+
+
 def test_usage_error_on_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -332,3 +340,11 @@ def test_rank_mixed_inputs_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "rank", str(j), str(c))
     assert code == 1
     assert "not a mix" in err
+
+
+def test_rank_rejects_a_nan_mean(tmp_path, capsys):
+    c = tmp_path / "s.csv"
+    c.write_text("instance,x_mean,y_mean\na,1.0,nan\nb,2.0,3.0\n")
+    code, out, err = run(capsys, "rank", str(c))
+    assert code == 1 and out == ""
+    assert "finite" in err

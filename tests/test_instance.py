@@ -191,6 +191,15 @@ def test_item_arrays_follow_items(example5):
     assert example5.city_items == ((), (0,), (1,), (2,), (3,))
 
 
+def test_city_items_list_each_citys_items_in_item_order():
+    rng = random.Random(5)
+    for _ in range(30):
+        inst = make_random_instance(rng, rng.randint(2, 12), rng.randint(0, 40))
+        homes = inst.city.tolist()
+        assert inst.city_items == tuple(tuple(j for j, c in enumerate(homes) if c == city)
+                                        for city in range(1, inst.n + 1))
+
+
 def test_instances_compare_by_identity():
     text = (FIXTURES / "example5.ttp").read_text()
     a, b = parse_instance(text), parse_instance(text)

@@ -8,6 +8,7 @@ import pytest
 from ttp.stats import (
     CHI2_CRIT_05,
     ResultMatrix,
+    _rank_rows,
     average_ranking,
     chi2_critical,
     friedman_statistic,
@@ -62,6 +63,28 @@ def test_average_ranking_midranks_on_ties():
 def test_average_ranking_mixed():
     means = [[1, 2], [2, 1]]
     assert average_ranking(means).tolist() == [1.5, 1.5]
+
+
+def test_midranks_match_scipy_rankdata():
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n, k = rng.integers(1, 8), rng.integers(1, 9)
+        # few distinct values, so most rows hold ties; also ties at 0 and -0
+        means = rng.integers(-3, 4, size=(n, k)) * rng.choice([1.0, 0.5, 1e-300])
+        expected = np.array([rankdata(-row) for row in means])
+        assert (_rank_rows(means) == expected).all()
+        assert (average_ranking(means) == expected.mean(axis=0)).all()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ranking_rejects_non_finite_means(bad):
+    means = [[1.0, 2.0, 3.0], [2.0, bad, 1.0]]
+    with pytest.raises(ValueError, match="finite"):
+        average_ranking(means)
+    with pytest.raises(ValueError, match="finite"):
+        friedman_statistic(means)
 
 
 # --- Friedman ----------------------------------------------------------------
