@@ -98,6 +98,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_tour(args) -> int:
+    if not args.time > 0:
+        raise ValueError("time must be positive")
     inst, sol = _instance_and_tour(args.instance, args.tour_in)
     cache = build_prefix_cache(inst, sol)
     candidates = delaunay_candidates(inst)
@@ -236,7 +238,7 @@ def cmd_bench(args) -> int:
             print(f"bench: {done}/{len(tasks)} runs", file=sys.stderr)
 
     matrix = _matrix_from_records(results)
-    _write_summary(outdir / "summary.csv", matrix)
+    _write_summary(outdir / "summary.csv", matrix, matrix.rsds())
     for line in failed:
         print(f"failed: {line}", file=sys.stderr)
     print(json.dumps({
@@ -261,10 +263,10 @@ def _matrix_from_records(records: list[dict]) -> ResultMatrix:
     return ResultMatrix(instances=instances, methods=methods, gains=gains)
 
 
-def _write_summary(path: Path, matrix: ResultMatrix) -> None:
-    """Mean and RSD per cell, the average ranking and, for at least two
-    instances and methods, the Friedman statistic; the header alone when
-    there is no run to summarise."""
+def _write_summary(path: Path, matrix: ResultMatrix, rsds) -> None:
+    """Mean and RSD (``rsds[i][j]``) per cell, the average ranking and, for
+    at least two instances and methods, the Friedman statistic; the header
+    alone when there is no run to summarise."""
     header = ["instance"]
     for m in matrix.methods:
         header += [f"{m}_mean", f"{m}_rsd"]
@@ -274,11 +276,10 @@ def _write_summary(path: Path, matrix: ResultMatrix) -> None:
         if not matrix.instances:
             return
         means = matrix.means()
-        rsds = matrix.rsds()
         for i, name in enumerate(matrix.instances):
             row = [name]
             for j in range(len(matrix.methods)):
-                row += [f"{means[i, j]:.6g}", f"{rsds[i, j]:.4g}"]
+                row += [f"{means[i, j]:.6g}", f"{rsds[i][j]:.4g}"]
             writer.writerow(row)
         footer = ["average_ranking"]
         ranks = average_ranking(means)
@@ -295,38 +296,42 @@ def _write_summary(path: Path, matrix: ResultMatrix) -> None:
             writer.writerow(stat_row)
 
 
-def _load_means_csv(path: str) -> ResultMatrix:
+def _load_means_csv(path: str) -> tuple[ResultMatrix, list[list[float]]]:
+    """A summary CSV's means, as one-run cells, and its RSDs; nan where the
+    file has no RSD for a cell."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         methods = [f[: -len("_mean")] for f in fields if f.endswith("_mean")]
-        instances, gains = [], []
+        instances, gains, rsds = [], [], []
         for row in reader:
             if not row.get("instance") or row["instance"].startswith(("average_ranking", "friedman")):
                 continue
             instances.append(row["instance"])
             gains.append([[float(row[f"{m}_mean"])] for m in methods])
-    return ResultMatrix(instances=instances, methods=methods, gains=gains)
+            rsds.append([float(row.get(f"{m}_rsd") or "nan") for m in methods])
+    return ResultMatrix(instances=instances, methods=methods, gains=gains), rsds
 
 
 def cmd_rank(args) -> int:
     records: list[dict] = []
-    matrices: list[ResultMatrix] = []
+    tables: list[tuple[ResultMatrix, list]] = []
     for path in args.results:
         if path.endswith(".jsonl"):
             with open(path) as fh:
                 records += [json.loads(line) for line in fh if line.strip()]
         else:
-            matrices.append(_load_means_csv(path))
+            tables.append(_load_means_csv(path))
     if records:
-        matrices.append(_matrix_from_records(records))
-    if len(matrices) > 1:
+        matrix = _matrix_from_records(records)
+        tables.append((matrix, matrix.rsds()))
+    if len(tables) > 1:
         print("error: pass either run records or one summary CSV, not a mix", file=sys.stderr)
         return EXIT_USAGE
-    if not matrices or not matrices[0].instances:
+    if not tables or not tables[0][0].instances:
         print("error: the result files hold no runs to rank", file=sys.stderr)
         return EXIT_USAGE
-    matrix = matrices[0]
+    matrix, rsds = tables[0]
     out = Path(args.csv) if args.csv else None
     if out is None:
         means = matrix.means()
@@ -337,7 +342,7 @@ def cmd_rank(args) -> int:
             payload |= {"friedman_F": f, "rank_sums": list(map(float, rank_sums)), "df": df}
         print(json.dumps(payload))
     else:
-        _write_summary(out, matrix)
+        _write_summary(out, matrix, rsds)
         print(json.dumps({"csv": str(out)}))
     return EXIT_OK
 

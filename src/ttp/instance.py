@@ -41,8 +41,10 @@ class Instance:
 
     ``profit``, ``weight`` and ``city`` hold the item data, row ``j - 1`` for
     item ``j``, whose home city lies in 2..n.  ``city_items[c - 1]`` lists the
-    rows of the items homed at city ``c``, in item order.  Two instances are
-    equal only if they are the same object.
+    rows of the items homed at city ``c``, in item order.  Distances are
+    nonnegative and exactly symmetric: an EXPLICIT matrix equals its
+    transpose bit for bit.  Two instances are equal only if they are the
+    same object.
     """
 
     name: str
@@ -94,14 +96,16 @@ class Instance:
             d = self.explicit_dist
             if d is None or d.shape != (self.n, self.n):
                 raise ValueError("EXPLICIT instances need a full n x n distance matrix")
-            if not np.allclose(d, d.T):
+            if not np.array_equal(d, d.T):
                 raise ValueError("explicit distance matrix must be symmetric")
             if not np.allclose(np.diag(d), 0.0):
                 raise ValueError("explicit distance matrix must have zero diagonal")
             if (d < 0).any():
                 raise ValueError("explicit distances must be nonnegative")
-        elif self.coords is None or self.coords.shape != (self.n, 2):
+        elif self.coords is None:
             raise ValueError("coordinate instances need an n x 2 coordinate array")
+        if self.coords is not None and self.coords.shape != (self.n, 2):
+            raise ValueError("coordinates must be an n x 2 array")
 
     @property
     def weight_velocity_slope(self) -> float:
@@ -119,7 +123,7 @@ class Instance:
         d = math.hypot(dx, dy)
         if self.edge_weight_type is EdgeWeightType.CEIL_2D:
             return float(math.ceil(d))
-        return float(round(d))  # EUC_2D, TSPLIB nearest-integer rounding
+        return float(math.floor(d + 0.5))  # EUC_2D, TSPLIB's nint: halves round up
 
     @property
     def total_item_weight(self) -> float:

@@ -48,32 +48,34 @@ def _past(deadline: Optional[float]) -> bool:
     return deadline is not None and _time.monotonic() >= deadline
 
 
-def _sorted_by_distance(inst: Instance, i: int, to: np.ndarray) -> list[int]:
-    """The 0-based cities ``to`` as 1-based ids, sorted by (distance from the
-    0-based city ``i``, id)."""
-    return (to[np.lexsort((to, _distances(inst, np.full(to.size, i), to)))] + 1).tolist()
+def _mutual_lists(inst: Instance, owner: np.ndarray, to: np.ndarray, deadline: Optional[float]) -> CandidateLists:
+    """The directed edges (owner[e], to[e]) between 0-based cities and their
+    reverses, each once, as the 1-based lists of every city sorted by
+    (distance, id); every list is empty once ``deadline`` has passed."""
+    n = inst.n
+    owner, to = np.divmod(np.unique(np.concatenate((owner * n + to, to * n + owner))), n)
+    if _past(deadline):
+        return {i: [] for i in range(1, n + 1)}
+    order = np.lexsort((to, _distances(inst, owner, to), owner))
+    lists = np.split(to[order] + 1, np.bincount(owner, minlength=n).cumsum()[:-1])
+    return {i + 1: ns.tolist() for i, ns in enumerate(lists)}
 
 
 def _knn_candidates(inst: Instance, k: int = 8, deadline: Optional[float] = None) -> CandidateLists:
     """The k nearest cities of each city by (distance, id), made mutual and
-    sorted by (distance, id).  Past ``deadline`` the cities not yet reached
-    get empty lists: before the lists are made mutual, the lists built so far
-    are kept as they are."""
+    sorted by (distance, id).  Past ``deadline`` inside the row loop, the
+    rows built so far are kept as they are, not made mutual, and the cities
+    not yet reached get empty lists; past it after the loop, every list is
+    empty."""
     n = inst.n
     k = min(k, n - 1)
-    cand: CandidateLists = {i: [] for i in range(1, n + 1)}
+    near = np.empty((n, k), dtype=np.intp)
     for i in range(n):
         if _past(deadline):
-            return cand
+            return {c + 1: (near[c] + 1).tolist() if c < i else [] for c in range(n)}
         others = np.delete(np.arange(n), i)
-        cand[i + 1] = _sorted_by_distance(inst, i, others)[:k]
-    # symmetrize: a knn relation is not necessarily mutual
-    for i in range(1, n + 1):
-        for j in cand[i]:
-            if i not in cand[j]:
-                cand[j].append(i)
-    return {i: [] if _past(deadline) else _sorted_by_distance(inst, i - 1, np.array(ns, dtype=np.intp) - 1)
-            for i, ns in cand.items()}
+        near[i] = others[np.lexsort((others, _distances(inst, np.full(n - 1, i), others)))[:k]]
+    return _mutual_lists(inst, np.repeat(np.arange(n), k), near.ravel(), deadline)
 
 
 def load_triangulation():
@@ -91,11 +93,12 @@ def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> Can
 
     EXPLICIT-distance instances (no coordinates) and degenerate point sets
     fall back to k-nearest-neighbour lists (k=8).  Duplicate coordinates are
-    perturbed deterministically by an index-scaled epsilon first.  Once
-    ``deadline`` (a ``time.monotonic()`` value) has passed, the k-nearest
-    lists not yet built are left empty; the Delaunay lists are built all at
-    once, so past the deadline before the triangulation or before the sort
-    every list is empty.  Every city always has a list.
+    perturbed deterministically by an index-scaled epsilon first.  Both
+    kinds of list are made mutual and sorted at once (``_mutual_lists``), so
+    past ``deadline`` (a ``time.monotonic()`` value) before the
+    triangulation or before that sort every list is empty; past it inside
+    the k-nearest row loop, the rows built so far are kept and the rest are
+    empty.  Every city always has a list.
     """
     if inst.coords is None:
         return _knn_candidates(inst, deadline=deadline)
@@ -111,30 +114,23 @@ def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> Can
                 pts[i] += eps * (i + 1)
             else:
                 seen[key] = i
-    empty: CandidateLists = {i: [] for i in range(1, n + 1)}
     if _past(deadline):
-        return empty
+        return {i: [] for i in range(1, n + 1)}
     Delaunay, QhullError = load_triangulation()
     try:
         tri = Delaunay(pts)
     except QhullError:
         return _knn_candidates(inst, deadline=deadline)
     s = tri.simplices.astype(np.intp)
-    # every directed edge of every triangle, once
-    edges = [s[:, i] * n + s[:, j] for i in range(3) for j in range(3) if i != j]
-    owner, to = np.divmod(np.unique(np.concatenate(edges)), n)
-    if _past(deadline):
-        return empty
-    order = np.lexsort((to, _distances(inst, owner, to), owner))
-    lists = np.split(to[order] + 1, np.bincount(owner, minlength=n).cumsum()[:-1])
-    return {i + 1: ns.tolist() for i, ns in enumerate(lists)}
+    return _mutual_lists(inst, s.ravel(), s[:, [1, 2, 0]].ravel(), deadline)
 
 
 def _reverse(inst: Instance, cache: PrefixCache, a: int, b: int) -> None:
     """Apply the reversal of tour positions [a, b] (0-based, 1 <= a <= b) to
     ``cache`` in place: ``city_at`` and ``position`` over the segment,
     ``leg_dist`` from a-1 to b, all of ``suffix_dist``, the loads and times
-    from a-1 on (``_retime``).
+    from a-1 on (``_retime``).  Distances are symmetric, so the legs inside
+    the segment are the same numbers in reverse order.
 
     Past b the set of cities carried is unchanged, but the loads are summed
     again in the new order, as a fresh walk would.
@@ -142,10 +138,7 @@ def _reverse(inst: Instance, cache: PrefixCache, a: int, b: int) -> None:
     at, legs = cache.city_at, cache.leg_dist
     at[a : b + 1] = at[a : b + 1][::-1].copy()
     cache.position[at[a : b + 1]] = np.arange(a, b + 1)
-    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
-        legs[a:b] = inst.explicit_dist[at[a:b], at[a + 1 : b + 1]]
-    else:  # coordinate distances are exactly symmetric
-        legs[a:b] = legs[a:b][::-1].copy()
+    legs[a:b] = legs[a:b][::-1].copy()
     legs[a - 1] = inst.distance(at.item(a - 1) + 1, at.item(a) + 1)
     legs[b] = inst.distance(at.item(b) + 1, at.item((b + 1) % inst.n) + 1)
     cache.suffix_dist[:] = legs[::-1].cumsum()[::-1]
@@ -157,15 +150,13 @@ def _exact_length_steps(inst: Instance) -> bool:
     leg over ``v_max`` an integer, and ``n`` of them summed below 2**53.
 
     So it is when ``v_max`` is 1/2**k and every distance an integer: always
-    for CEIL_2D and EUC_2D, and for an EXPLICIT matrix that is made of
-    integers and exactly symmetric (the reversed segment's legs are then the
-    same numbers).
+    for CEIL_2D and EUC_2D, and for an EXPLICIT matrix made of integers.
     """
     if inst.v_max > 1 or math.frexp(inst.v_max)[0] != 0.5:
         return False
     if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
         d = inst.explicit_dist
-        if not (np.array_equal(d, d.T) and np.array_equal(d, np.floor(d))):
+        if not np.array_equal(d, np.floor(d)):
             return False
         longest = float(d.max())
     else:
@@ -240,15 +231,15 @@ def _times_after_reversals(
 
     One row per probe walks the tour positions lo - 1 .. n - 1, lo = min(a):
     zeros before a - 1, then the load ``cum_weight[a - 1]`` with the leg
-    ``first``, then the reversed segment and the unchanged rest of the tour.
+    ``first``, then the reversed segment, whose legs are the segment's own
+    in reverse order, and the unchanged rest of the tour.
     Adding 0.0 changes no float, each element sees the IEEE operations of a
     walk from position a - 1 in the walk's order, and ``cumsum`` adds along
     a row from left to right, so every total equals that walk bit for bit.
     """
-    at = cache.city_at
     lo = int(a.min())
     cols = inst.n - lo + 1
-    load_at = cache.city_weight[at]
+    load_at = cache.city_weight[cache.city_at]
     loads = np.empty((a.size, cols))
     loads[:] = load_at[lo - 1 :]
     legs = np.empty((a.size, cols))
@@ -260,12 +251,9 @@ def _times_after_reversals(
     old = np.repeat(a + b, seg) - new  # the position that held the city now there
     at_new = np.repeat(origin, seg) + new
     flat_loads[at_new] = load_at[old]
-    # the new leg at a position runs back from old to old - 1; the one
-    # written at b is replaced by ``last`` just below
-    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
-        flat_legs[at_new] = inst.explicit_dist[at[old], at[old - 1]]
-    else:  # coordinate distances are exactly symmetric
-        flat_legs[at_new] = cache.leg_dist[old - 1]
+    # the new leg at a position is the old leg from old - 1 to old, as
+    # distances are symmetric; the one written at b is replaced by ``last``
+    flat_legs[at_new] = cache.leg_dist[old - 1]
     flat_legs[origin + b] = last
     before = _runs(a - lo, origin + lo - 1)
     flat_loads[before] = 0.0

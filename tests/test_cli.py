@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import warnings
 from importlib import resources
@@ -96,6 +97,19 @@ def test_tour_outputs_permutation(tmp_path, capsys):
     assert sorted(tour) == [1, 2, 3, 4, 5] and tour[0] == 1
 
 
+def test_tour_prints_to_stdout_without_out(capsys):
+    code, out, _ = run(capsys, "tour", EXAMPLE, "--time", "2")
+    assert code == 0
+    assert sorted(int(t) for t in out.split()) == [1, 2, 3, 4, 5] and out.split()[0] == "1"
+
+
+@pytest.mark.parametrize("seconds", ["-1", "0", "nan"])
+def test_tour_rejects_a_time_that_is_not_positive(capsys, seconds):
+    code, out, err = run(capsys, "tour", EXAMPLE, "--time", seconds)
+    assert code == 1 and out == ""
+    assert "time must be positive" in err
+
+
 def test_score_json(tmp_path, capsys):
     tour = tmp_path / "tour.txt"
     tour.write_text("1 2 3 4 5\n")
@@ -171,8 +185,9 @@ def test_solve_bitflip_smoke(capsys):
 
 def test_bench_and_rank(tmp_path, capsys):
     outdir = tmp_path / "bench"
+    # the budget is far above two restarts' work, so they decide every gain
     code, out, _ = run(capsys, "bench", EXAMPLE, "--out", str(outdir),
-                       "--runs", "2", "--time", "1", "--alpha", "1.5",
+                       "--runs", "2", "--time", "60", "--alpha", "1.5",
                        "--alpha", "1.0", "--max-restarts", "2")
     data = json.loads(out)
     assert code == 0
@@ -241,6 +256,23 @@ def test_bench_keeps_the_other_records_when_a_task_raises(tmp_path, capsys, monk
     assert [r["instance_path"] for r in records] == [str(tmp_path / "a.ttp")] * 2
     with (outdir / "summary.csv").open() as fh:
         assert [row[0] for row in csv.reader(fh)][1] == records[0]["instance"]
+
+
+def test_bench_reports_an_unparseable_instance_and_runs_the_others(tmp_path, capsys):
+    import shutil
+
+    shutil.copy(EXAMPLE, tmp_path / "a.ttp")
+    (tmp_path / "b.ttp").write_text("DIMENSION: three\n")
+    outdir = tmp_path / "bench"
+    code, out, err = run(capsys, "bench", str(tmp_path / "*.ttp"), "--out", str(outdir),
+                         "--runs", "1", "--time", "60", "--max-restarts", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["runs"] == 1 and data["failed"] == 1
+    failures = [line for line in err.splitlines() if line.startswith("failed: ")]
+    assert len(failures) == 1 and str(tmp_path / "b.ttp") in failures[0] and "expected a number" in failures[0]
+    records = [json.loads(l) for l in (outdir / "records.jsonl").open()]
+    assert [r["instance_path"] for r in records] == [str(tmp_path / "a.ttp")]
 
 
 def test_bench_writes_each_record_when_its_run_ends(tmp_path, capsys, monkeypatch):
@@ -330,6 +362,34 @@ def test_rank_on_bundled_table(tmp_path, capsys):
     assert data["average_ranking"] == pytest.approx([2.75, 1.35, 3.05, 2.85])
     assert data["friedman_F"] > 0
     assert data["df"] == 3
+
+
+def test_rank_rewrites_the_bundled_table_with_its_rsds(tmp_path, capsys):
+    text = resources.files("ttp.reference").joinpath("table1_category_a.csv").read_text()
+    path, out = tmp_path / "table1.csv", tmp_path / "out.csv"
+    path.write_text(text)
+    code, _, _ = run(capsys, "rank", str(path), "--csv", str(out))
+    assert code == 0
+    source, written = (list(csv.DictReader(io.StringIO(t))) for t in (text, out.read_text()))
+    rows = [row for row in written if not row["instance"].startswith(("average_ranking", "friedman"))]
+    assert len(rows) == len(source) > 0
+    assert rows[0]["instance"] == "eil76" and rows[0]["MATLS_rsd"] == "1.35"
+    for got, want in zip(rows, source):
+        assert got["instance"] == want["instance"]
+        # RSDs are carried over exactly; means keep the summary's 6 digits
+        for key, value in want.items():
+            if key.endswith("_rsd"):
+                assert float(got[key]) == float(value)
+            elif key.endswith("_mean"):
+                assert float(got[key]) == pytest.approx(float(value), rel=1e-5)
+
+
+def test_rank_writes_nan_for_a_summary_without_rsds(tmp_path, capsys):
+    c, out = tmp_path / "s.csv", tmp_path / "out.csv"
+    c.write_text("instance,x_mean,y_mean\na,1.0,2.0\nb,2.0,3.0\n")
+    code, _, _ = run(capsys, "rank", str(c), "--csv", str(out))
+    assert code == 0
+    assert list(csv.reader(out.open()))[1:3] == [["a", "1", "nan", "2", "nan"], ["b", "2", "nan", "3", "nan"]]
 
 
 def test_rank_mixed_inputs_rejected(tmp_path, capsys):

@@ -9,10 +9,12 @@ from ttp.instance import (
     EdgeWeightType,
     Instance,
     ParseError,
+    _distances,
     parse_instance,
 )
 
 from conftest import FIXTURES, make_random_instance
+from reference_eval import ref_distance
 
 
 MINIMAL = """\
@@ -127,6 +129,19 @@ def test_distance_ceil_of_sqrt2():
     assert inst.distance(1, 2) == 2  # ceil(sqrt(2))
 
 
+def test_distance_euc_2d_rounds_halves_up():
+    # TSPLIB's nint(x) is (int)(x + 0.5): a length of 0.5 is 1 and 2.5 is 3,
+    # not 0 and 2 as rounding half to even would give
+    coords = np.array([[0.0, 0.0], [0.5, 0.0], [1.5, 2.0], [1.5, 5.5]])
+    inst = Instance("euc", 4, 0, coords, [], [], [], 10, 0.1, 1, 1, EdgeWeightType.EUC_2D)
+    pairs = [(1, 2), (1, 3), (2, 3), (3, 4)]
+    expect = [1.0, 3.0, 2.0, 4.0]  # lengths 0.5, 2.5, sqrt(5), 3.5
+    assert [inst.distance(i, j) for i, j in pairs] == expect
+    assert [ref_distance(inst, i, j) for i, j in pairs] == expect
+    i, j = (np.array(ids) - 1 for ids in zip(*pairs))
+    assert _distances(inst, i, j).tolist() == expect
+
+
 def test_distance_out_of_range():
     inst = parse_instance(MINIMAL)
     with pytest.raises(IndexError):
@@ -175,6 +190,23 @@ def test_invariant_rejections():
     d = np.array([[0.0, 5.0, -1.0], [5.0, 0.0, 4.0], [-1.0, 4.0, 0.0]])
     with pytest.raises(ValueError, match="explicit distances must be nonnegative"):
         Instance("neg", 3, 1, None, [10.0], [1.0], [2], 5.0, 0.1, 1.0, 1.0, EdgeWeightType.EXPLICIT, d)
+    # distances are exactly symmetric, so a reversed tour segment keeps its
+    # legs: an entry one ulp off its mirror, or 1 off at 200 000, is refused
+    for near, off in ((5.0, np.nextafter(5.0, 6.0)), (200_000.0, 200_001.0)):
+        d = np.array([[0.0, near, 4.0], [off, 0.0, 4.0], [4.0, 4.0, 0.0]])
+        with pytest.raises(ValueError, match="explicit distance matrix must be symmetric"):
+            Instance("asym", 3, 1, None, [10.0], [1.0], [2], 5.0, 0.1, 1.0, 1.0, EdgeWeightType.EXPLICIT, d)
+
+
+def test_coordinates_have_one_row_per_city():
+    # also for EXPLICIT, whose candidate lists would otherwise triangulate
+    # one point and fall back to k-nearest lists unseen
+    d = np.array([[0.0, 5.0, 4.0], [5.0, 0.0, 4.0], [4.0, 4.0, 0.0]])
+    with pytest.raises(ValueError, match="n x 2"):
+        Instance("short", 3, 1, np.zeros((1, 2)), [10.0], [1.0], [2], 5.0, 0.1, 1.0, 1.0,
+                 EdgeWeightType.EXPLICIT, d)
+    with pytest.raises(ValueError, match="n x 2"):
+        Instance("short", 3, 1, np.zeros((3, 3)), [10.0], [1.0], [2], 5.0, 0.1, 1.0, 1.0)
 
 
 def test_explicit_matrix_must_be_finite():
@@ -212,6 +244,17 @@ def test_parse_rejects_negative_distances():
     text = text.replace("0 1 6 7 1\n1 0", "0 -1 6 7 1\n-1 0")
     with pytest.raises(ParseError, match="nonnegative"):
         parse_instance(text)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("1 0 5 8 6", "1.0000000000000002 0 5 8 6"),  # one ulp above its mirror
+    ("0 1 6 7 1\n1 0 5 8 6", "0 200000 6 7 1\n200001 0 5 8 6"),
+])
+def test_parse_rejects_asymmetric_distances(old, new):
+    text = (FIXTURES / "example5.ttp").read_text()
+    assert old in text
+    with pytest.raises(ParseError, match="symmetric"):
+        parse_instance(text.replace(old, new))
 
 
 def test_explicit_matrix_must_be_symmetric():

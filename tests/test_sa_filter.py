@@ -23,8 +23,8 @@ KINDS = ("ceil-float", "ceil-int", "euc-int", "explicit")
 
 def bound_instance(rng: random.Random, kind: str, n: int, m: int, v_max: float = 1.0,
                    v_min: float = 0.1, r=None, float_weights: bool = True) -> Instance:
-    """Random instance of one distance kind; EXPLICIT distances are floats
-    symmetric only up to the last bits.  With float weights every third item
+    """Random instance of one distance kind; EXPLICIT distances are
+    symmetric floats.  With float weights every third item
     is so light that the bound's tangent is tight to rounding level."""
     if float_weights:
         rows = [(rng.uniform(1, 100), rng.uniform(0.1, 40), rng.randint(2, n)) if j % 3
@@ -37,7 +37,7 @@ def bound_instance(rng: random.Random, kind: str, n: int, m: int, v_max: float =
                   renting_ratio=rng.uniform(0.1, 5.0) if r is None else r)
     if kind == "explicit":
         d = np.array([[rng.uniform(1, 60) for _ in range(n)] for _ in range(n)])
-        d = (d + d.T) / 2.0 * (1 + 1e-12 * np.triu(np.ones((n, n))))
+        d = (d + d.T) / 2.0
         np.fill_diagonal(d, 0.0)
         return Instance(coords=None, edge_weight_type=EdgeWeightType.EXPLICIT, explicit_dist=d, **common)
     if kind == "ceil-float":

@@ -301,9 +301,7 @@ def length_instance(rng, kind, n, v_max=1.0, r=None, m=0):
       halves, where EUC_2D rounds;
     * ``ceil-float``: CEIL_2D on uniform float coordinates;
     * ``explicit-int``: a symmetric integer matrix;
-    * ``explicit-asym``: an integer matrix of large entries, some of which
-      differ by 1 from their mirror, which ``Instance`` allows;
-    * ``explicit-float``: a float matrix symmetric only up to the last bits.
+    * ``explicit-float``: a symmetric float matrix.
     """
     rows = [(rng.randint(10, 100), rng.randint(1, 20), rng.randint(2, n)) for _ in range(m)]
     r = rng.uniform(0.5, 5.0) if r is None else r
@@ -313,12 +311,9 @@ def length_instance(rng, kind, n, v_max=1.0, r=None, m=0):
         if kind == "explicit-int":
             d = np.array([[rng.randint(1, 60) for _ in range(n)] for _ in range(n)], dtype=float)
             d = np.triu(d, 1) + np.triu(d, 1).T
-        elif kind == "explicit-asym":
-            d = np.array([[rng.randint(200_000, 260_000) for _ in range(n)] for _ in range(n)], dtype=float)
-            d = np.triu(d, 1) + np.triu(d + np.array([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]), 1).T
         else:
             d = np.array([[rng.uniform(1, 60) for _ in range(n)] for _ in range(n)])
-            d = (d + d.T) / 2.0 * (1 + 1e-12 * np.triu(np.ones((n, n))))
+            d = (d + d.T) / 2.0
             np.fill_diagonal(d, 0.0)
         return Instance(coords=None, edge_weight_type=EdgeWeightType.EXPLICIT, explicit_dist=d, **common)
     if kind == "ceil-float":
@@ -331,7 +326,7 @@ def length_instance(rng, kind, n, v_max=1.0, r=None, m=0):
     return Instance(coords=np.array(pts, dtype=float), edge_weight_type=ewt, **common)
 
 
-@pytest.mark.parametrize("kind", ["explicit-int", "explicit-asym", "explicit-float", "ceil-int", "euc-half"])
+@pytest.mark.parametrize("kind", ["explicit-int", "explicit-float", "ceil-int", "euc-half"])
 def test_knn_candidates_equal_the_loop_sort(kind):
     # integer matrices and grid points give many equal distances, which the
     # ids must order; k-nearest lists are built for EXPLICIT and collinear
@@ -371,7 +366,6 @@ LENGTH_CASES = [
     ("ceil-int", 0.7, None, False),
     ("euc-half", 2.0, None, False),
     ("ceil-int", 0.7, 5e-10, False),
-    ("explicit-asym", 1.0, None, False),
     ("explicit-float", 1.0, None, False),
 ]
 
@@ -432,7 +426,6 @@ PACKED_CASES = [
     ("euc-half", 2.0, None),
     ("ceil-float", 1.0, 0.0),  # R = 0: no move gains
     ("explicit-float", 1.0, None),
-    ("explicit-asym", 0.7, None),
 ]
 
 
