@@ -279,7 +279,7 @@ def _write_summary(path: Path, matrix: ResultMatrix, rsds) -> None:
         for i, name in enumerate(matrix.instances):
             row = [name]
             for j in range(len(matrix.methods)):
-                row += [f"{means[i, j]:.6g}", f"{rsds[i][j]:.4g}"]
+                row += [repr(float(means[i, j])), repr(float(rsds[i][j]))]
             writer.writerow(row)
         footer = ["average_ranking"]
         ranks = average_ranking(means)

@@ -94,9 +94,24 @@ class PrefixCache:
 
 def velocities(inst: Instance, carried: np.ndarray) -> np.ndarray:
     """The velocity under each load: v_max - load * (v_max - v_min) / capacity,
-    clamped at v_min, and exactly v_min at or past capacity."""
-    v = np.maximum(inst.v_max - carried * inst.weight_velocity_slope, inst.v_min)
-    v[carried >= inst.capacity] = inst.v_min
+    clamped at v_min, and exactly v_min at or past capacity.
+
+    ``carried`` is a 1-D array of loads or a 2-D array of rows of loads, and
+    every row must be nondecreasing, as the running loads along a tour are.
+    Then the last entry of a row holds its largest load and its lowest
+    speed, so the clamp and the exact-v_min mask, both written in place,
+    are applied only when the last speed of some row falls below v_min or
+    its last load reaches capacity; otherwise they would change nothing.
+    """
+    v = carried * inst.weight_velocity_slope
+    np.subtract(inst.v_max, v, out=v)
+    if carried.ndim == 1:
+        top, low = carried.item(-1), v.item(-1)
+    else:
+        top, low = carried[:, -1].max(), v[:, -1].min()
+    if low < inst.v_min or top >= inst.capacity:
+        np.maximum(v, inst.v_min, out=v)
+        v[carried >= inst.capacity] = inst.v_min
     return v
 
 
@@ -155,23 +170,26 @@ def _retime(inst: Instance, cache: PrefixCache, k: int) -> None:
     and ``total_time`` from ``city_at``, ``city_weight`` and ``leg_dist``,
     continuing from ``cum_weight[k-1]`` and ``arrive_time[k]``.
 
-    Every sum runs left to right (``cumsum``) and continues from the entry
-    before k, so it adds the same floats in the same order as a walk over
-    the whole tour, and the state equals a fresh ``build_prefix_cache``
-    bit for bit.
+    The loads and inverse speeds are accumulated straight into the views
+    ``cum_weight[k:]`` and ``inv_speed[k:]``.  Every sum runs left to right
+    (``np.add.accumulate``, the ``cumsum`` loop without the Python wrapper
+    of ``np.cumsum``) and continues from the entry before k, so it adds the
+    same floats in the same order as a walk over the whole tour, and the
+    state equals a fresh ``build_prefix_cache`` bit for bit.
     """
-    load = cache.city_weight[cache.city_at[k:]]
+    cum_weight = cache.cum_weight[k:]
+    # every index is valid; "clip" spares the buffered copy of mode "raise"
+    cache.city_weight.take(cache.city_at[k:], out=cum_weight, mode="clip")
     if k:
-        load[0] += cache.cum_weight[k - 1]
-    cum_weight = load.cumsum()
+        cum_weight[0] += cache.cum_weight.item(k - 1)
+    np.add.accumulate(cum_weight, out=cum_weight)
     speed = velocities(inst, cum_weight)
-    step = cache.leg_dist[k:] / speed
-    step[0] += cache.arrive_time[k]  # 0.0 at k = 0, which changes no float
-    elapsed = step.cumsum()
-    cache.cum_weight[k:] = cum_weight
-    cache.inv_speed[k:] = 1.0 / speed
-    cache.arrive_time[k + 1:] = elapsed[:-1]
-    cache.total_time = float(elapsed[-1])
+    np.divide(1.0, speed, out=cache.inv_speed[k:])
+    step = np.divide(cache.leg_dist[k:], speed, out=speed)
+    step[0] += cache.arrive_time.item(k)  # 0.0 at k = 0, which changes no float
+    np.add.accumulate(step, out=step)
+    cache.arrive_time[k + 1:] = step[:-1]
+    cache.total_time = step.item(-1)
 
 
 def delta_flip(inst: Instance, cache: PrefixCache, item: int) -> float:
@@ -181,10 +199,13 @@ def delta_flip(inst: Instance, cache: PrefixCache, item: int) -> float:
         raise IndexError(f"item index out of range: {item}")
     j = item - 1  # .item(j) reads a Python number, cheaper than a numpy scalar
     sign = -1.0 if cache.packing[j] else 1.0
-    k0 = cache.position[inst.city.item(j) - 1]
-    new_inv = 1.0 / velocities(inst, cache.cum_weight[k0:] + sign * inst.weight.item(j))
-    dt = (cache.leg_dist[k0:] * (new_inv - cache.inv_speed[k0:])).cumsum()[-1]
-    return sign * inst.profit.item(j) - inst.renting_ratio * float(dt)
+    k0 = cache.position.item(inst.city.item(j) - 1)
+    inv = velocities(inst, cache.cum_weight[k0:] + sign * inst.weight.item(j))
+    np.divide(1.0, inv, out=inv)
+    np.subtract(inv, cache.inv_speed[k0:], out=inv)
+    np.multiply(cache.leg_dist[k0:], inv, out=inv)
+    dt = np.add.accumulate(inv, out=inv).item(-1)
+    return sign * inst.profit.item(j) - inst.renting_ratio * dt
 
 
 def flip(inst: Instance, cache: PrefixCache, item: int) -> None:
@@ -193,10 +214,15 @@ def flip(inst: Instance, cache: PrefixCache, item: int) -> None:
     then ``cum_weight``, ``inv_speed``, ``arrive_time`` and ``total_time``
     over the tour suffix from that city.  The tour fields are left as they
     are."""
-    cache.packing[item - 1] ^= 1
+    packing, weight = cache.packing, inst.weight
+    packing[item - 1] ^= 1
     city = inst.city.item(item - 1)
-    # summed afresh in item order, as build_prefix_cache does, not adjusted
-    # by the flipped weight, which would leave a rounding residue
-    homed = inst.city_items[city - 1]
-    cache.city_weight[city - 1] = sequential_sum(inst.weight[[j for j in homed if cache.packing[j]]])
-    _retime(inst, cache, cache.position[city - 1])
+    # summed afresh in item order, left to right as sequential_sum and
+    # build_prefix_cache add, not adjusted by the flipped weight, which
+    # would leave a rounding residue
+    total = 0.0
+    for j in inst.city_items[city - 1]:
+        if packing[j]:
+            total += weight.item(j)
+    cache.city_weight[city - 1] = total
+    _retime(inst, cache, cache.position.item(city - 1))

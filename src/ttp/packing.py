@@ -77,6 +77,12 @@ def _flip_to(inst: Instance, cache: PrefixCache, packing: list[int]) -> None:
         flip(inst, cache, j + 1)
 
 
+def _flip_back(inst: Instance, cache: PrefixCache, changed: set[int]) -> None:
+    """Flip the 0-based items ``changed`` back, in item order."""
+    for j in sorted(changed):
+        flip(inst, cache, j + 1)
+
+
 def initial_picking_plan(
     inst: Instance,
     tour: list[int],
@@ -252,9 +258,9 @@ def simulated_annealing_kp(
     cools geometrically; the run ends when T drops below a thousandth of the
     start temperature or the deadline passes.  ``cache`` ends holding the
     best feasible packing ever visited, never worse than the one it started
-    with: where that is not the current one, the differing items are
-    flipped back.  The schedule comes from ``config.sa_t0``, ``sa_cooling``
-    and ``sa_iters_per_temp``.
+    with: the loop keeps the set of items flipped since that packing, and
+    flips them back at the end.  The schedule comes from ``config.sa_t0``,
+    ``sa_cooling`` and ``sa_iters_per_temp``.
 
     Exact prices are memoised until the next flip.  Where every load stays
     below capacity, an unpriced probe whose upper bound ``ub``
@@ -268,25 +274,26 @@ def simulated_annealing_kp(
     m, packing, capacity = inst.m, cache.packing, inst.capacity
     cur_gain = cache.gain(inst)
     weight = sequential_sum(inst.weight[np.flatnonzero(packing)])
-    best = list(packing)
+    changed: set[int] = set()  # 0-based items flipped since the best packing
     best_gain = cur_gain
     t0 = config.sa_t0 if config.sa_t0 is not None else max(0.05 * abs(cur_gain), 1.0)
     iters = config.sa_iters_per_temp if config.sa_iters_per_temp is not None else max(1000, inst.m)
 
     bits = m.bit_length()
     getrandbits, random = rng.getrandbits, rng.random
+    exp, clock = math.exp, _time.monotonic
     profit, item_weight = inst.profit.tolist(), inst.weight.tolist()
     bound = _flip_bound(inst, cache)
     load_line = capacity * (1.0 - 1e-9)
     pos = cache.position[inst.city - 1].tolist()  # SA never moves the tour
-    top, slope = float(cache.cum_weight[-1]), _slopes(cache)
-    # a probe costs ~10 us of numpy calls, and tiny instances repeat probes often
+    top, slope = cache.cum_weight.item(-1), _slopes(cache)
+    # tiny instances repeat probes often
     memo: dict[int, float] = {}
     temp = t0
     while temp > 1e-3 * t0:
         for _ in range(iters):
-            if deadline is not None and _time.monotonic() >= deadline:
-                return _flip_to(inst, cache, best)
+            if deadline is not None and clock() >= deadline:
+                return _flip_back(inst, cache, changed)
             # rng.randint(1, m) - 1, drawn as randint draws it
             j = getrandbits(bits)
             while j >= m:
@@ -301,21 +308,23 @@ def simulated_annealing_kp(
                     ub = _flip_ub(bound, profit[j], w, slope[pos[j]], turning_on)
                     if ub <= 0:  # so delta <= 0 too: u is drawn either way
                         u = random()
-                        if u >= math.exp(ub / temp) * _EXP_MARGIN:
+                        if u >= exp(ub / temp) * _EXP_MARGIN:
                             continue
                 delta = memo[j] = delta_flip(inst, cache, j + 1)
-            if not (delta > 0 or (random() if u is None else u) < math.exp(delta / temp)):
+            if not (delta > 0 or (random() if u is None else u) < exp(delta / temp)):
                 continue
             flip(inst, cache, j + 1)
             memo.clear()
             weight += w if turning_on else -w
             cur_gain += delta
             if cur_gain > best_gain + GAIN_EPS:
-                best = list(packing)
+                changed.clear()
                 best_gain = cur_gain
-            top, slope = float(cache.cum_weight[-1]), _slopes(cache)
+            else:
+                changed ^= {j}
+            top, slope = cache.cum_weight.item(-1), _slopes(cache)
         # resync against drift accumulated by adding up the flips' prices
         cur_gain = cache.gain(inst)
         temp *= config.sa_cooling
-    _flip_to(inst, cache, best)
+    _flip_back(inst, cache, changed)
 

@@ -197,9 +197,12 @@ def loop_two_opt(inst: Instance, tour: list[int], packing: list[int], candidates
         tour[a : b + 1] = tour[a : b + 1][::-1]
 
 
-def loop_simulated_annealing(inst: Instance, sol, params, rng) -> list[int]:
+def loop_simulated_annealing(inst: Instance, sol, params, rng, max_iters=None) -> list[int]:
     """The SA loop as it was before its flip bound: every feasible probe is
-    priced with ``delta_flip`` and drawn with ``rng.randint``."""
+    priced with ``delta_flip`` and drawn with ``rng.randint``.  With
+    ``max_iters`` the loop stops before its iteration ``max_iters + 1``, as
+    the annealer stops when its deadline passes, and returns the best
+    packing found so far."""
     cache = build_prefix_cache(inst, sol)
     if inst.m == 0:
         return cache.packing
@@ -209,9 +212,12 @@ def loop_simulated_annealing(inst: Instance, sol, params, rng) -> list[int]:
     best_gain = cur_gain
     t0 = params.sa_t0 if params.sa_t0 is not None else max(0.05 * abs(cur_gain), 1.0)
     iters = params.sa_iters_per_temp if params.sa_iters_per_temp is not None else max(1000, inst.m)
-    temp = t0
+    temp, done = t0, 0
     while temp > 1e-3 * t0:
         for _ in range(iters):
+            if done == max_iters:
+                return best
+            done += 1
             j = rng.randint(1, inst.m)
             w = inst.weight.item(j - 1)
             turning_on = not cache.packing[j - 1]

@@ -224,7 +224,7 @@ def test_bench_summary_survives_zero_mean_gains(tmp_path, capsys):
     assert json.loads(out)["runs"] == 2
     with (outdir / "summary.csv").open() as fh:
         rows = list(csv.reader(fh))
-    assert rows[1] == ["zero", "0", "nan"]
+    assert rows[1] == ["zero", "0.0", "nan"]
 
 
 def test_bench_keeps_the_other_records_when_a_task_raises(tmp_path, capsys, monkeypatch):
@@ -376,12 +376,10 @@ def test_rank_rewrites_the_bundled_table_with_its_rsds(tmp_path, capsys):
     assert rows[0]["instance"] == "eil76" and rows[0]["MATLS_rsd"] == "1.35"
     for got, want in zip(rows, source):
         assert got["instance"] == want["instance"]
-        # RSDs are carried over exactly; means keep the summary's 6 digits
+        # means and RSDs are carried over exactly
         for key, value in want.items():
-            if key.endswith("_rsd"):
+            if key.endswith(("_mean", "_rsd")):
                 assert float(got[key]) == float(value)
-            elif key.endswith("_mean"):
-                assert float(got[key]) == pytest.approx(float(value), rel=1e-5)
 
 
 def test_rank_writes_nan_for_a_summary_without_rsds(tmp_path, capsys):
@@ -389,7 +387,7 @@ def test_rank_writes_nan_for_a_summary_without_rsds(tmp_path, capsys):
     c.write_text("instance,x_mean,y_mean\na,1.0,2.0\nb,2.0,3.0\n")
     code, _, _ = run(capsys, "rank", str(c), "--csv", str(out))
     assert code == 0
-    assert list(csv.reader(out.open()))[1:3] == [["a", "1", "nan", "2", "nan"], ["b", "2", "nan", "3", "nan"]]
+    assert list(csv.reader(out.open()))[1:3] == [["a", "1.0", "nan", "2.0", "nan"], ["b", "2.0", "nan", "3.0", "nan"]]
 
 
 def test_rank_mixed_inputs_rejected(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -9,10 +10,12 @@ from ttp.evaluate import (
     build_prefix_cache,
     delta_flip,
     evaluate,
+    flip,
     velocities,
 )
+from ttp.instance import sequential_sum
 
-from conftest import make_random_instance, random_solution
+from conftest import float_instance, make_random_instance, random_solution
 from loop_eval import loop_city_weights, velocity_at
 from reference_eval import ref_evaluate
 
@@ -53,6 +56,57 @@ def test_velocity_at(example5):
     assert velocity_at(example5, example5.capacity * 2) == example5.v_min
     loads = [0.0, 6.0, 10.0, example5.capacity, example5.capacity * 2]
     assert velocities(example5, np.array(loads)).tolist() == [velocity_at(example5, w) for w in loads]
+
+
+def masked_everywhere(inst, carried):
+    """``velocities`` without its shortcut: the clamp and the exact-v_min
+    mask are applied on every call."""
+    v = np.maximum(inst.v_max - carried * inst.weight_velocity_slope, inst.v_min)
+    v[carried >= inst.capacity] = inst.v_min
+    return v
+
+
+def nondecreasing_row(rng: random.Random, length: int, end: float, capacity: float) -> list[float]:
+    """Loads ending at ``end``, with repeats, and capacity itself where it
+    lies below the end."""
+    body = [rng.choice([rng.uniform(0, end), end, min(capacity, end)]) for _ in range(length - 1)]
+    return sorted(body) + [end]
+
+
+def ulps(x: float, k: int) -> float:
+    """``x`` moved by ``k`` ulps, down for negative ``k``."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+@pytest.mark.parametrize("v_max", [0.5, 1.0, 2.0])
+def test_velocities_shortcut_equals_the_mask_everywhere(v_max):
+    rng = random.Random(int(4 * v_max))
+    base = make_random_instance(rng, 4, 0)
+    # rows with a velocity that only the exact-v_min mask sets (at or past
+    # capacity), and rows below capacity with one that only the clamp
+    # raises (rounding pushes it under v_min): a shortcut that skipped
+    # either would fail the comparison on them
+    masked = clamped = 0
+    for trial in range(20_000):
+        if trial >= 300 and masked and clamped >= 3:
+            break
+        cap = rng.uniform(1.0, 1e4)
+        inst = dataclasses.replace(base, capacity=cap, v_max=v_max, v_min=rng.uniform(0.01, 0.9) * v_max)
+        # below, one to three ulps below, exactly at, one ulp above and past capacity
+        ends = [0.5 * cap, ulps(cap, -3), ulps(cap, -2), ulps(cap, -1), cap, ulps(cap, 1), 1.5 * cap]
+        for end in ends:
+            row = np.array(nondecreasing_row(rng, rng.randint(1, 6), end, cap))
+            assert np.array_equal(velocities(inst, row), masked_everywhere(inst, row))
+            raw = v_max - row * inst.weight_velocity_slope
+            masked += bool(((row >= cap) & (raw != inst.v_min)).any())
+            clamped += bool(((row < cap) & (raw < inst.v_min)).any())
+        length = rng.randint(1, 6)
+        for batch in (ends[:4], ends, rng.choices(ends, k=5)):
+            rows = np.array([nondecreasing_row(rng, length, end, cap) for end in batch])
+            assert np.array_equal(velocities(inst, rows), masked_everywhere(inst, rows))
+    assert masked and clamped >= 3
 
 
 def test_empty_packing_travels_at_vmax(example5):
@@ -138,6 +192,23 @@ def test_delta_flip_matches_brute_force():
             expect = evaluate(inst, flipped).gain - base
             got = delta_flip(inst, cache, j)
             assert got == pytest.approx(expect, rel=1e-6, abs=1e-9)
+
+
+def test_flip_sums_a_citys_weight_in_item_order():
+    # several float weights per city, which summed in another order often
+    # round differently
+    rng = random.Random(8)
+    reordered = 0
+    for _ in range(20):
+        inst = float_instance(rng, rng.randint(2, 5), rng.randint(8, 30))
+        cache = build_prefix_cache(inst, random_solution(rng, inst, feasible=False))
+        for _ in range(3 * inst.m):
+            flip(inst, cache, rng.randint(1, inst.m))
+            for c, homed in enumerate(inst.city_items):
+                picked = inst.weight[[j for j in homed if cache.packing[j]]]
+                assert cache.city_weight[c] == sequential_sum(picked)
+                reordered += sequential_sum(picked[::-1]) != sequential_sum(picked)
+    assert reordered > 0
 
 
 def test_delta_flip_bad_index(example5):

@@ -1,5 +1,7 @@
+import itertools
 import random
 import time
+import types
 
 import pytest
 
@@ -15,8 +17,9 @@ from ttp.packing import (
     simulated_annealing_kp,
 )
 
-from conftest import brute_force_best_packing, improved, make_random_instance, random_solution
-from loop_eval import loop_bit_flip_search
+from conftest import brute_force_best_packing, float_instance, improved, make_random_instance, random_solution
+from loop_eval import loop_bit_flip_search, loop_simulated_annealing
+from test_state import assert_state_is_fresh
 
 
 TOUR5 = [1, 2, 3, 4, 5]
@@ -239,8 +242,36 @@ def test_sa_no_items(example5):
 
 def test_sa_deterministic_given_rng(example5):
     sol = Solution(TOUR5, [0, 0, 0, 0])
-    params = SolverConfig(sa_t0=5.0, sa_iters_per_temp=300)
+    params = SolverConfig(sa_t0=200.0, sa_iters_per_temp=300)
     # each run anneals a state of its own, built from the same solution
     z1 = improved(example5, sol, simulated_annealing_kp, params, None, random.Random(7)).packing
     z2 = improved(example5, sol, simulated_annealing_kp, params, None, random.Random(7)).packing
     assert z1 == z2
+
+
+def test_sa_cut_by_its_deadline_hands_back_the_reference_best(monkeypatch):
+    # a clock that reads 0, 1, 2, ... at each check, so the deadline ``stop``
+    # passes at the check before iteration stop + 1; 300 iterations end a run
+    config = SolverConfig(sa_t0=200.0, sa_iters_per_temp=30, sa_cooling=0.5)
+    undone = []
+    real = packing_mod._flip_back
+
+    def flip_back(inst, cache, changed):
+        undone.append(len(changed))
+        real(inst, cache, changed)
+
+    monkeypatch.setattr(packing_mod, "_flip_back", flip_back)
+    rng = random.Random(90)
+    for stop in (0, 1, 2, 5, 13, 29, 30, 31, 77, 150, 299, 10_000):
+        for trial in range(4):
+            inst = float_instance(rng, rng.randint(4, 12), rng.randint(5, 30))
+            sol = random_solution(rng, inst, feasible=True)
+            ticks = itertools.count()
+            monkeypatch.setattr(packing_mod, "_time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+            cache = build_prefix_cache(inst, sol)
+            simulated_annealing_kp(inst, cache, config, stop, random.Random(trial))
+            assert cache.packing == loop_simulated_annealing(inst, sol, config, random.Random(trial), stop)
+            assert_state_is_fresh(inst, cache)
+    # the cut often falls where the current packing is not the best one, so
+    # the items flipped since the best are flipped back
+    assert sum(1 for size in undone if size) >= len(undone) // 3
