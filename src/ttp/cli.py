@@ -114,8 +114,9 @@ def cmd_tour(args) -> int:
 
 
 def cmd_score(args) -> int:
+    config = SolverConfig(alpha=args.alpha)  # rejects a non-finite alpha, as pack does
     inst, sol = _instance_and_tour(args.instance, args.tour)
-    table = build_score_table(inst, build_prefix_cache(inst, sol), args.alpha)
+    table = build_score_table(inst, build_prefix_cache(inst, sol), config.alpha)
     columns = zip(inst.city.tolist(), inst.profit.tolist(), inst.weight.tolist(), table.scores, table.marginal)
     rows = [
         {"item": j, "city": city, "profit": profit, "weight": weight, "score": score, "marginal_gain": gain}

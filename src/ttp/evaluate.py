@@ -135,8 +135,8 @@ def evaluate(inst: Instance, sol: Solution) -> EvalResult:
 
 
 def build_prefix_cache(inst: Instance, sol: Solution) -> PrefixCache:
-    """The tour state of ``sol``, which it copies; raises ``ValueError``
-    when ``sol`` fails ``Solution.validate``.
+    """The tour state of ``sol``, which it copies (the packing as Python
+    ints); raises ``ValueError`` when ``sol`` fails ``Solution.validate``.
 
     Legs come from ``_distances``, which equals ``Instance.distance``, and
     the picked weight per city is summed in item order.
@@ -159,7 +159,7 @@ def build_prefix_cache(inst: Instance, sol: Solution) -> PrefixCache:
         leg_dist=leg_dist,
         suffix_dist=leg_dist[::-1].cumsum()[::-1].copy(),
         total_time=0.0,
-        packing=list(sol.packing),
+        packing=list(map(int, sol.packing)),
     )
     _retime(inst, cache, 0)
     return cache
@@ -214,6 +214,8 @@ def flip(inst: Instance, cache: PrefixCache, item: int) -> None:
     then ``cum_weight``, ``inv_speed``, ``arrive_time`` and ``total_time``
     over the tour suffix from that city.  The tour fields are left as they
     are."""
+    if not (1 <= item <= inst.m):
+        raise IndexError(f"item index out of range: {item}")
     packing, weight = cache.packing, inst.weight
     packing[item - 1] ^= 1
     city = inst.city.item(item - 1)

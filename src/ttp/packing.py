@@ -12,7 +12,7 @@ import math
 import time as _time
 from dataclasses import asdict, dataclass
 from random import Random
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -71,13 +71,7 @@ def default_beta(inst: Instance) -> float:
     return 0.5
 
 
-def _flip_to(inst: Instance, cache: PrefixCache, packing: list[int]) -> None:
-    """Flip the items where ``cache.packing`` differs from ``packing``."""
-    for j in np.flatnonzero(np.not_equal(cache.packing, packing)).tolist():
-        flip(inst, cache, j + 1)
-
-
-def _flip_back(inst: Instance, cache: PrefixCache, changed: set[int]) -> None:
+def _flip_back(inst: Instance, cache: PrefixCache, changed: Iterable[int]) -> None:
     """Flip the 0-based items ``changed`` back, in item order."""
     for j in sorted(changed):
         flip(inst, cache, j + 1)
@@ -109,7 +103,7 @@ def initial_picking_plan(
     """
     if not np.array_equal(cache.city_at + 1, tour):
         raise ValueError("tour is not the state's tour")
-    _flip_to(inst, cache, [0] * inst.m)
+    _flip_back(inst, cache, np.flatnonzero(cache.packing).tolist())
     table = build_score_table(inst, cache, config.alpha)
     if table.positive_count == 0:
         return list(cache.packing)
@@ -141,10 +135,10 @@ def initial_picking_plan(
             if weight >= target:
                 done = True
                 break
-    phase1 = list(cache.packing)
     phase1_gain = cache.gain(inst)
 
     # phase 2: insertion fill over remaining positive-gain items
+    added: list[int] = []  # 0-based
     for j in table.order:
         if deadline is not None and _time.monotonic() >= deadline:
             break
@@ -155,11 +149,12 @@ def initial_picking_plan(
             continue
         if delta_flip(inst, cache, j) > 0:
             flip(inst, cache, j)
+            added.append(j - 1)
             weight += w
 
     # phase 2 adds only items priced above 0, so it can lose only by rounding
     if cache.gain(inst) < phase1_gain:
-        _flip_to(inst, cache, phase1)
+        _flip_back(inst, cache, added)
     return list(cache.packing)
 
 

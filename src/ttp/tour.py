@@ -1,18 +1,29 @@
-"""Tour construction and 2-OPT improvement over Delaunay candidate edges."""
+"""Tour construction and 2-OPT improvement over Delaunay candidate edges,
+held once as the flat neighbour table (``CandidateTable``) that the descent
+prices; a table built past its deadline is empty."""
 
 from __future__ import annotations
 
 import math
 import time as _time
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ttp.evaluate import GAIN_EPS, PrefixCache, _retime, velocities
 from ttp.instance import EdgeWeightType, Instance, _distances
 
-CandidateLists = dict[int, list[int]]
+
+class CandidateTable(NamedTuple):
+    """Candidate lists as flat arrays: the 0-based city ``c`` owns entries
+    ``start[c]`` .. ``start[c] + count[c] - 1`` of ``to`` (0-based ids, by
+    (distance, id)) and of ``dist`` (their ``Instance.distance``)."""
+
+    count: np.ndarray
+    start: np.ndarray
+    to: np.ndarray
+    dist: np.ndarray
 
 
 def nearest_neighbor_tour(
@@ -48,34 +59,37 @@ def _past(deadline: Optional[float]) -> bool:
     return deadline is not None and _time.monotonic() >= deadline
 
 
-def _mutual_lists(inst: Instance, owner: np.ndarray, to: np.ndarray, deadline: Optional[float]) -> CandidateLists:
+def _empty_table(n: int) -> CandidateTable:
+    zeros = np.zeros(n, dtype=np.intp)
+    return CandidateTable(zeros, zeros, np.empty(0, dtype=np.intp), np.empty(0))
+
+
+def _mutual_table(inst: Instance, owner: np.ndarray, to: np.ndarray, deadline: Optional[float]) -> CandidateTable:
     """The directed edges (owner[e], to[e]) between 0-based cities and their
-    reverses, each once, as the 1-based lists of every city sorted by
-    (distance, id); every list is empty once ``deadline`` has passed."""
+    reverses, each once, as the table whose rows are sorted by (distance,
+    id); the empty table once ``deadline`` has passed."""
     n = inst.n
     owner, to = np.divmod(np.unique(np.concatenate((owner * n + to, to * n + owner))), n)
     if _past(deadline):
-        return {i: [] for i in range(1, n + 1)}
-    order = np.lexsort((to, _distances(inst, owner, to), owner))
-    lists = np.split(to[order] + 1, np.bincount(owner, minlength=n).cumsum()[:-1])
-    return {i + 1: ns.tolist() for i, ns in enumerate(lists)}
+        return _empty_table(n)
+    dist = _distances(inst, owner, to)
+    order = np.lexsort((to, dist, owner))
+    count = np.bincount(owner, minlength=n)
+    return CandidateTable(count, count.cumsum() - count, to[order], dist[order])
 
 
-def _knn_candidates(inst: Instance, k: int = 8, deadline: Optional[float] = None) -> CandidateLists:
+def _knn_candidates(inst: Instance, k: int = 8, deadline: Optional[float] = None) -> CandidateTable:
     """The k nearest cities of each city by (distance, id), made mutual and
-    sorted by (distance, id).  Past ``deadline`` inside the row loop, the
-    rows built so far are kept as they are, not made mutual, and the cities
-    not yet reached get empty lists; past it after the loop, every list is
-    empty."""
+    sorted by (distance, id); the empty table once ``deadline`` has passed."""
     n = inst.n
     k = min(k, n - 1)
     near = np.empty((n, k), dtype=np.intp)
     for i in range(n):
         if _past(deadline):
-            return {c + 1: (near[c] + 1).tolist() if c < i else [] for c in range(n)}
+            return _empty_table(n)
         others = np.delete(np.arange(n), i)
         near[i] = others[np.lexsort((others, _distances(inst, np.full(n - 1, i), others)))[:k]]
-    return _mutual_lists(inst, np.repeat(np.arange(n), k), near.ravel(), deadline)
+    return _mutual_table(inst, np.repeat(np.arange(n), k), near.ravel(), deadline)
 
 
 def load_triangulation():
@@ -87,42 +101,35 @@ def load_triangulation():
     return Delaunay, QhullError
 
 
-def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> CandidateLists:
-    """Neighbour lists from the Delaunay triangulation of the city coordinates,
-    each sorted by (distance, id).
+def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> CandidateTable:
+    """The candidate table of the Delaunay triangulation of the city
+    coordinates, each city's row sorted by (distance, id).
 
     EXPLICIT-distance instances (no coordinates) and degenerate point sets
     fall back to k-nearest-neighbour lists (k=8).  Duplicate coordinates are
     perturbed deterministically by an index-scaled epsilon first.  Both
-    kinds of list are made mutual and sorted at once (``_mutual_lists``), so
-    past ``deadline`` (a ``time.monotonic()`` value) before the
-    triangulation or before that sort every list is empty; past it inside
-    the k-nearest row loop, the rows built so far are kept and the rest are
-    empty.  Every city always has a list.
+    kinds of list are made mutual and sorted at once, with the distances
+    the table keeps (``_mutual_table``).  Once ``deadline`` (a
+    ``time.monotonic()`` value) has passed, at any check, the table is
+    empty: every city has a row, with no candidates in it.
     """
     if inst.coords is None:
         return _knn_candidates(inst, deadline=deadline)
     n = inst.n
     pts = np.array(inst.coords, dtype=float)
-    if len(np.unique(pts, axis=0)) != len(pts):
-        span = max(float(np.ptp(pts)), 1.0)
-        eps = 1e-9 * span
-        seen: dict[tuple[float, float], int] = {}
-        for i in range(len(pts)):
-            key = (pts[i, 0], pts[i, 1])
-            if key in seen:
-                pts[i] += eps * (i + 1)
-            else:
-                seen[key] = i
+    first = np.unique(pts, axis=0, return_index=True)[1]
+    if len(first) != n:  # every repeat of a point moves by eps * (its index + 1)
+        later = np.setdiff1d(np.arange(n), first)
+        pts[later] += (1e-9 * max(float(np.ptp(pts)), 1.0)) * (later + 1)[:, None]
     if _past(deadline):
-        return {i: [] for i in range(1, n + 1)}
+        return _empty_table(n)
     Delaunay, QhullError = load_triangulation()
     try:
         tri = Delaunay(pts)
     except QhullError:
         return _knn_candidates(inst, deadline=deadline)
     s = tri.simplices.astype(np.intp)
-    return _mutual_lists(inst, s.ravel(), s[:, [1, 2, 0]].ravel(), deadline)
+    return _mutual_table(inst, s.ravel(), s[:, [1, 2, 0]].ravel(), deadline)
 
 
 def _reverse(inst: Instance, cache: PrefixCache, a: int, b: int) -> None:
@@ -164,18 +171,7 @@ def _exact_length_steps(inst: Instance) -> bool:
     return inst.n * longest / inst.v_max < 2.0**53
 
 
-def _candidate_table(inst: Instance, candidates: CandidateLists):
-    """The candidate lists as flat arrays: the 0-based city ``c`` owns
-    entries ``start[c]`` .. ``start[c] + count[c] - 1`` of ``to`` (0-based
-    ids, in list order) and of ``dist`` (the distances to them)."""
-    count = np.array([len(candidates[c]) for c in range(1, inst.n + 1)], dtype=np.intp)
-    start = count.cumsum() - count
-    to = np.array([v for c in range(1, inst.n + 1) for v in candidates[c]], dtype=np.intp) - 1
-    dist = _distances(inst, np.repeat(np.arange(inst.n), count), to)
-    return count, start, to, dist
-
-
-def _probes(inst: Instance, cache: PrefixCache, table):
+def _probes(inst: Instance, cache: PrefixCache, table: CandidateTable):
     """Every probe of a pass, in the scan order of the descent: tour position
     a = 1 .. n-1, then the candidate order of u = tour[a - 1].  A probe
     reverses positions [a, b] to create the candidate edge (u, v), v =
@@ -193,7 +189,7 @@ def _probes(inst: Instance, cache: PrefixCache, table):
     return a, b, dist[entry], _distances(inst, cache.city_at[a], cache.city_at[(b + 1) % n])
 
 
-def _first_length_move(inst: Instance, cache: PrefixCache, table) -> Optional[tuple[int, int]]:
+def _first_length_move(inst: Instance, cache: PrefixCache, table: CandidateTable) -> Optional[tuple[int, int]]:
     """The descent's next move on an empty knapsack with exact travel
     times, from one numpy pass over every probe.
 
@@ -273,7 +269,7 @@ _CHUNK_ELEMENTS = 2**15
 
 
 def _first_packed_move(
-    inst: Instance, cache: PrefixCache, table, deadline: Optional[float]
+    inst: Instance, cache: PrefixCache, table: CandidateTable, deadline: Optional[float]
 ) -> Optional[tuple[int, int]]:
     """The first improving probe in scan order, priced in chunks of probes by
     ``_times_after_reversals``; None when there is none or the deadline
@@ -302,15 +298,16 @@ def _first_packed_move(
 def two_opt_improve(
     inst: Instance,
     cache: PrefixCache,
-    candidates: CandidateLists,
+    candidates: CandidateTable,
     deadline: Optional[float] = None,
 ) -> None:
     """2-OPT descent on the tour of ``cache``, in place, scored against the
     full TTP gain with the packing held fixed.
 
-    Only moves creating a candidate-list edge are probed; first-improvement
-    acceptance, scanning by tour position then candidate order.  Runs until a
-    full pass finds no improving move or the deadline passes.
+    Only moves creating an edge of the table ``candidates`` are probed;
+    first-improvement acceptance, scanning by tour position then candidate
+    order.  Runs until a full pass finds no improving move or the deadline
+    passes, which is checked before any pass is priced.
 
     With nothing picked and exact travel times (``_exact_length_steps``),
     each pass prices every probe at once by its length change
@@ -318,15 +315,14 @@ def two_opt_improve(
     walks the reversed tours in chunks of probes (``_first_packed_move``).
     Both accept the moves of a probe-by-probe walk.
     """
-    table = _candidate_table(inst, candidates)
     lengths_only = not cache.cum_weight.any() and _exact_length_steps(inst)
     while True:
         if not lengths_only:
-            move = _first_packed_move(inst, cache, table, deadline)
+            move = _first_packed_move(inst, cache, candidates, deadline)
         elif _past(deadline):
             move = None
         else:
-            move = _first_length_move(inst, cache, table)
+            move = _first_length_move(inst, cache, candidates)
         if move is None:
             return
         _reverse(inst, cache, *move)

@@ -11,7 +11,8 @@ decision; ``loop_bit_flip_search`` likewise for the hill climber.
 ``velocity_at`` is the velocity under one load, which
 ``ttp.evaluate.velocities`` computes over arrays.  ``loop_knn_candidates``
 sorts every row with a Python key, as the k-nearest candidate lists were
-built before they were sorted in numpy.
+built before they were sorted in numpy; ``table_lists`` and ``lists_table``
+convert between those 1-based lists and the library's candidate table.
 ``loop_solve`` is the restart loop that builds the tour state afresh before
 each stage and evaluates the whole tour after it, which the solve that hands
 one state from stage to stage must match bit for bit.
@@ -27,7 +28,7 @@ from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, delta_flip, eva
 from ttp.instance import Instance, sequential_sum
 from ttp.packing import bit_flip_search, initial_picking_plan, simulated_annealing_kp
 from ttp.solver import RunRecord
-from ttp.tour import delaunay_candidates, nearest_neighbor_tour, two_opt_improve
+from ttp.tour import CandidateTable, delaunay_candidates, nearest_neighbor_tour, two_opt_improve
 
 
 def velocity_at(inst: Instance, cumulative_weight: float) -> float:
@@ -271,6 +272,22 @@ def loop_knn_candidates(inst: Instance, k: int = 8) -> dict:
             if i not in cand[j]:
                 cand[j].append(i)
     return {i: sorted(ns, key=lambda c: (inst.distance(i, c), c)) for i, ns in cand.items()}
+
+
+def table_lists(table: CandidateTable) -> dict:
+    """The rows of a candidate table as 1-based lists, city by city."""
+    rows = zip(table.start.tolist(), table.count.tolist())
+    return {c + 1: (table.to[s : s + k] + 1).tolist() for c, (s, k) in enumerate(rows)}
+
+
+def lists_table(inst: Instance, lists: dict) -> CandidateTable:
+    """1-based candidate lists, each kept in its order, as a candidate table
+    whose distances are ``Instance.distance``."""
+    count = np.array([len(lists[c]) for c in range(1, inst.n + 1)], dtype=np.intp)
+    pairs = [(c, v) for c in range(1, inst.n + 1) for v in lists[c]]
+    to = np.array([v - 1 for _, v in pairs], dtype=np.intp)
+    dist = np.array([inst.distance(c, v) for c, v in pairs], dtype=float)
+    return CandidateTable(count, count.cumsum() - count, to, dist)
 
 
 def loop_solve(inst: Instance, config) -> RunRecord:

@@ -34,6 +34,7 @@ from conftest import (
     make_random_instance,
     random_solution,
 )
+from loop_eval import lists_table
 from reference_eval import ref_evaluate
 from test_stats import load_reference_means
 
@@ -124,7 +125,7 @@ def test_criterion_5_ablation_harness(tmp_path):
     workers = min(4, os.cpu_count() or 1)
     code = cli_main([
         "bench", str(fixture), "--out", str(outdir),
-        "--runs", "10", "--time", "10",
+        "--runs", "10", "--time", "600", "--max-restarts", "1",
         "--alpha", "1.5", "--alpha", "1.0",
         "--workers", str(workers),
     ])
@@ -206,8 +207,8 @@ def test_criterion_7_invariant_suite():
 
         sol = random_solution(rng, inst)
         before = evaluate(inst, sol).gain
-        cand = {i: [c for c in range(1, inst.n + 1) if c != i]
-                for i in range(1, inst.n + 1)}
+        cand = lists_table(inst, {i: [c for c in range(1, inst.n + 1) if c != i]
+                                  for i in range(1, inst.n + 1)})
         out = improved(inst, sol, two_opt_improve, cand, None)
         assert evaluate(inst, out).gain >= before - 1e-9
 

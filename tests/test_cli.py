@@ -132,6 +132,14 @@ def test_score_csv(tmp_path, capsys):
     assert float(rows[0]["score"]) == pytest.approx(1.01)
 
 
+@pytest.mark.parametrize("command", ["score", "pack"])
+@pytest.mark.parametrize("alpha", ["nan", "-inf"])
+def test_score_and_pack_reject_an_alpha_that_is_not_finite(capsys, command, alpha):
+    code, out, err = run(capsys, command, EXAMPLE, f"--alpha={alpha}")
+    assert code == 1 and out == ""
+    assert "alpha must be finite" in err
+
+
 def test_pack_worked_example(tmp_path, capsys):
     tour = tmp_path / "tour.txt"
     tour.write_text("1 2 3 4 5\n")

@@ -6,6 +6,7 @@ state must leave it equal to a fresh build of its own solution, on every
 return."""
 
 import dataclasses
+import json
 import random
 import types
 
@@ -20,7 +21,7 @@ from ttp.packing import SolverConfig, bit_flip_search, initial_picking_plan, sim
 from ttp.tour import delaunay_candidates, two_opt_improve
 
 from conftest import float_instance, random_solution
-from loop_eval import loop_delta_flip, loop_prefix_arrays, loop_time_after_reversal
+from loop_eval import lists_table, loop_delta_flip, loop_prefix_arrays, loop_time_after_reversal
 
 ARRAYS = ("city_at", "position", "city_weight", "cum_weight", "inv_speed",
           "arrive_time", "leg_dist", "suffix_dist")
@@ -65,6 +66,33 @@ def test_flip_keeps_state_equal_to_fresh_build(explicit):
             assert_state_is_fresh(inst, cache)
             flips += 1
     assert flips > 500
+
+
+def test_flip_rejects_an_item_out_of_range(example5):
+    sol = Solution([1, 2, 3, 4, 5], [0, 1, 0, 0])
+    cache = build_prefix_cache(example5, sol)
+    for item in (0, -1, example5.m + 1):
+        for probe in (delta_flip, flip):
+            with pytest.raises(IndexError, match=f"item index out of range: {item}"):
+                probe(example5, cache, item)
+        assert cache.solution() == sol
+        assert_state_is_fresh(example5, cache)
+
+
+@pytest.mark.parametrize("zero,one", [(0.0, 1.0), (False, True), (np.int64(0), np.int64(1))])
+def test_state_holds_its_packing_as_python_ints(example5, zero, one):
+    # Solution.validate accepts any number equal to 0 or 1
+    tour = [1, 2, 3, 4, 5]
+    given = Solution(tour, [zero, one, zero, one])
+    cache = build_prefix_cache(example5, given)
+    assert cache.gain(example5) == evaluate(example5, given).gain
+    assert_state_is_fresh(example5, cache)
+    flip(example5, cache, 1)
+    flip(example5, cache, 2)
+    packing = cache.solution().packing
+    assert packing == [1, 0, 0, 1] and all(type(z) is int for z in packing)
+    assert json.dumps(packing) == "[1, 0, 0, 1]"
+    assert_state_is_fresh(example5, cache)
 
 
 @pytest.mark.parametrize("explicit", [False, True])
@@ -115,7 +143,7 @@ def test_batched_times_equal_the_walk_for_every_probe(monkeypatch, explicit, bud
         sol = random_solution(rng, inst, feasible=False)
         cache = build_prefix_cache(inst, sol)
         every = {c: [v for v in range(1, inst.n + 1) if v != c] for c in range(1, inst.n + 1)}
-        table = tour_mod._candidate_table(inst, every)
+        table = lists_table(inst, every)
         chunks.clear()
         assert tour_mod._first_packed_move(inst, cache, table, None) is None
         a, b, _, _ = tour_mod._probes(inst, cache, table)
@@ -152,14 +180,14 @@ def test_two_opt_accepted_moves_keep_state(monkeypatch):
 
 
 def test_improvers_hand_back_the_state_of_what_they_return(monkeypatch):
-    real = packing_mod._flip_to
+    real = packing_mod._flip_back
     flipped_back = []
 
-    def recording(inst_, cache_, packing):
-        flipped_back.append(sum(a != b for a, b in zip(cache_.packing, packing)))
-        real(inst_, cache_, packing)
+    def recording(inst_, cache_, changed):
+        flipped_back.append(len(changed))
+        real(inst_, cache_, changed)
 
-    monkeypatch.setattr(packing_mod, "_flip_to", recording)
+    monkeypatch.setattr(packing_mod, "_flip_back", recording)
     rng = random.Random(53)
     for k in range(12):
         inst = float_instance(rng, rng.randint(3, 12), rng.randint(0, 20), explicit=k % 3 == 0)

@@ -15,7 +15,7 @@ from ttp.solver import SolverConfig, solve
 from ttp.tour import delaunay_candidates, nearest_neighbor_tour, two_opt_improve
 
 from conftest import columns, improved, make_random_instance, random_solution
-from loop_eval import loop_knn_candidates, loop_two_opt
+from loop_eval import lists_table, loop_knn_candidates, loop_two_opt, table_lists
 
 
 def coord_instance(points, **kw):
@@ -93,8 +93,8 @@ def brute_force_delaunay_edges(points):
     return edges
 
 
-def candidate_edges(cand):
-    return {frozenset((i, j)) for i, ns in cand.items() for j in ns}
+def candidate_edges(table):
+    return {frozenset((i, j)) for i, ns in table_lists(table).items() for j in ns}
 
 
 def test_triangle_gives_all_edges():
@@ -113,7 +113,7 @@ def test_square_has_five_edges():
 def test_grid_contains_grid_neighbours():
     pts = [(x, y) for x in range(5) for y in range(5)]
     inst = coord_instance(pts)
-    cand = delaunay_candidates(inst)
+    cand = table_lists(delaunay_candidates(inst))
     def cid(x, y):
         return x * 5 + y + 1
     for x in range(5):
@@ -137,7 +137,7 @@ def test_matches_empty_circumcircle_oracle():
 def test_candidate_invariants():
     rng = random.Random(8)
     inst = make_random_instance(rng, 15, 0)
-    cand = delaunay_candidates(inst)
+    cand = table_lists(delaunay_candidates(inst))
     for i, ns in cand.items():
         assert ns, "every city needs at least one candidate"
         assert i not in ns
@@ -147,7 +147,7 @@ def test_candidate_invariants():
 
 
 def test_explicit_instance_falls_back_to_knn(example5):
-    cand = delaunay_candidates(example5)
+    cand = table_lists(delaunay_candidates(example5))
     assert set(cand) == {1, 2, 3, 4, 5}
     for i, ns in cand.items():
         assert ns and i not in ns
@@ -155,17 +155,23 @@ def test_explicit_instance_falls_back_to_knn(example5):
 
 def test_collinear_points_fall_back_to_knn():
     inst = coord_instance([(float(i), 0.0) for i in range(6)])
-    cand = delaunay_candidates(inst)
+    cand = table_lists(delaunay_candidates(inst))
     for i, ns in cand.items():
         assert ns and i not in ns
 
 
 def test_duplicate_points_are_perturbed():
     inst = coord_instance([(0, 0), (10, 0), (10, 0), (5, 8)])
-    cand = delaunay_candidates(inst)
+    cand = table_lists(delaunay_candidates(inst))
     assert set(cand) == {1, 2, 3, 4}
     for i, ns in cand.items():
         assert ns
+
+
+def assert_empty_table(table, n):
+    """Every one of the ``n`` cities has a row, with no candidates in it."""
+    assert table.count.tolist() == table.start.tolist() == [0] * n
+    assert table.to.size == table.dist.size == 0
 
 
 @pytest.mark.parametrize("kind", ["delaunay", "explicit-knn", "collinear-knn"])
@@ -176,26 +182,24 @@ def test_candidates_past_their_deadline(monkeypatch, kind):
         inst = length_instance(random.Random(9), "explicit-float", 15)
     else:
         inst = coord_instance([(float(i), 0.0) for i in range(15)])
-    full = delaunay_candidates(inst)
-    assert delaunay_candidates(inst, deadline=time.monotonic() + 1e6) == full
-    # already passed: every city still has a (now empty) list
-    assert delaunay_candidates(inst, deadline=time.monotonic()) == {i: [] for i in range(1, 16)}
-    ticks = iter(range(1000))
-    monkeypatch.setattr(tour_mod, "_time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
-    if kind == "delaunay":
-        # all or none: one check before the triangulation (ticks 0, then 2),
-        # one before the sort (ticks 1, then 3)
-        assert delaunay_candidates(inst, deadline=2) == full
-        assert delaunay_candidates(inst, deadline=3) == {i: [] for i in range(1, 16)}
-        return
-    # a clock that passes the deadline after five k-nearest checks (the
-    # collinear points make one more check, before the triangulation fails)
-    cand = delaunay_candidates(inst, deadline=5 if kind == "explicit-knn" else 6)
-    assert list(cand) == list(range(1, 16))
-    assert all(cand[i] == [] for i in range(6, 16))
-    for i in range(1, 6):  # the 8 nearest, cut off before the lists are made mutual
-        others = sorted(set(range(1, 16)) - {i}, key=lambda c: (inst.distance(i, c), c))
-        assert cand[i] == others[:8]
+    full = table_lists(delaunay_candidates(inst))
+    assert table_lists(delaunay_candidates(inst, deadline=time.monotonic() + 1e6)) == full
+    assert_empty_table(delaunay_candidates(inst, deadline=time.monotonic()), 15)
+
+    def built_by(deadline):
+        ticks = iter(range(1000))
+        monkeypatch.setattr(tour_mod, "_time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+        return delaunay_candidates(inst, deadline=deadline)
+
+    # the clock reads 0, 1, 2, .. at the builder's checks: one before the
+    # triangulation (none on EXPLICIT instances), one per k-nearest row
+    # (none when the triangulation succeeds) and one before the sort that
+    # makes the lists mutual.  A deadline past the last check gives the
+    # full table; one at any check, the empty table, rows built or not
+    checks = {"delaunay": 2, "explicit-knn": 16, "collinear-knn": 17}[kind]
+    assert table_lists(built_by(checks)) == full
+    for deadline in range(checks):
+        assert_empty_table(built_by(deadline), 15)
 
 
 def test_solve_past_its_deadline_on_knn_candidates(monkeypatch, example5):
@@ -203,7 +207,7 @@ def test_solve_past_its_deadline_on_knn_candidates(monkeypatch, example5):
     monkeypatch.setattr(solver_mod, "delaunay_candidates",
                         lambda *args: built.append(delaunay_candidates(*args)) or built[-1])
     rec = solve(example5, SolverConfig(time_budget=1e-12, max_restarts=1))
-    assert built == [{i: [] for i in range(1, 6)}]
+    assert [table_lists(t) for t in built] == [{i: [] for i in range(1, 6)}]
     sol = Solution(rec.best_tour, rec.best_packing)
     sol.validate(example5)
     assert evaluate(example5, sol).feasible
@@ -212,7 +216,7 @@ def test_solve_past_its_deadline_on_knn_candidates(monkeypatch, example5):
 # --- 2-OPT -------------------------------------------------------------------
 
 def full_candidates(inst):
-    return {i: [j for j in range(1, inst.n + 1) if j != i] for i in range(1, inst.n + 1)}
+    return lists_table(inst, {i: [j for j in range(1, inst.n + 1) if j != i] for i in range(1, inst.n + 1)})
 
 
 def test_two_opt_uncrosses_quadrilateral():
@@ -326,6 +330,28 @@ def length_instance(rng, kind, n, v_max=1.0, r=None, m=0):
     return Instance(coords=np.array(pts, dtype=float), edge_weight_type=ewt, **common)
 
 
+def assert_table_rows(inst, table, lists):
+    """The table holds the 1-based ``lists`` city by city, in their order,
+    and every distance in it is ``Instance.distance``."""
+    count = table.count.tolist()
+    assert count == [len(lists[c]) for c in range(1, inst.n + 1)]
+    assert table.start.tolist() == [sum(count[:c]) for c in range(inst.n)]
+    assert table.to.size == table.dist.size == sum(count)
+    for c in range(1, inst.n + 1):
+        row = slice(table.start[c - 1], table.start[c - 1] + table.count[c - 1])
+        assert (table.to[row] + 1).tolist() == lists[c]
+        assert table.dist[row].tolist() == [inst.distance(c, v) for v in lists[c]]
+
+
+def sorted_lists(inst, edges):
+    """The 1-based lists of an edge set, each sorted by (distance, id)."""
+    lists = {c: [] for c in range(1, inst.n + 1)}
+    for i, j in map(tuple, edges):
+        lists[i].append(j)
+        lists[j].append(i)
+    return {c: sorted(ns, key=lambda v: (inst.distance(c, v), v)) for c, ns in lists.items()}
+
+
 @pytest.mark.parametrize("kind", ["explicit-int", "explicit-float", "ceil-int", "euc-half"])
 def test_knn_candidates_equal_the_loop_sort(kind):
     # integer matrices and grid points give many equal distances, which the
@@ -335,9 +361,41 @@ def test_knn_candidates_equal_the_loop_sort(kind):
     for n in (2, 3, 9, 10, 40):
         inst = length_instance(rng, kind, n)
         for k in (1, 8, n):
-            assert tour_mod._knn_candidates(inst, k) == loop_knn_candidates(inst, k)
+            assert_table_rows(inst, tour_mod._knn_candidates(inst, k), loop_knn_candidates(inst, k))
     collinear = coord_instance([(float(x), 0.0) for x in rng.sample(range(60), 25)])
-    assert delaunay_candidates(collinear) == loop_knn_candidates(collinear)
+    assert_table_rows(collinear, delaunay_candidates(collinear), loop_knn_candidates(collinear))
+
+
+@pytest.mark.parametrize("kind", ["ceil-int", "euc-half", "explicit-int", "explicit-float",
+                                  "collinear", "duplicate", "uniform"])
+def test_candidate_table_rows_equal_the_lists(kind):
+    # EXPLICIT and collinear instances get the k-nearest lists; uniform
+    # points the lists of the empty-circumcircle oracle.  Grid points are
+    # cocircular in many ways, so the oracle holds every diagonal and the
+    # triangulation one of each; duplicates triangulate perturbed points.
+    # There each row must hold the table's own edges, sorted by the
+    # instance's distances, and on the grid those edges must be the oracle's
+    rng = random.Random(f"table {kind}")
+    for n in (4, 9, 25):
+        if kind == "collinear":
+            inst = coord_instance([(float(x), 0.0) for x in rng.sample(range(60), n)])
+        elif kind == "duplicate":  # n = 25 points on 16 grid positions repeat some
+            inst = coord_instance([(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)])
+        elif kind == "uniform":
+            inst = coord_instance([(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)])
+        else:
+            inst = length_instance(rng, kind, n)
+        table = delaunay_candidates(inst)
+        edges = candidate_edges(table)
+        if kind in ("explicit-int", "explicit-float", "collinear"):
+            expect = loop_knn_candidates(inst)
+        elif kind == "uniform":
+            expect = sorted_lists(inst, brute_force_delaunay_edges(inst.coords))
+        else:
+            expect = sorted_lists(inst, edges)
+            if kind != "duplicate":
+                assert all(expect.values()) and edges <= brute_force_delaunay_edges(inst.coords)
+        assert_table_rows(inst, table, expect)
 
 
 def count_probe_walks(monkeypatch) -> list:
@@ -381,7 +439,7 @@ def test_empty_knapsack_descent_matches_the_probe_loop(monkeypatch, kind, v_max,
         assert tour_mod._exact_length_steps(inst) == exact
         sol = random_solution(rng, inst)
         cand = full_candidates(inst) if k == 0 else delaunay_candidates(inst)
-        expect = loop_two_opt(inst, sol.tour, sol.packing, cand)
+        expect = loop_two_opt(inst, sol.tour, sol.packing, table_lists(cand))
         assert improved(inst, sol, two_opt_improve, cand, None).tour == expect
         moved += expect != sol.tour
     assert moved == 0 if r == 0.0 else moved > 0
@@ -416,7 +474,7 @@ def test_one_picked_item_takes_the_packed_path(monkeypatch):
     cand = delaunay_candidates(inst)
     out = improved(inst, sol, two_opt_improve, cand, None)
     assert walks
-    assert out.tour == loop_two_opt(inst, sol.tour, sol.packing, cand)
+    assert out.tour == loop_two_opt(inst, sol.tour, sol.packing, table_lists(cand))
 
 
 # (kind, v_max, renting ratio or None for random)
@@ -439,7 +497,7 @@ def test_packed_descent_matches_the_probe_loop(monkeypatch, kind, v_max, r):
         sol = random_solution(rng, inst, feasible=k % 2 == 0)
         sol.packing[0] = 1
         cand = full_candidates(inst) if k < 2 else delaunay_candidates(inst)
-        expect = loop_two_opt(inst, sol.tour, sol.packing, cand)
+        expect = loop_two_opt(inst, sol.tour, sol.packing, table_lists(cand))
         assert improved(inst, sol, two_opt_improve, cand, None).tour == expect
         moved += expect != sol.tour
     assert moved == 0 if r == 0.0 else moved > 0
@@ -452,7 +510,7 @@ def test_packed_descent_past_its_deadline_returns_the_input_tour():
     sol = random_solution(rng, inst)
     sol.packing[0] = 1
     cand = delaunay_candidates(inst)
-    assert loop_two_opt(inst, sol.tour, sol.packing, cand) != sol.tour
+    assert loop_two_opt(inst, sol.tour, sol.packing, table_lists(cand)) != sol.tour
     out = improved(inst, sol, two_opt_improve, cand, time.monotonic())
     assert out.tour == sol.tour and out.packing == sol.packing
 
