@@ -60,9 +60,9 @@ class PrefixCache:
     ``inv_speed[k]`` one over the velocity under that load;
     ``arrive_time[k]`` the travel time accumulated upon arriving there;
     ``leg_dist[k]`` the distance from position k to the next (cyclically);
-    ``suffix_dist[k]`` the tour distance from position k to the end of the
-    cyclic tour (back to city 1);
-    ``packing`` the picking plan, one 0/1 entry per item.
+    ``packing`` the picking plan, one 0/1 entry per item.  The knapsack load
+    is ``cum_weight[-1]``; distances to the tour's end are summed from
+    ``leg_dist`` by their readers.
 
     The state is the solution: its tour is ``city_at`` and its plan
     ``packing``, and ``solution()`` copies both out.  ``flip`` and the 2-OPT
@@ -79,7 +79,6 @@ class PrefixCache:
     inv_speed: np.ndarray
     arrive_time: np.ndarray
     leg_dist: np.ndarray
-    suffix_dist: np.ndarray
     total_time: float
     packing: list[int]
 
@@ -148,7 +147,6 @@ def build_prefix_cache(inst: Instance, sol: Solution) -> PrefixCache:
     city_at = np.array(sol.tour, dtype=np.intp) - 1
     position = np.empty(inst.n, dtype=np.intp)
     position[city_at] = np.arange(inst.n)
-    leg_dist = _distances(inst, city_at, np.roll(city_at, -1))
     cache = PrefixCache(
         city_at=city_at,
         position=position,
@@ -156,8 +154,7 @@ def build_prefix_cache(inst: Instance, sol: Solution) -> PrefixCache:
         cum_weight=np.empty(inst.n),
         inv_speed=np.empty(inst.n),
         arrive_time=np.zeros(inst.n),
-        leg_dist=leg_dist,
-        suffix_dist=leg_dist[::-1].cumsum()[::-1].copy(),
+        leg_dist=_distances(inst, city_at, np.roll(city_at, -1)),
         total_time=0.0,
         packing=list(map(int, sol.packing)),
     )

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ttp.evaluate import GAIN_EPS, PrefixCache, delta_flip, flip
-from ttp.instance import Instance, sequential_sum
+from ttp.instance import Instance
 from ttp.scoring import DEFAULT_ALPHA, build_score_table
 
 
@@ -77,6 +77,18 @@ def _flip_back(inst: Instance, cache: PrefixCache, changed: Iterable[int]) -> No
         flip(inst, cache, j + 1)
 
 
+def _flip_if_fits(inst: Instance, cache: PrefixCache, item: int) -> bool:
+    """Flip item ``item`` (1-based), and flip it back if that added it and
+    the state's load, the ``cum_weight[-1]`` that ``evaluate`` reads, then
+    exceeds capacity; whether the flip was kept.  A drop is always kept:
+    removing weight never raises a rounded prefix sum."""
+    flip(inst, cache, item)
+    if cache.packing[item - 1] and cache.cum_weight.item(-1) > inst.capacity:
+        flip(inst, cache, item)
+        return False
+    return True
+
+
 def initial_picking_plan(
     inst: Instance,
     tour: list[int],
@@ -116,23 +128,19 @@ def initial_picking_plan(
     for j in table.order:
         by_city.setdefault(item_city[j - 1], []).append(j)
 
-    weight = 0.0
     done = False
     for pos in range(inst.n - 1, 0, -1):
         if done or (deadline is not None and _time.monotonic() >= deadline):
             break
         city = tour[pos]
         for j in by_city.get(city, ()):  # already in descending score order
-            w = item_weight[j - 1]
             if table.scores[j - 1] <= threshold:
                 continue
-            if weight + w > inst.capacity:
+            if cache.cum_weight.item(-1) + item_weight[j - 1] > inst.capacity:
                 continue
-            if delta_flip(inst, cache, j) < 0:
+            if delta_flip(inst, cache, j) < 0 or not _flip_if_fits(inst, cache, j):
                 continue
-            flip(inst, cache, j)
-            weight += w
-            if weight >= target:
+            if cache.cum_weight.item(-1) >= target:
                 done = True
                 break
     phase1_gain = cache.gain(inst)
@@ -144,13 +152,10 @@ def initial_picking_plan(
             break
         if cache.packing[j - 1]:
             continue
-        w = item_weight[j - 1]
-        if weight + w > inst.capacity:
+        if cache.cum_weight.item(-1) + item_weight[j - 1] > inst.capacity:
             continue
-        if delta_flip(inst, cache, j) > 0:
-            flip(inst, cache, j)
+        if delta_flip(inst, cache, j) > 0 and _flip_if_fits(inst, cache, j):
             added.append(j - 1)
-            weight += w
 
     # phase 2 adds only items priced above 0, so it can lose only by rounding
     if cache.gain(inst) < phase1_gain:
@@ -160,11 +165,10 @@ def initial_picking_plan(
 
 def bit_flip_search(inst: Instance, cache: PrefixCache, deadline: Optional[float], rng: Random) -> None:
     """Hill climbing over single-bit flips of ``cache.packing``, in place, in
-    random order; keeps a flip iff it strictly improves the gain and stays
-    feasible.  Stops after a full pass without improvement or at the
-    deadline."""
+    random order; keeps a flip iff it strictly improves the gain and the
+    state's load stays within capacity (``_flip_if_fits``).  Stops after a
+    full pass without improvement or at the deadline."""
     packing = cache.packing
-    weight = sequential_sum(inst.weight[np.flatnonzero(packing)])
     item_weight = inst.weight.tolist()
     memo: dict[int, float] = {}  # exact prices, until the next flip
     improved = True
@@ -175,16 +179,12 @@ def bit_flip_search(inst: Instance, cache: PrefixCache, deadline: Optional[float
         for j in order:
             if deadline is not None and _time.monotonic() >= deadline:
                 return
-            w = item_weight[j - 1]
-            turning_on = not packing[j - 1]
-            if turning_on and weight + w > inst.capacity:
+            if not packing[j - 1] and cache.cum_weight.item(-1) + item_weight[j - 1] > inst.capacity:
                 continue
             if j not in memo:
                 memo[j] = delta_flip(inst, cache, j)
-            if memo[j] > GAIN_EPS:
-                flip(inst, cache, j)
+            if memo[j] > GAIN_EPS and _flip_if_fits(inst, cache, j):
                 memo.clear()
-                weight += w if turning_on else -w
                 improved = True
 
 
@@ -217,12 +217,14 @@ def _flip_bound(inst: Instance, cache: PrefixCache) -> tuple[float, float, float
 
         ub = (+-p -+ tw) + eta * (p + tw) + 3 * eta * R * L / v_min,
 
-    tw = R*nu*w*S[k0] and L the tour length (>= D), is therefore at least
-    the computed ``delta_flip``.  Returns (R*nu, eta, 3*eta*R*L/v_min).
+    tw = R*nu*w*S[k0] and L the tour length (>= D, both summed from the
+    tour's end), is at least the computed ``delta_flip``.  Returns (R*nu,
+    eta, 3*eta*R*L/v_min).
     """
     r = inst.renting_ratio
     eta = (inst.n + 10.0 * inst.v_max / inst.v_min) * 2.0**-52
-    return r * inst.weight_velocity_slope, eta, 3.0 * eta * r * float(cache.suffix_dist[0]) / inst.v_min
+    length = cache.leg_dist[::-1].cumsum().item(-1)  # as build_score_table sums suffixes
+    return r * inst.weight_velocity_slope, eta, 3.0 * eta * r * length / inst.v_min
 
 
 def _flip_ub(bound: tuple[float, float, float], p: float, w: float, slope: float, adding: bool) -> float:
@@ -248,7 +250,8 @@ def simulated_annealing_kp(
 ) -> None:
     """Simulated annealing over single-bit flips of ``cache.packing``.
 
-    Infeasible neighbours are rejected outright; improving flips are always
+    Infeasible neighbours are rejected outright, by the state's load before
+    and after the flip (``_flip_if_fits``); improving flips are always
     accepted, worsening ones with probability exp(delta / T).  Temperature
     cools geometrically; the run ends when T drops below a thousandth of the
     start temperature or the deadline passes.  ``cache`` ends holding the
@@ -268,7 +271,6 @@ def simulated_annealing_kp(
         return
     m, packing, capacity = inst.m, cache.packing, inst.capacity
     cur_gain = cache.gain(inst)
-    weight = sequential_sum(inst.weight[np.flatnonzero(packing)])
     changed: set[int] = set()  # 0-based items flipped since the best packing
     best_gain = cur_gain
     t0 = config.sa_t0 if config.sa_t0 is not None else max(0.05 * abs(cur_gain), 1.0)
@@ -281,7 +283,7 @@ def simulated_annealing_kp(
     bound = _flip_bound(inst, cache)
     load_line = capacity * (1.0 - 1e-9)
     pos = cache.position[inst.city - 1].tolist()  # SA never moves the tour
-    top, slope = cache.cum_weight.item(-1), _slopes(cache)
+    load, slope = cache.cum_weight.item(-1), _slopes(cache)
     # tiny instances repeat probes often
     memo: dict[int, float] = {}
     temp = t0
@@ -295,11 +297,11 @@ def simulated_annealing_kp(
                 j = getrandbits(bits)
             w = item_weight[j]
             turning_on = not packing[j]
-            if turning_on and weight + w > capacity:
+            if turning_on and load + w > capacity:
                 continue
             u, delta = None, memo.get(j)
             if delta is None:
-                if (top + w if turning_on else top) < load_line:
+                if (load + w if turning_on else load) < load_line:
                     ub = _flip_ub(bound, profit[j], w, slope[pos[j]], turning_on)
                     if ub <= 0:  # so delta <= 0 too: u is drawn either way
                         u = random()
@@ -308,18 +310,17 @@ def simulated_annealing_kp(
                 delta = memo[j] = delta_flip(inst, cache, j + 1)
             if not (delta > 0 or (random() if u is None else u) < exp(delta / temp)):
                 continue
-            flip(inst, cache, j + 1)
+            if not _flip_if_fits(inst, cache, j + 1):
+                continue
             memo.clear()
-            weight += w if turning_on else -w
             cur_gain += delta
             if cur_gain > best_gain + GAIN_EPS:
                 changed.clear()
                 best_gain = cur_gain
             else:
                 changed ^= {j}
-            top, slope = cache.cum_weight.item(-1), _slopes(cache)
+            load, slope = cache.cum_weight.item(-1), _slopes(cache)
         # resync against drift accumulated by adding up the flips' prices
         cur_gain = cache.gain(inst)
         temp *= config.sa_cooling
     _flip_back(inst, cache, changed)
-

@@ -51,7 +51,7 @@ def build_score_table(inst: Instance, cache: PrefixCache, alpha: float = DEFAULT
     score is a ``sequential_sum``, whose order of additions does not depend
     on the Python version, as the builtin ``sum``'s does from 3.12 on.
     """
-    suffix = cache.suffix_dist[cache.position[inst.city - 1]]
+    suffix = cache.leg_dist[::-1].cumsum()[::-1][cache.position[inst.city - 1]]
     speed = inst.v_max - inst.weight * inst.weight_velocity_slope
     with np.errstate(divide="ignore", invalid="ignore"):
         # a zero suffix divides a positive profit by zero: +inf

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import Optional
 
-from ttp.evaluate import Solution, build_prefix_cache
+from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache
 from ttp.instance import Instance
 from ttp.packing import SolverConfig, bit_flip_search, initial_picking_plan, simulated_annealing_kp
 from ttp.tour import delaunay_candidates, load_triangulation, nearest_neighbor_tour, two_opt_improve
@@ -85,7 +85,7 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
         prev = float("-inf")
         # improve the packing before touching the tour: with a thin initial
         # plan a tour-length descent would undo the restart diversification
-        while gain > prev + 1e-9:
+        while gain > prev + GAIN_EPS:
             prev = gain
             if config.use_sa:
                 simulated_annealing_kp(inst, cache, config, deadline, rng)
@@ -100,8 +100,6 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
             best_gain = gain
             best_sol = cache.solution()
         restart += 1
-        if config.max_restarts is None and _time.monotonic() >= deadline:
-            break
 
     assert best_sol is not None
     return RunRecord(

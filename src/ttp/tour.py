@@ -107,9 +107,10 @@ def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> Can
 
     EXPLICIT-distance instances (no coordinates) and degenerate point sets
     fall back to k-nearest-neighbour lists (k=8).  Duplicate coordinates are
-    perturbed deterministically by an index-scaled epsilon first.  Both
-    kinds of list are made mutual and sorted at once, with the distances
-    the table keeps (``_mutual_table``).  Once ``deadline`` (a
+    perturbed deterministically by an index-scaled epsilon first, and a
+    point that qhull still drops (``coplanar``) is joined to its nearest
+    vertex.  Both kinds of list are made mutual and sorted at once, with the
+    distances the table keeps (``_mutual_table``).  Once ``deadline`` (a
     ``time.monotonic()`` value) has passed, at any check, the table is
     empty: every city has a row, with no candidates in it.
     """
@@ -129,14 +130,16 @@ def delaunay_candidates(inst: Instance, deadline: Optional[float] = None) -> Can
     except QhullError:
         return _knn_candidates(inst, deadline=deadline)
     s = tri.simplices.astype(np.intp)
-    return _mutual_table(inst, s.ravel(), s[:, [1, 2, 0]].ravel(), deadline)
+    lone, near = tri.coplanar[:, [0, 2]].astype(np.intp).T  # (point, nearest vertex)
+    owner, to = np.concatenate((s.ravel(), lone)), np.concatenate((s[:, [1, 2, 0]].ravel(), near))
+    return _mutual_table(inst, owner, to, deadline)
 
 
 def _reverse(inst: Instance, cache: PrefixCache, a: int, b: int) -> None:
     """Apply the reversal of tour positions [a, b] (0-based, 1 <= a <= b) to
     ``cache`` in place: ``city_at`` and ``position`` over the segment,
-    ``leg_dist`` from a-1 to b, all of ``suffix_dist``, the loads and times
-    from a-1 on (``_retime``).  Distances are symmetric, so the legs inside
+    ``leg_dist`` from a-1 to b, and the loads and times from a-1 on
+    (``_retime``).  Distances are symmetric, so the legs inside
     the segment are the same numbers in reverse order.
 
     Past b the set of cities carried is unchanged, but the loads are summed
@@ -148,7 +151,6 @@ def _reverse(inst: Instance, cache: PrefixCache, a: int, b: int) -> None:
     legs[a:b] = legs[a:b][::-1].copy()
     legs[a - 1] = inst.distance(at.item(a - 1) + 1, at.item(a) + 1)
     legs[b] = inst.distance(at.item(b) + 1, at.item((b + 1) % inst.n) + 1)
-    cache.suffix_dist[:] = legs[::-1].cumsum()[::-1]
     _retime(inst, cache, a - 1)
 
 

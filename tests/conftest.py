@@ -111,3 +111,33 @@ def improved(inst: Instance, sol: Solution, improve, *args) -> Solution:
     cache = build_prefix_cache(inst, sol)
     improve(inst, cache, *args)
     return cache.solution()
+
+
+def drift_instance_text(rng: random.Random) -> str:
+    """A 4-city instance file with one item at each of cities 2..4, whose
+    float weights near 1e5 add up to different totals in different orders;
+    the capacity is the smallest of those totals, so a packing of all three
+    fits in some orders of addition and not in others.  Profits far above
+    the rent make every item worth picking."""
+    while True:
+        weights = [rng.uniform(0.9e5, 1.1e5) for _ in range(3)]
+        totals = {(weights[a] + weights[b]) + weights[c] for a, b, c in permutations(range(3))}
+        if len(totals) > 1:
+            break
+    coords = [(rng.randint(0, 100), rng.randint(0, 100)) for _ in range(4)]
+    homes = rng.sample(range(2, 5), 3)
+    return "\n".join([
+        "PROBLEM NAME: drift",
+        "KNAPSACK DATA TYPE: float weights",
+        "DIMENSION: 4",
+        "NUMBER OF ITEMS: 3",
+        f"CAPACITY OF KNAPSACK: {min(totals)!r}",
+        "MIN SPEED: 0.1",
+        "MAX SPEED: 1",
+        f"RENTING RATIO: {rng.uniform(0.01, 0.1)!r}",
+        "EDGE_WEIGHT_TYPE: CEIL_2D",
+        "NODE_COORD_SECTION (INDEX, X, Y):",
+        *(f"{i} {x} {y}" for i, (x, y) in enumerate(coords, 1)),
+        "ITEMS SECTION (INDEX, PROFIT, WEIGHT, ASSIGNED NODE NUMBER):",
+        *(f"{j} {rng.uniform(1e5, 2e5)!r} {w!r} {c}" for j, (w, c) in enumerate(zip(weights, homes), 1)),
+    ]) + "\n"

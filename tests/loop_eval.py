@@ -7,7 +7,9 @@ the tour, and per city in item order.  ``loop_score_table`` scores the
 items one at a time, as the picking plan's table did before it read the
 item arrays.  ``loop_simulated_annealing`` is the annealing loop that
 prices every probe, which the filtered loop must match decision for
-decision; ``loop_bit_flip_search`` likewise for the hill climber.
+decision; ``loop_bit_flip_search`` likewise for the hill climber.  Both
+decide whether an item fits by the load of ``reference_eval.ref_evaluate``,
+not by the state's.
 ``velocity_at`` is the velocity under one load, which
 ``ttp.evaluate.velocities`` computes over arrays.  ``loop_knn_candidates``
 sorts every row with a Python key, as the k-nearest candidate lists were
@@ -25,10 +27,12 @@ from random import Random
 import numpy as np
 
 from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, delta_flip, evaluate, flip
-from ttp.instance import Instance, sequential_sum
+from ttp.instance import Instance
 from ttp.packing import bit_flip_search, initial_picking_plan, simulated_annealing_kp
 from ttp.solver import RunRecord
 from ttp.tour import CandidateTable, delaunay_candidates, nearest_neighbor_tour, two_opt_improve
+
+from reference_eval import ref_evaluate
 
 
 def velocity_at(inst: Instance, cumulative_weight: float) -> float:
@@ -108,11 +112,18 @@ def loop_delta_flip(inst: Instance, tour: list[int], packing: list[int], item: i
     return sign * profit - inst.renting_ratio * dt
 
 
+def loop_suffix(inst: Instance, cache, city: int) -> float:
+    """The tour distance from ``city`` (1-based) back to city 1 under the
+    cache's tour, from the backward sum of ``loop_prefix_arrays``."""
+    arrays = loop_prefix_arrays(inst, cache.solution().tour, cache.packing)
+    return float(arrays["suffix_dist"][arrays["position"][city - 1]])
+
+
 def loop_item_score(inst: Instance, cache, item: int, alpha: float) -> float:
     """Score of item ``item`` (1-based) under the cache's tour:
     profit / (weight**alpha * suffix), +inf when the suffix distance is 0."""
     profit, weight, city = item_row(inst, item)
-    suffix = float(cache.suffix_dist[int(cache.position[city - 1])])
+    suffix = loop_suffix(inst, cache, city)
     if suffix == 0.0:
         return math.inf
     return profit / (weight ** alpha * suffix)
@@ -126,7 +137,7 @@ def loop_marginal_gain(inst: Instance, cache, item: int) -> float:
     v = inst.v_max - weight * inst.weight_velocity_slope
     if weight > inst.capacity or v <= 0:
         return -math.inf
-    suffix = float(cache.suffix_dist[int(cache.position[city - 1])])
+    suffix = loop_suffix(inst, cache, city)
     return profit - inst.renting_ratio * suffix / v
 
 
@@ -200,15 +211,17 @@ def loop_two_opt(inst: Instance, tour: list[int], packing: list[int], candidates
 
 def loop_simulated_annealing(inst: Instance, sol, params, rng, max_iters=None) -> list[int]:
     """The SA loop as it was before its flip bound: every feasible probe is
-    priced with ``delta_flip`` and drawn with ``rng.randint``.  With
-    ``max_iters`` the loop stops before its iteration ``max_iters + 1``, as
-    the annealer stops when its deadline passes, and returns the best
-    packing found so far."""
+    priced with ``delta_flip`` and drawn with ``rng.randint``.  An addition
+    is priced only while the load plus the item's weight fits, and undone
+    when the load after it does not, the load being ``ref_evaluate``'s,
+    taken again after every flip kept.  With ``max_iters`` the loop stops
+    before its iteration ``max_iters + 1``, as the annealer stops when its
+    deadline passes, and returns the best packing found so far."""
     cache = build_prefix_cache(inst, sol)
     if inst.m == 0:
         return cache.packing
     cur_gain = evaluate(inst, sol).gain
-    weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
+    load = ref_evaluate(inst, sol.tour, sol.packing)[3]
     best = list(sol.packing)
     best_gain = cur_gain
     t0 = params.sa_t0 if params.sa_t0 is not None else max(0.05 * abs(cur_gain), 1.0)
@@ -220,14 +233,17 @@ def loop_simulated_annealing(inst: Instance, sol, params, rng, max_iters=None) -
                 return best
             done += 1
             j = rng.randint(1, inst.m)
-            w = inst.weight.item(j - 1)
             turning_on = not cache.packing[j - 1]
-            if turning_on and weight + w > inst.capacity:
+            if turning_on and load + inst.weight.item(j - 1) > inst.capacity:
                 continue
             delta = delta_flip(inst, cache, j)
             if delta > 0 or rng.random() < math.exp(delta / temp):
                 flip(inst, cache, j)
-                weight += w if turning_on else -w
+                after = ref_evaluate(inst, sol.tour, cache.packing)[3]
+                if turning_on and after > inst.capacity:
+                    flip(inst, cache, j)
+                    continue
+                load = after
                 cur_gain += delta
                 if cur_gain > best_gain + GAIN_EPS:
                     best = list(cache.packing)
@@ -239,22 +255,26 @@ def loop_simulated_annealing(inst: Instance, sol, params, rng, max_iters=None) -
 
 def loop_bit_flip_search(inst: Instance, sol, rng) -> list[int]:
     """The bit-flip hill climber as it was before its memo: every feasible
-    probe is priced with ``delta_flip``."""
+    probe is priced with ``delta_flip``.  Additions fit as in
+    ``loop_simulated_annealing``, by ``ref_evaluate``'s load."""
     cache = build_prefix_cache(inst, sol)
-    weight = sequential_sum(inst.weight[np.flatnonzero(sol.packing)])
+    load = ref_evaluate(inst, sol.tour, sol.packing)[3]
     improved = True
     while improved:
         improved = False
         order = list(range(1, inst.m + 1))
         rng.shuffle(order)
         for j in order:
-            w = inst.weight.item(j - 1)
             turning_on = not cache.packing[j - 1]
-            if turning_on and weight + w > inst.capacity:
+            if turning_on and load + inst.weight.item(j - 1) > inst.capacity:
                 continue
             if delta_flip(inst, cache, j) > GAIN_EPS:
                 flip(inst, cache, j)
-                weight += w if turning_on else -w
+                after = ref_evaluate(inst, sol.tour, cache.packing)[3]
+                if turning_on and after > inst.capacity:
+                    flip(inst, cache, j)
+                    continue
+                load = after
                 improved = True
     return cache.packing
 
@@ -320,7 +340,7 @@ def loop_solve(inst: Instance, config) -> RunRecord:
         sol.packing = initial_picking_plan(inst, sol.tour, build_prefix_cache(inst, sol), config, deadline)
         gain = evaluate(inst, sol).gain
         prev = float("-inf")
-        while gain > prev + 1e-9:
+        while gain > prev + GAIN_EPS:
             prev = gain
             cache = build_prefix_cache(inst, sol)
             if config.use_sa:
@@ -337,7 +357,5 @@ def loop_solve(inst: Instance, config) -> RunRecord:
         if gain > best_gain:
             best_gain, best_sol = gain, Solution(list(sol.tour), list(sol.packing))
         restart += 1
-        if config.max_restarts is None and _time.monotonic() >= deadline:
-            break
     return RunRecord(inst.name, config.to_dict(), best_gain, best_sol.tour, best_sol.packing,
                      _time.monotonic() - start, trace)

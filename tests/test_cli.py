@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from ttp.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, drift_instance_text
 
 EXAMPLE = str(FIXTURES / "example5.ttp")
 
@@ -150,6 +151,20 @@ def test_pack_worked_example(tmp_path, capsys):
     assert data["packing"] == [0, 1, 1, 1]
     assert data["feasible"] is True
     assert data["gain"] == pytest.approx(2.596121799727314)
+
+
+def test_pack_keeps_the_load_in_tour_order_within_capacity(tmp_path, capsys):
+    # float weights whose sum in pick order fits where the sum in tour order
+    # does not: the plan is judged by the load evaluate reads
+    tour = tmp_path / "tour.txt"
+    tour.write_text("1 4 3 2\n")
+    rng = random.Random(19)
+    for _ in range(10):
+        instance = tmp_path / "drift.ttp"
+        instance.write_text(drift_instance_text(rng))
+        code, out, _ = run(capsys, "pack", str(instance), "--tour", str(tour))
+        assert code == 0
+        assert json.loads(out)["feasible"] is True
 
 
 # --- solve -------------------------------------------------------------------

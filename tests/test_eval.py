@@ -14,6 +14,8 @@ from ttp.evaluate import (
     velocities,
 )
 from ttp.instance import sequential_sum
+from ttp.packing import _flip_bound
+from ttp.scoring import build_score_table
 
 from conftest import float_instance, make_random_instance, random_solution
 from loop_eval import loop_city_weights, velocity_at
@@ -131,11 +133,15 @@ def test_overweight_packing_flagged_infeasible(example5):
     assert res.final_weight == 18
 
 
-def test_prefix_cache_suffix_distances(example5):
+def test_suffix_distances_summed_from_the_legs(example5):
+    # with alpha = 0 an item's score is its profit over its suffix distance
     cache = build_prefix_cache(example5, Solution([1, 2, 3, 4, 5], [0, 1, 1, 1]))
-    assert cache.suffix_dist[cache.position[2 - 1]] == 10
-    assert cache.suffix_dist[example5.n - 1] == example5.distance(5, 1)
-    assert cache.suffix_dist[0] == 11  # full cyclic tour length
+    scores = build_score_table(example5, cache, alpha=0.0).scores
+    # items 1..4 sit at cities 2..5, whose suffixes are 10, 5, 2 and d(5, 1) = 1
+    assert scores == (example5.profit / [10, 5, 2, example5.distance(5, 1)]).tolist()
+    # the annealer's bound reads the full cyclic tour length, 11
+    _, eta, slack = _flip_bound(example5, cache)
+    assert slack == 3.0 * eta * example5.renting_ratio * 11 / example5.v_min
 
 
 def test_prefix_cache_matches_recomputation():
@@ -156,7 +162,6 @@ def test_prefix_cache_matches_recomputation():
             assert cache.arrive_time[k] == pytest.approx(time)
             time += inst.distance(sol.tour[k], sol.tour[(k + 1) % inst.n]) / velocity_at(inst, carried)
         assert np.all(np.diff(cache.cum_weight) >= 0)
-        assert np.all(np.diff(cache.suffix_dist) <= 0)
 
 
 def test_delta_flip_hand_case(example5):

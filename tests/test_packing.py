@@ -8,7 +8,7 @@ import pytest
 import loop_eval
 import ttp.packing as packing_mod
 from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, delta_flip, evaluate
-from ttp.instance import EdgeWeightType, Instance
+from ttp.instance import EdgeWeightType, Instance, parse_instance
 from ttp.packing import (
     SolverConfig,
     bit_flip_search,
@@ -16,9 +16,12 @@ from ttp.packing import (
     initial_picking_plan,
     simulated_annealing_kp,
 )
+from ttp.solver import solve
 
-from conftest import brute_force_best_packing, float_instance, improved, make_random_instance, random_solution
+from conftest import (brute_force_best_packing, drift_instance_text, float_instance, improved,
+                      make_random_instance, random_solution)
 from loop_eval import loop_bit_flip_search, loop_simulated_annealing
+from reference_eval import ref_evaluate
 from test_state import assert_state_is_fresh
 
 
@@ -275,3 +278,27 @@ def test_sa_cut_by_its_deadline_hands_back_the_reference_best(monkeypatch):
     # the cut often falls where the current packing is not the best one, so
     # the items flipped since the best are flipped back
     assert sum(1 for size in undone if size) >= len(undone) // 3
+
+
+def test_every_stage_returns_a_packing_whose_tour_order_load_fits():
+    # a running sum of the picked weights, added in pick order, can fit the
+    # capacity where the load summed in tour order, which evaluate reads,
+    # exceeds it; every stage must keep to the load in tour order
+    rng = random.Random(19)
+    tour = [1, 4, 3, 2]
+    sa = dict(sa_t0=1.0, sa_cooling=0.5, sa_iters_per_temp=50)
+    for trial in range(30):
+        inst = parse_instance(drift_instance_text(rng))
+        empty = Solution(tour, [0] * inst.m)
+        results = [
+            (tour, plan_for(inst, tour)),
+            (tour, improved(inst, empty, bit_flip_search, None, random.Random(trial)).packing),
+            (tour, improved(inst, empty, simulated_annealing_kp, SolverConfig(**sa), None,
+                            random.Random(trial)).packing),
+        ]
+        for use_sa in (True, False):
+            rec = solve(inst, SolverConfig(max_restarts=1, tour_in=tour, use_sa=use_sa, seed=trial, **sa))
+            results.append((rec.best_tour, rec.best_packing))
+        for got_tour, packing in results:
+            assert evaluate(inst, Solution(got_tour, packing)).feasible, (trial, packing)
+            assert ref_evaluate(inst, got_tour, packing)[4], (trial, packing)

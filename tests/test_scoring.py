@@ -51,7 +51,7 @@ def test_marginal_gain_weightless_limit():
                     inst.v_min, inst.v_max, inst.renting_ratio, inst.edge_weight_type)
     sol = Solution(list(range(1, 6)), [0])
     cache = build_prefix_cache(inst, sol)
-    suffix = cache.suffix_dist[cache.position[2]]
+    suffix = inst.distance(3, 4) + inst.distance(4, 5) + inst.distance(5, 1)  # from item 1's city 3
     expect = 1000.0 - inst.renting_ratio * suffix / inst.v_max
     assert build_score_table(inst, cache).marginal[0] == pytest.approx(expect, rel=1e-6)
 
