@@ -65,6 +65,7 @@ def _solver_config(args) -> SolverConfig:
         seed=args.seed,
         use_sa=not args.bitflip,
         tour_in=_read_ints(args.tour_in) if args.tour_in else None,
+        max_restarts=args.max_restarts,
     )
 
 
@@ -357,6 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
         if tour_opt:
             p.add_argument("--tour", help="tour file (whitespace-separated permutation)")
 
+    def restarts_opt(p):
+        p.add_argument("--max-restarts", dest="max_restarts", type=int,
+                       help="stop after this many restarts (default: restart until --time)")
+
     def beta_opt(p):
         p.add_argument("--beta", type=_beta, default="auto",
                        help="phase-1 picking threshold in [0, 1], or auto (from the item factor)")
@@ -399,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bitflip", action="store_true", help="bit-flip hill climbing instead of SA")
     p.add_argument("--tour-in", dest="tour_in")
     p.add_argument("--json", help="write the full run record here")
+    restarts_opt(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="batch benchmark over an instance glob")
@@ -410,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     beta_opt(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-restarts", dest="max_restarts", type=int)
+    restarts_opt(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("rank", help="rank methods from run records or a summary CSV")

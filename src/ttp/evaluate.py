@@ -10,7 +10,8 @@ probe and discard them uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,16 +61,23 @@ class PrefixCache:
     ``inv_speed[k]`` one over the velocity under that load;
     ``arrive_time[k]`` the travel time accumulated upon arriving there;
     ``leg_dist[k]`` the distance from position k to the next (cyclically);
-    ``packing`` the picking plan, one 0/1 entry per item.  The knapsack load
-    is ``cum_weight[-1]``; distances to the tour's end are summed from
-    ``leg_dist`` by their readers.
+    ``packing`` the picking plan, one byte 0 or 1 per item, which reads as
+    a Python int.  The knapsack load is ``cum_weight[-1]``; distances to
+    the tour's end are summed from ``leg_dist`` by their readers.
 
     The state is the solution: its tour is ``city_at`` and its plan
-    ``packing``, and ``solution()`` copies both out.  ``flip`` and the 2-OPT
-    move update it in place.  The build and every update write the loads
-    and times through one routine, ``_retime``, from the first tour position
-    they change, so the state stays bit-identical to a fresh build, and
-    ``gain`` equals ``evaluate(...).gain`` of ``solution()``.
+    ``packing``, and ``solution()`` copies both out as lists.  ``flip`` and
+    the 2-OPT move update it in place.  The build and every update write the
+    loads and times from the first tour position they change, through one
+    routine, ``_retime``, or, on an instance with ``exact_loads``, by
+    shifting the loads by the flipped weight, so the state stays
+    bit-identical to a fresh build, and ``gain`` equals
+    ``evaluate(...).gain`` of ``solution()``.
+
+    ``probe`` is the one thing kept beyond the solution: on an instance with
+    ``exact_loads``, the last ``delta_flip`` leaves its 0-based item and the
+    suffix speeds and inverse speeds it priced, for ``flip`` of that item
+    to commit.  Every write to the state (``flip``, ``_retime``) drops it.
     """
 
     city_at: np.ndarray
@@ -80,7 +88,8 @@ class PrefixCache:
     arrive_time: np.ndarray
     leg_dist: np.ndarray
     total_time: float
-    packing: list[int]
+    packing: bytearray
+    probe: Optional[tuple[int, np.ndarray, np.ndarray]] = field(default=None, repr=False)
 
     def gain(self, inst: Instance) -> float:
         """The gain of this solution, as ``evaluate`` computes it."""
@@ -114,7 +123,7 @@ def velocities(inst: Instance, carried: np.ndarray) -> np.ndarray:
     return v
 
 
-def _profit(inst: Instance, packing: list[int]) -> float:
+def _profit(inst: Instance, packing: Sequence[int]) -> float:
     return sequential_sum(inst.profit[np.flatnonzero(packing)])
 
 
@@ -134,8 +143,8 @@ def evaluate(inst: Instance, sol: Solution) -> EvalResult:
 
 
 def build_prefix_cache(inst: Instance, sol: Solution) -> PrefixCache:
-    """The tour state of ``sol``, which it copies (the packing as Python
-    ints); raises ``ValueError`` when ``sol`` fails ``Solution.validate``.
+    """The tour state of ``sol``, which it copies (the packing as bytes);
+    raises ``ValueError`` when ``sol`` fails ``Solution.validate``.
 
     Legs come from ``_distances``, which equals ``Instance.distance``, and
     the picked weight per city is summed in item order.
@@ -156,7 +165,7 @@ def build_prefix_cache(inst: Instance, sol: Solution) -> PrefixCache:
         arrive_time=np.zeros(inst.n),
         leg_dist=_distances(inst, city_at, np.roll(city_at, -1)),
         total_time=0.0,
-        packing=list(map(int, sol.packing)),
+        packing=bytearray(map(int, sol.packing)),
     )
     _retime(inst, cache, 0)
     return cache
@@ -165,7 +174,8 @@ def build_prefix_cache(inst: Instance, sol: Solution) -> PrefixCache:
 def _retime(inst: Instance, cache: PrefixCache, k: int) -> None:
     """Rewrite ``cum_weight[k:]``, ``inv_speed[k:]``, ``arrive_time[k+1:]``
     and ``total_time`` from ``city_at``, ``city_weight`` and ``leg_dist``,
-    continuing from ``cum_weight[k-1]`` and ``arrive_time[k]``.
+    continuing from ``cum_weight[k-1]`` and ``arrive_time[k]``; drops the
+    kept probe.
 
     The loads and inverse speeds are accumulated straight into the views
     ``cum_weight[k:]`` and ``inv_speed[k:]``.  Every sum runs left to right
@@ -174,6 +184,7 @@ def _retime(inst: Instance, cache: PrefixCache, k: int) -> None:
     same floats in the same order as a walk over the whole tour, and the
     state equals a fresh ``build_prefix_cache`` bit for bit.
     """
+    cache.probe = None
     cum_weight = cache.cum_weight[k:]
     # every index is valid; "clip" spares the buffered copy of mode "raise"
     cache.city_weight.take(cache.city_at[k:], out=cum_weight, mode="clip")
@@ -182,6 +193,13 @@ def _retime(inst: Instance, cache: PrefixCache, k: int) -> None:
     np.add.accumulate(cum_weight, out=cum_weight)
     speed = velocities(inst, cum_weight)
     np.divide(1.0, speed, out=cache.inv_speed[k:])
+    _write_times(cache, k, speed)
+
+
+def _write_times(cache: PrefixCache, k: int, speed: np.ndarray) -> None:
+    """Rewrite ``arrive_time[k+1:]`` and ``total_time`` from the speeds
+    ``speed`` at positions k on, continuing from ``arrive_time[k]``;
+    ``speed`` is overwritten."""
     step = np.divide(cache.leg_dist[k:], speed, out=speed)
     step[0] += cache.arrive_time.item(k)  # 0.0 at k = 0, which changes no float
     np.add.accumulate(step, out=step)
@@ -191,17 +209,22 @@ def _retime(inst: Instance, cache: PrefixCache, k: int) -> None:
 
 def delta_flip(inst: Instance, cache: PrefixCache, item: int) -> float:
     """Gain change from flipping item ``item`` (1-based), in time proportional
-    to the tour suffix after the item's home city; ``cache`` is unchanged."""
+    to the tour suffix after the item's home city.  The state is unchanged,
+    but on an instance with ``exact_loads`` it keeps the suffix speeds and
+    inverse speeds priced here as its ``probe``, for ``flip`` to commit."""
     if not (1 <= item <= inst.m):
         raise IndexError(f"item index out of range: {item}")
     j = item - 1  # .item(j) reads a Python number, cheaper than a numpy scalar
     sign = -1.0 if cache.packing[j] else 1.0
     k0 = cache.position.item(inst.city.item(j) - 1)
-    inv = velocities(inst, cache.cum_weight[k0:] + sign * inst.weight.item(j))
-    np.divide(1.0, inv, out=inv)
-    np.subtract(inv, cache.inv_speed[k0:], out=inv)
-    np.multiply(cache.leg_dist[k0:], inv, out=inv)
-    dt = np.add.accumulate(inv, out=inv).item(-1)
+    load = cache.cum_weight[k0:] + sign * inst.weight.item(j)
+    speed = velocities(inst, load)
+    inv = np.divide(1.0, speed)
+    if inst.exact_loads:
+        cache.probe = (j, speed, inv)
+    step = np.subtract(inv, cache.inv_speed[k0:], out=load)
+    np.multiply(cache.leg_dist[k0:], step, out=step)
+    dt = np.add.accumulate(step, out=step).item(-1)
     return sign * inst.profit.item(j) - inst.renting_ratio * dt
 
 
@@ -210,18 +233,39 @@ def flip(inst: Instance, cache: PrefixCache, item: int) -> None:
     of the state up to date in place: ``city_weight`` at the item's city,
     then ``cum_weight``, ``inv_speed``, ``arrive_time`` and ``total_time``
     over the tour suffix from that city.  The tour fields are left as they
-    are."""
+    are, and the kept probe is dropped.
+
+    With ``exact_loads`` the loads are shifted by the item's weight, which
+    equals summing them afresh; and when the kept probe is this item's, its
+    speeds are the new ones, so they are committed, not computed again.
+    Otherwise the city's weight is summed afresh and ``_retime`` runs.
+    """
     if not (1 <= item <= inst.m):
         raise IndexError(f"item index out of range: {item}")
-    packing, weight = cache.packing, inst.weight
-    packing[item - 1] ^= 1
-    city = inst.city.item(item - 1)
-    # summed afresh in item order, left to right as sequential_sum and
-    # build_prefix_cache add, not adjusted by the flipped weight, which
-    # would leave a rounding residue
-    total = 0.0
-    for j in inst.city_items[city - 1]:
-        if packing[j]:
-            total += weight.item(j)
-    cache.city_weight[city - 1] = total
-    _retime(inst, cache, cache.position.item(city - 1))
+    j, packing = item - 1, cache.packing
+    packing[j] ^= 1
+    city = inst.city.item(j)
+    k = cache.position.item(city - 1)
+    if not inst.exact_loads:
+        # summed afresh in item order, left to right as sequential_sum and
+        # build_prefix_cache add, not adjusted by the flipped weight, which
+        # would leave a rounding residue
+        total, weight = 0.0, inst.weight
+        for i in inst.city_items[city - 1]:
+            if packing[i]:
+                total += weight.item(i)
+        cache.city_weight[city - 1] = total
+        _retime(inst, cache, k)
+        return
+    w = inst.weight.item(j) if packing[j] else -inst.weight.item(j)
+    cache.city_weight[city - 1] += w
+    load = cache.cum_weight[k:]
+    np.add(load, w, out=load)
+    probe, cache.probe = cache.probe, None
+    if probe is not None and probe[0] == j:
+        _, speed, inv = probe
+        cache.inv_speed[k:] = inv
+    else:
+        speed = velocities(inst, load)
+        np.divide(1.0, speed, out=cache.inv_speed[k:])
+    _write_times(cache, k, speed)

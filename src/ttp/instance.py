@@ -45,6 +45,12 @@ class Instance:
     nonnegative and exactly symmetric: an EXPLICIT matrix equals its
     transpose bit for bit.  Two instances are equal only if they are the
     same object.
+
+    ``weight_velocity_slope`` is the velocity lost per unit of carried
+    weight, (v_max - v_min) / capacity.  ``exact_loads`` says that every
+    weight is an integer and their total is below 2**53: then every sum of
+    weights, in any order, is that exact integer, so a load shifted by one
+    weight equals the same load summed afresh bit for bit.
     """
 
     name: str
@@ -61,6 +67,8 @@ class Instance:
     edge_weight_type: EdgeWeightType = EdgeWeightType.CEIL_2D
     explicit_dist: Optional[np.ndarray] = None
     city_items: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    weight_velocity_slope: float = field(init=False, repr=False)
+    exact_loads: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("profit", "weight", "city"):
@@ -92,6 +100,11 @@ class Instance:
         empty = np.flatnonzero((self.profit <= 0) | (self.weight <= 0))
         if empty.size:
             raise ValueError(f"item {empty[0] + 1} must have positive profit and weight")
+        object.__setattr__(self, "weight_velocity_slope", (self.v_max - self.v_min) / self.capacity)
+        # of positive whole weights, the computed total is below 2**53 just
+        # when the exact one is, as every partial sum below 2**53 is exact
+        whole = bool((self.weight == np.floor(self.weight)).all())
+        object.__setattr__(self, "exact_loads", whole and sequential_sum(self.weight) < 2.0**53)
         if self.edge_weight_type is EdgeWeightType.EXPLICIT:
             d = self.explicit_dist
             if d is None or d.shape != (self.n, self.n):
@@ -106,11 +119,6 @@ class Instance:
             raise ValueError("coordinate instances need an n x 2 coordinate array")
         if self.coords is not None and self.coords.shape != (self.n, 2):
             raise ValueError("coordinates must be an n x 2 array")
-
-    @property
-    def weight_velocity_slope(self) -> float:
-        """Velocity lost per unit of carried weight: (v_max - v_min) / W."""
-        return (self.v_max - self.v_min) / self.capacity
 
     def distance(self, i: int, j: int) -> float:
         """Distance between cities ``i`` and ``j`` (1-based ids)."""

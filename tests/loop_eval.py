@@ -219,7 +219,7 @@ def loop_simulated_annealing(inst: Instance, sol, params, rng, max_iters=None) -
     deadline passes, and returns the best packing found so far."""
     cache = build_prefix_cache(inst, sol)
     if inst.m == 0:
-        return cache.packing
+        return list(cache.packing)
     cur_gain = evaluate(inst, sol).gain
     load = ref_evaluate(inst, sol.tour, sol.packing)[3]
     best = list(sol.packing)
@@ -276,7 +276,7 @@ def loop_bit_flip_search(inst: Instance, sol, rng) -> list[int]:
                     continue
                 load = after
                 improved = True
-    return cache.packing
+    return list(cache.packing)
 
 
 def loop_knn_candidates(inst: Instance, k: int = 8) -> dict:

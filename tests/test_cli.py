@@ -171,7 +171,8 @@ def test_pack_keeps_the_load_in_tour_order_within_capacity(tmp_path, capsys):
 
 def test_solve_smoke(tmp_path, capsys):
     record = tmp_path / "record.json"
-    code, out, _ = run(capsys, "solve", EXAMPLE, "--time", "3",
+    # the budget is far above two restarts' work, so they decide the gain
+    code, out, _ = run(capsys, "solve", EXAMPLE, "--time", "60", "--max-restarts", "2",
                        "--seed", "0", "--json", str(record))
     data = json.loads(out)
     assert code == 0
@@ -181,9 +182,23 @@ def test_solve_smoke(tmp_path, capsys):
     assert sorted(full["best_tour"]) == [1, 2, 3, 4, 5]
 
 
+def test_solve_max_restarts_fixes_the_work(tmp_path, capsys):
+    records = []
+    for k in range(2):
+        record = tmp_path / f"record{k}.json"
+        code, out, _ = run(capsys, "solve", EXAMPLE, "--time", "60", "--max-restarts", "3",
+                           "--seed", "4", "--json", str(record))
+        assert code == 0 and json.loads(out)["restarts"] == 3
+        full = json.loads(record.read_text())
+        records.append([full[key] for key in ("best_gain", "best_tour", "best_packing")])
+    assert records[0] == records[1]
+    code, out, err = run(capsys, "solve", EXAMPLE, "--max-restarts", "0")
+    assert code == 1 and "max_restarts must be at least 1" in err and out == ""
+
+
 def test_solve_record_validates_against_the_schema(tmp_path, capsys):
     record = tmp_path / "record.json"
-    code, _, _ = run(capsys, "solve", EXAMPLE, "--time", "1", "--beta", "0.5",
+    code, _, _ = run(capsys, "solve", EXAMPLE, "--time", "60", "--max-restarts", "2", "--beta", "0.5",
                      "--json", str(record))
     assert code == 0
     schema = json.loads((Path(__file__).parents[1] / "schemas" / "runrecord.schema.json").read_text())
@@ -199,7 +214,7 @@ def test_solve_tour_in_not_a_permutation_is_a_usage_error(tmp_path, capsys):
 
 
 def test_solve_bitflip_smoke(capsys):
-    code, out, _ = run(capsys, "solve", EXAMPLE, "--time", "2", "--bitflip")
+    code, out, _ = run(capsys, "solve", EXAMPLE, "--time", "60", "--max-restarts", "2", "--bitflip")
     assert code == 0
     assert json.loads(out)["gain"] >= 0.0
 

@@ -273,7 +273,7 @@ def test_sa_cut_by_its_deadline_hands_back_the_reference_best(monkeypatch):
             monkeypatch.setattr(packing_mod, "_time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
             cache = build_prefix_cache(inst, sol)
             simulated_annealing_kp(inst, cache, config, stop, random.Random(trial))
-            assert cache.packing == loop_simulated_annealing(inst, sol, config, random.Random(trial), stop)
+            assert list(cache.packing) == loop_simulated_annealing(inst, sol, config, random.Random(trial), stop)
             assert_state_is_fresh(inst, cache)
     # the cut often falls where the current packing is not the best one, so
     # the items flipped since the best are flipped back

@@ -48,7 +48,7 @@ def test_solve_reaches_exhaustive_optimum_on_fixture(example5):
 
 def test_solve_no_items():
     inst = make_random_instance(random.Random(2), 6, 0)
-    rec = solve(inst, SolverConfig(time_budget=2.0))
+    rec = solve(inst, SolverConfig(time_budget=60.0, max_restarts=2))
     assert rec.best_packing == []
     # gain is just minus the rent of the best tour found
     res = evaluate(inst, Solution(rec.best_tour, []))

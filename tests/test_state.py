@@ -13,6 +13,7 @@ import types
 import numpy as np
 import pytest
 
+import ttp.evaluate as evaluate_mod
 import ttp.packing as packing_mod
 import ttp.tour as tour_mod
 from ttp.evaluate import Solution, build_prefix_cache, delta_flip, evaluate, flip
@@ -20,7 +21,7 @@ from ttp.instance import EdgeWeightType, Instance, _distances
 from ttp.packing import SolverConfig, bit_flip_search, initial_picking_plan, simulated_annealing_kp
 from ttp.tour import delaunay_candidates, two_opt_improve
 
-from conftest import float_instance, random_solution
+from conftest import columns, float_instance, make_random_instance, random_solution
 from loop_eval import lists_table, loop_delta_flip, loop_prefix_arrays, loop_time_after_reversal
 
 ARRAYS = ("city_at", "position", "city_weight", "cum_weight", "inv_speed",
@@ -33,7 +34,7 @@ def assert_state_is_fresh(inst: Instance, cache) -> None:
     for name in ARRAYS:
         assert np.array_equal(getattr(cache, name), getattr(fresh, name)), name
     assert cache.total_time == fresh.total_time
-    assert cache.packing == fresh.packing == sol.packing
+    assert list(cache.packing) == list(fresh.packing) == sol.packing
     assert cache.gain(inst) == evaluate(inst, sol).gain
 
 
@@ -91,10 +92,109 @@ def test_state_holds_its_packing_as_python_ints(example5, zero, one):
     assert_state_is_fresh(example5, cache)
     flip(example5, cache, 1)
     flip(example5, cache, 2)
+    # the state's entries read as Python ints; its solution copies them to a list
+    assert [cache.packing[j] for j in range(4)] == [1, 0, 0, 1]
+    assert all(type(z) is int for z in cache.packing)
     packing = cache.solution().packing
+    assert type(packing) is list
     assert packing == [1, 0, 0, 1] and all(type(z) is int for z in packing)
     assert json.dumps(packing) == "[1, 0, 0, 1]"
     assert_state_is_fresh(example5, cache)
+
+
+def integer_instance(rng: random.Random, n: int, per_city: int, explicit: bool) -> Instance:
+    """Random instance with ``per_city`` items at each of cities 2..n and
+    integer weights, so its loads are exact (``Instance.exact_loads``)."""
+    rows = [(rng.uniform(1, 100), rng.randint(1, 50), c) for c in range(2, n + 1) for _ in range(per_city)]
+    capacity = rng.uniform(0.2, 0.7) * sum(w for _, w, _ in rows)
+    return dataclasses.replace(float_instance(rng, n, 0, explicit), m=len(rows), **columns(rows), capacity=capacity)
+
+
+def commits_over_random_steps(monkeypatch, rng: random.Random, inst: Instance, steps: int) -> int:
+    """Random steps on a state of ``inst``, each checked against a fresh
+    build: a probe; a flip of the item probed last; a flip of another item;
+    or a probe, a 2-OPT move over the probed city's position and a flip of
+    the probed item.  A flip commits a probe when it makes no ``velocities``
+    call, and it must do so just when the instance has exact loads and the
+    probe is of that item, with no write to the state since.  Returns the
+    number of commits."""
+    real, calls = evaluate_mod.velocities, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(evaluate_mod, "velocities", counting)
+    cache = build_prefix_cache(inst, random_solution(rng, inst, feasible=False))
+    probed, kept, commits = 1, False, 0  # kept: no write since the last probe
+
+    def probe(j):
+        nonlocal probed, kept
+        price = delta_flip(inst, cache, j)
+        assert price == loop_delta_flip(inst, cache.solution().tour, list(cache.packing), j)
+        probed, kept = j, True
+
+    def flipped(j):
+        nonlocal kept, commits
+        before = calls[0]
+        flip(inst, cache, j)
+        committed = calls[0] == before
+        assert committed == (inst.exact_loads and kept and j == probed)
+        kept, commits = False, commits + committed
+
+    for _ in range(steps):
+        step = rng.randrange(4)
+        if step == 0:
+            probe(rng.randint(1, inst.m))
+        elif step == 1:
+            flipped(probed)
+        elif step == 2:
+            flipped(rng.choice([j for j in range(1, inst.m + 1) if j != probed]))
+        else:
+            probe(rng.randint(1, inst.m))
+            k = cache.position.item(inst.city.item(probed - 1) - 1)
+            a = rng.randint(1, min(k, inst.n - 2))
+            tour_mod._reverse(inst, cache, a, rng.randint(max(k, a + 1), inst.n - 1))
+            kept = False
+            assert_state_is_fresh(inst, cache)
+            flipped(probed)
+        assert_state_is_fresh(inst, cache)
+    return commits
+
+
+@pytest.mark.parametrize("per_city", [1, 5, 10])
+@pytest.mark.parametrize("explicit", [False, True])
+def test_flip_commits_the_probe_it_priced_on_exact_loads(monkeypatch, explicit, per_city):
+    rng = random.Random(83 + 2 * per_city + explicit)
+    commits = 0
+    for _ in range(8):
+        inst = integer_instance(rng, rng.randint(3, 12), per_city, explicit)
+        assert inst.exact_loads and inst.m >= 2
+        commits += commits_over_random_steps(monkeypatch, rng, inst, 40)
+    assert commits > 0
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_flip_commits_no_probe_on_float_weights(monkeypatch, explicit):
+    rng = random.Random(89 + explicit)
+    commits = 0
+    for _ in range(8):
+        inst = float_instance(rng, rng.randint(3, 12), rng.randint(2, 30), explicit)
+        assert not inst.exact_loads
+        commits += commits_over_random_steps(monkeypatch, rng, inst, 40)
+    assert commits == 0
+
+
+def test_exact_loads_needs_whole_weights_summing_below_2_to_the_53():
+    inst = make_random_instance(random.Random(97), 6, 9)
+    assert inst.exact_loads and inst.weight_velocity_slope == (inst.v_max - inst.v_min) / inst.capacity
+    halved = inst.weight.copy()
+    halved[4] = 0.5
+    assert not dataclasses.replace(inst, weight=halved).exact_loads
+    for top in (2.0**52 - 1, 2.0**52):  # a total of 2**53 - 1, then 2**53
+        big = dataclasses.replace(inst, m=2, profit=[1.0, 1.0], weight=[2.0**52, top], city=[2, 3], capacity=4.0)
+        assert big.exact_loads == (top < 2.0**52)
+        assert big.weight_velocity_slope == (big.v_max - big.v_min) / 4.0
 
 
 @pytest.mark.parametrize("explicit", [False, True])
@@ -177,7 +277,7 @@ def test_two_opt_accepted_moves_keep_state(monkeypatch):
         given = build_prefix_cache(inst, sol)
         two_opt_improve(inst, given, delaunay_candidates(inst), None)
         assert_state_is_fresh(inst, given)
-        assert given.packing == sol.packing
+        assert list(given.packing) == sol.packing
     assert len(accepted) > 20
 
 
@@ -231,7 +331,7 @@ def test_plan_hands_back_its_phase_1_state(monkeypatch):
     given = build_prefix_cache(inst, Solution(tour, [0, 0]))
     assert initial_picking_plan(inst, tour, given, SolverConfig(beta=0.0)) == [1, 0]
     assert evaluate(inst, Solution(tour, [1, 0])).gain > evaluate(inst, Solution(tour, [1, 1])).gain
-    assert given.packing == [1, 0]
+    assert list(given.packing) == [1, 0]
     assert_state_is_fresh(inst, given)
 
 
@@ -257,7 +357,7 @@ def test_improvers_hand_back_the_state_at_their_deadline(monkeypatch, stop):
     ticks = iter(range(1000))
     given = build_prefix_cache(inst, Solution(sol.tour, [0] * inst.m))
     plan = initial_picking_plan(inst, sol.tour, given, SolverConfig(beta=0.0), stop)
-    assert given.packing == plan
+    assert list(given.packing) == plan
     assert_state_is_fresh(inst, given)
 
 
