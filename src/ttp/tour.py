@@ -264,6 +264,91 @@ def _times_after_reversals(
     return step.cumsum(axis=1)[:, -1]
 
 
+def _reversal_bounds(
+    inst: Instance,
+    cache: PrefixCache,
+    a: np.ndarray,
+    b: np.ndarray,
+    first: np.ndarray,
+    last: np.ndarray,
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Bounds (lower, upper, margin) on the travel-time change of every
+    probe, for a state on an instance with ``exact_loads`` whose final load
+    is below capacity.  The walk of ``_times_after_reversals`` minus
+    ``total_time`` lies in [lower - margin, upper + margin], and the two
+    decisions of ``_first_packed_move`` taken on them are those of the walk.
+    None when the speeds are too far apart for the proof below (eta).
+
+    The change.  Reversing positions [a, b] leaves every load before a and
+    after b as it was: the loads are exact integers, so their sums do not
+    depend on the order of addition.  With W = ``cum_weight``, f(x) =
+    1/(v_max - nu*x) the inverse speed (nu = ``weight_velocity_slope``),
+    A = W[a-1] and B = W[b], the change is, in real arithmetic,
+
+        first*f(A) + last*f(B) - (arrive[b+1] - arrive[a-1]) + I,
+        I = sum_{j=a}^{b-1} leg[j] * f(A + B - W[j]),
+
+    arrive[n] being ``total_time``.  Every argument of f in I lies in
+    [A, B], and f is convex on [0, C).  With P = sum leg[j] and Q = sum
+    leg[j]*W[j] over j = a .. b-1, both from prefix sums over the tour:
+
+        chord:   I <= P*f(A) + nu*f(A)*f(B) * (B*P - Q),
+        tangent: I >= P*f(x0) + nu*f(x0)**2 * ((A + B - x0)*P - Q),
+
+    the chord as (f(B) - f(A)) / (B - A) = nu*f(A)*f(B), the tangent at any
+    x0 in [A, B] by convexity.  x0 is the mean argument A + B - Q/P rounded
+    to a whole load, so the tangent is Jensen's bound P*f(mean) up to a term
+    of second order, while its validity does not depend on how x0 was
+    computed; x0, B - x0 and B - x0 + A are exact integers.
+
+    Rounding.  Let u = 2**-53, k = v_max/v_min > 1, L the tour length,
+    Lam = (L + first + last)/v_min, which bounds the old and the new total
+    time and every part of either, and kappa = nu*W[n-1]/v_min < k.  A
+    computed speed of a load in [0, C) is within (3k + 1)u of the real one,
+    relative (the clamp of ``velocities`` only moves it closer), so an
+    inverse speed, or a leg over a speed, is within (3k + 3)u.  To first
+    order in u:
+
+    * ``total_time``, the walk's total and each ``arrive_time`` are left to
+      right sums of at most n such nonnegative terms, each within
+      (n + 3k + 2)u*Lam; that is 2(n + 3k + 2)u*Lam on total minus walk and
+      (2n + 6k + 5)u*Lam on the old segment's time;
+    * first*f(A) and last*f(B) are within (3k + 4)u*Lam together, and the
+      two sums that join them to the old time within 4u*Lam;
+    * P and Q are within (2n + 1)u*L and (2n + 3)u*L*W[n-1].  A bound's
+      coefficient nu*f*f is within (6k + 10)u and at most nu/v_min**2, and
+      |B*P - Q| and |(A + B - x0)*P - Q| are at most P*(B - A), so each
+      bound on I is within (2n + 3k + 6)u*Lam + (4n + 6k + 18)u*kappa*Lam,
+      and the sum that adds it to the rest within (3 + kappa)u*Lam;
+    * a decision compares R*(margin - lower) or R*(-upper - margin) with
+      GAIN_EPS.  Rounding is monotone, so it is the walk's once the bound
+      clears the walk's change by u*(margin + (3 + kappa)*Lam) more.
+
+    As k > 1 and kappa < k, the sum is below k(10n + 6k + 67)u*Lam +
+    u*margin.  The margin is eta*Lam with eta = k(10n + 6k + 67) * 2**-52,
+    twice that first term, which covers u*margin, the terms of second order
+    and the rounding of the margin itself while eta < 2**-10.
+    """
+    k = inst.v_max / inst.v_min
+    eta = k * (10.0 * inst.n + 6.0 * k + 67.0) * 2.0**-52
+    if eta >= 2.0**-10:
+        return None
+    nu, weight, inv = inst.weight_velocity_slope, cache.cum_weight, cache.inv_speed
+    dist = np.concatenate(([0.0], cache.leg_dist.cumsum()))  # the legs before each position
+    moment = np.concatenate(([0.0], (cache.leg_dist * weight).cumsum()))
+    arrive = np.append(cache.arrive_time, cache.total_time)
+    lo_load, hi_load, f_lo, f_hi = weight[a - 1], weight[b], inv[a - 1], inv[b]
+    span = dist[b] - dist[a]
+    moved = moment[b] - moment[a]
+    mean = lo_load + hi_load - np.divide(moved, span, out=np.zeros_like(span), where=span > 0)
+    x0 = np.clip(np.rint(mean), lo_load, hi_load)
+    f0 = 1.0 / (inst.v_max - x0 * nu)
+    ends = first * f_lo + last * f_hi - (arrive[b + 1] - arrive[a - 1])
+    lower = ends + (span * f0 + nu * f0 * f0 * ((hi_load - x0 + lo_load) * span - moved))
+    upper = ends + (span * f_lo + nu * f_lo * f_hi * (hi_load * span - moved))
+    return lower, upper, (eta / inst.v_min) * (dist[-1] + first + last)
+
+
 # Elements per chunk of a packed pass: chunks are large enough to spread
 # numpy's fixed cost per call over many probes and small enough to stay in
 # cache, and a pass that finds a move early prices few probes past it.
@@ -273,27 +358,50 @@ _CHUNK_ELEMENTS = 2**15
 def _first_packed_move(
     inst: Instance, cache: PrefixCache, table: CandidateTable, deadline: Optional[float]
 ) -> Optional[tuple[int, int]]:
-    """The first improving probe in scan order, priced in chunks of probes by
-    ``_times_after_reversals``; None when there is none or the deadline
-    passes.
+    """The first improving probe in scan order; None when there is none or
+    the deadline passes.
 
-    Chunks start at 8 probes and double, each capped at ``_CHUNK_ELEMENTS``
-    elements (at least one probe); the deadline is checked before each.
+    A probe improves when R*(``total_time`` - its walk's time) > GAIN_EPS,
+    R the renting ratio.  On an instance with ``exact_loads`` and a final
+    load below capacity, one numpy step bounds every probe's time change
+    (``_reversal_bounds``).  The bounds reject every probe with
+    R*(margin - lower) <= GAIN_EPS, and take the first probe left without
+    its walk when R*(-upper - margin) > GAIN_EPS.  Only the probes left
+    before it are walked by ``_times_after_reversals``; elsewhere every
+    probe is.  Either way the pass returns the probe of a probe-by-probe
+    walk.
+
+    The walked probes go in chunks that start at 8 probes and double, each
+    capped at ``_CHUNK_ELEMENTS`` elements (at least one probe); the
+    deadline is checked before the pass and before each chunk.
     """
+    if _past(deadline):
+        return None
     a, b, first, last = _probes(inst, cache, table)
+    walk, stop = np.arange(a.size), a.size  # the probes left, and how many to walk
+    in_scope = inst.exact_loads and cache.cum_weight.item(-1) < inst.capacity
+    bounds = _reversal_bounds(inst, cache, a, b, first, last) if in_scope else None
+    if bounds is not None:
+        lower, upper, margin = bounds
+        r = inst.renting_ratio
+        walk = np.flatnonzero(r * (margin - lower) > GAIN_EPS)
+        sure = np.flatnonzero(r * (-upper[walk] - margin[walk]) > GAIN_EPS)
+        stop = int(sure[0]) if sure.size else walk.size
     done, rows = 0, 8
-    while done < a.size:
+    while done < stop:
         if _past(deadline):
             return None
-        cols = inst.n - int(a[done]) + 1  # of a chunk starting at this probe
-        end = min(a.size, done + max(1, min(rows, _CHUNK_ELEMENTS // cols)))
-        chunk = slice(done, end)
+        cols = inst.n - int(a[walk[done]]) + 1  # of a chunk starting at this probe
+        end = min(stop, done + max(1, min(rows, _CHUNK_ELEMENTS // cols)))
+        chunk = walk[done:end]
         times = _times_after_reversals(inst, cache, a[chunk], b[chunk], first[chunk], last[chunk])
         # the gain change is -R * (time change); with R = 0 nothing improves
         improving = np.flatnonzero(inst.renting_ratio * (cache.total_time - times) > GAIN_EPS)
         if improving.size:
-            return int(a[done + improving[0]]), int(b[done + improving[0]])
+            return int(a[chunk[improving[0]]]), int(b[chunk[improving[0]]])
         done, rows = end, 2 * rows
+    if stop < walk.size:
+        return int(a[walk[stop]]), int(b[walk[stop]])
     return None
 
 
@@ -313,9 +421,11 @@ def two_opt_improve(
 
     With nothing picked and exact travel times (``_exact_length_steps``),
     each pass prices every probe at once by its length change
-    (``_first_length_move``) and checks the deadline once; otherwise it
-    walks the reversed tours in chunks of probes (``_first_packed_move``).
-    Both accept the moves of a probe-by-probe walk.
+    (``_first_length_move``) and checks the deadline once.  Otherwise it
+    runs the packed pass (``_first_packed_move``): below capacity on
+    whole weights, an O(1) load interval per probe decides most probes, and
+    the reversed tours of the rest are walked in chunks of probes.  Both
+    accept the moves of a probe-by-probe walk.
     """
     lengths_only = not cache.cum_weight.any() and _exact_length_steps(inst)
     while True:

@@ -37,7 +37,7 @@ def test_config_validation():
 
 def test_solve_reaches_exhaustive_optimum_on_fixture(example5):
     opt = brute_force_best_solution(example5)
-    rec = solve(example5, SolverConfig(time_budget=5.0, seed=0))
+    rec = solve(example5, SolverConfig(time_budget=600.0, seed=0, max_restarts=4))
     assert rec.best_gain == pytest.approx(opt, rel=1e-9)
     sol = Solution(rec.best_tour, rec.best_packing)
     sol.validate(example5)

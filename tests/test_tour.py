@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -400,18 +401,23 @@ def test_candidate_table_rows_equal_the_lists(kind):
         assert_table_rows(inst, table, expect)
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Counts the calls of the function ``name`` of ``ttp.tour``."""
+    real = getattr(tour_mod, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tour_mod, name, counting)
+    return calls
+
+
 def count_probe_walks(monkeypatch) -> list:
     """Counts the calls of the batched walk of reversed tours, which only the
     packed pass makes."""
-    real = tour_mod._times_after_reversals
-    walks = []
-
-    def counting(*args):
-        walks.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(tour_mod, "_times_after_reversals", counting)
-    return walks
+    return count_calls(monkeypatch, "_times_after_reversals")
 
 
 # (kind, v_max, renting ratio or None for random, whether travel times are exact)
@@ -434,6 +440,7 @@ LENGTH_CASES = [
 def test_empty_knapsack_descent_matches_the_probe_loop(monkeypatch, kind, v_max, r, exact):
     assert 5e-10 * 2 <= GAIN_EPS < 5e-10 * 3
     walks = count_probe_walks(monkeypatch)
+    passes = count_calls(monkeypatch, "_first_packed_move")
     rng = random.Random(f"{kind} {v_max} {r}")
     moved = 0
     for k in range(5):
@@ -445,9 +452,16 @@ def test_empty_knapsack_descent_matches_the_probe_loop(monkeypatch, kind, v_max,
         assert improved(inst, sol, two_opt_improve, cand, None).tour == expect
         moved += expect != sol.tour
     assert moved == 0 if r == 0.0 else moved > 0
-    # exact times are priced by their length change; the others walk the
-    # reversed tours
-    assert (len(walks) == 0) if exact else (len(walks) > 0)
+    # exact times are priced by their length change; the others take the
+    # packed pass.  On an empty knapsack its load interval is exact up to
+    # rounding, so it walks only the probes whose gain lies within its
+    # margin of GAIN_EPS, which the float distances give
+    if exact:
+        assert len(passes) == len(walks) == 0
+    else:
+        assert passes
+        if kind == "explicit-float":
+            assert walks
 
 
 def test_empty_knapsack_descent_matches_the_probe_loop_on_larger_tours(monkeypatch):
@@ -515,6 +529,110 @@ def test_packed_descent_past_its_deadline_returns_the_input_tour():
     assert loop_two_opt(inst, sol.tour, sol.packing, table_lists(cand)) != sol.tour
     out = improved(inst, sol, two_opt_improve, cand, time.monotonic())
     assert out.tour == sol.tour and out.packing == sol.packing
+
+
+# --- the load interval of the packed pass -------------------------------------
+
+def item_instance(rng, kind, n, per_city, v_max=1.0, r=None):
+    """``length_instance`` with ``per_city`` items of whole weights at every
+    city but the first, and a capacity of 30 to 80 % of their total."""
+    inst = length_instance(rng, kind, n, v_max, r)
+    rows = [(rng.randint(10, 100), rng.randint(1, 60), c) for c in range(2, n + 1) for _ in range(per_city)]
+    capacity = float(round(rng.uniform(0.3, 0.8) * sum(w for _, w, _ in rows)))
+    return dataclasses.replace(inst, m=len(rows), **columns(rows), capacity=capacity)
+
+
+def descend_checking_each_pass(monkeypatch, inst, sol, table, counts):
+    """The packed descent from ``sol``, each pass checked against a walk of
+    every probe: the pass takes the walk's first improving probe, or None.
+
+    Below capacity every time change lies within the bounds widened by the
+    margin, no rejected probe improves and every sure one does; ``counts``
+    gains the probes rejected up to each move, the moves taken without a
+    walk, the rows walked, and the probes whose gain R * (-change) lies
+    within R * margin of GAIN_EPS ("close").  At or over capacity the pass
+    walks every probe up to its move.  Returns the tour the descent ends
+    on."""
+    real = tour_mod._times_after_reversals
+    rows = []
+    monkeypatch.setattr(tour_mod, "_times_after_reversals", lambda *args: rows.append(args[2].size) or real(*args))
+    cache = build_prefix_cache(inst, sol)
+    r = inst.renting_ratio
+    while True:
+        a, b, first, last = tour_mod._probes(inst, cache, table)
+        times = real(inst, cache, a, b, first, last)
+        improving = r * (cache.total_time - times) > GAIN_EPS
+        hit = np.flatnonzero(improving)
+        scanned = int(hit[0]) + 1 if hit.size else a.size
+        rows.clear()
+        move = tour_mod._first_packed_move(inst, cache, table, None)
+        assert move == ((int(a[hit[0]]), int(b[hit[0]])) if hit.size else None)
+        if cache.cum_weight[-1] < inst.capacity:
+            lower, upper, margin = tour_mod._reversal_bounds(inst, cache, a, b, first, last)
+            change = times - cache.total_time
+            assert (lower - margin <= change).all() and (change <= upper + margin).all()
+            rejected = r * (margin - lower) <= GAIN_EPS
+            sure = r * (-upper - margin) > GAIN_EPS
+            assert not improving[rejected].any() and improving[sure].all()
+            counts["rejected"] += int(rejected[:scanned].sum())
+            counts["sure"] += bool(hit.size and sure[hit[0]])
+            counts["walked"] += sum(rows)
+            counts["close"] += int((abs(r * (cache.total_time - times) - GAIN_EPS) <= r * margin).sum())
+        else:
+            assert sum(rows) >= scanned
+        if move is None:
+            return (cache.city_at + 1).tolist()
+        tour_mod._reverse(inst, cache, *move)
+
+
+@pytest.mark.parametrize("kind", ["ceil-int", "euc-half", "explicit-int", "explicit-float"])
+def test_load_interval_takes_the_walks_decisions(monkeypatch, kind):
+    rng = random.Random(f"interval {kind}")
+    counts = dict.fromkeys(("rejected", "sure", "walked", "close"), 0)
+    for per_city in (1, 5, 10):
+        for k in range(4):
+            inst = item_instance(rng, kind, rng.randint(8, 20), per_city, rng.choice([1.0, 0.7, 2.0]))
+            sol = random_solution(rng, inst)
+            assert evaluate(inst, sol).feasible
+            cand = full_candidates(inst) if k == 0 else delaunay_candidates(inst)
+            descend_checking_each_pass(monkeypatch, inst, sol, cand, counts)
+    assert counts["rejected"] > 0 and counts["sure"] > 0 and counts["walked"] > 0
+
+
+def test_packed_pass_at_or_over_capacity_walks_every_probe(monkeypatch):
+    # the interval needs the speeds of loads below capacity; at or over it,
+    # a pass walks every probe up to its move
+    rng = random.Random("over capacity")
+    for per_city in (1, 5, 10):
+        for k in range(4):
+            inst = item_instance(rng, "ceil-int", rng.randint(8, 20), per_city, rng.choice([1.0, 0.7]))
+            sol = random_solution(rng, inst, feasible=False)
+            sol.packing = [int(rng.random() < 0.9) for _ in range(inst.m)]
+            load = evaluate(inst, sol).final_weight
+            if k == 0:
+                inst = dataclasses.replace(inst, capacity=load)
+            assert load >= inst.capacity
+            cand = full_candidates(inst) if k < 2 else delaunay_candidates(inst)
+            descend_checking_each_pass(monkeypatch, inst, sol, cand, None)
+
+
+def test_load_interval_at_the_gain_threshold(monkeypatch):
+    # R * 2 == GAIN_EPS at v_max = 1.  Items only at the cities of the last
+    # third of the tour leave its start empty, where a length drop of 2 is a
+    # time drop of 2 up to the rounding of the loaded rest: a probe whose
+    # decision rests on the last bits, which the margin must leave undecided
+    rng = random.Random("threshold")
+    counts = dict.fromkeys(("rejected", "sure", "walked", "close"), 0)
+    for per_city in (1, 5, 10):
+        for k in range(6):
+            inst = item_instance(rng, "ceil-int", rng.randint(12, 24), per_city, 1.0, 5e-10)
+            sol = random_solution(rng, inst)
+            late = set(sol.tour[2 * inst.n // 3 :])
+            sol.packing = [z if inst.city[j] in late else 0 for j, z in enumerate(sol.packing)]
+            cand = full_candidates(inst) if k < 2 else delaunay_candidates(inst)
+            tour = descend_checking_each_pass(monkeypatch, inst, sol, cand, counts)
+            assert tour == loop_two_opt(inst, sol.tour, sol.packing, table_lists(cand))
+    assert min(counts.values()) > 0
 
 
 @pytest.mark.parametrize("kind", ["ceil-int", "euc-half", "ceil-float"])
