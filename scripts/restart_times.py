@@ -1,11 +1,11 @@
 """Per-restart CPU seconds of a multi-restart solve on generated instances.
 
-    python3 scripts/restart_times.py                 # A n=200, A n=1000, C n=200, B n=500
-    python3 scripts/restart_times.py A:1000 B:500    # chosen category:n pairs
+    python3 scripts/restart_times.py
 
-Each instance comes from ``perfbench/corpus.py`` (instance seed 1000) and is
-solved once with ``max_restarts=3``, solver seed 1, a deadline that never
-binds, and the simulated-annealing settings of the benchmark's workloads.
+Each instance (A n=200, A n=1000, C n=200, B n=500) comes from
+``perfbench/corpus.py`` (instance seed 1000) and is solved once with
+``max_restarts=3``, solver seed 1, a deadline that never binds, and the
+solver settings of the benchmark's workloads (``perfbench/run.py``).
 Restart 2 starts from a uniformly random tour, so its packed 2-OPT descent
 starts from scratch; no benchmark workload runs it, as every workload sets
 ``max_restarts=1``.
@@ -20,7 +20,6 @@ the seconds do, so compare them within one run of the script.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -30,18 +29,18 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import corpus  # noqa: E402
+import run  # noqa: E402
 import ttp.solver as solver_mod  # noqa: E402
 from ttp.instance import parse_instance  # noqa: E402
 from ttp.solver import SolverConfig, solve  # noqa: E402
 from ttp.tour import load_triangulation  # noqa: E402
 
 INSTANCE_SEED = 1000
-# the annealing settings of perfbench/run.py's workloads
-SA = dict(sa_t0=1.0, sa_iters_per_temp=240, sa_cooling=0.5)
-DEFAULT = ("A:200", "A:1000", "C:200", "B:500")
+RESTARTS = 3
+INSTANCES = (("A", 200), ("A", 1000), ("C", 200), ("B", 500))
 
 
-def restart_times(category: str, n: int, restarts: int) -> tuple[list[float], float, list[float], float]:
+def restart_times(category: str, n: int) -> tuple[list[float], float, list[float], float]:
     """(CPU seconds per restart, largest 2-OPT call, gain per restart, whole
     solve) of one solve of the corpus instance."""
     inst = parse_instance(corpus.generate(category, n, INSTANCE_SEED).text)
@@ -60,7 +59,8 @@ def restart_times(category: str, n: int, restarts: int) -> tuple[list[float], fl
     solver_mod.build_prefix_cache, solver_mod.two_opt_improve = timed_build, timed_improve
     try:
         start = time.process_time()
-        record = solve(inst, SolverConfig(time_budget=1e6, seed=1, max_restarts=restarts, **SA))
+        config = {**run.SOLVER, "max_restarts": RESTARTS}
+        record = solve(inst, SolverConfig(time_budget=run.TIME_BUDGET, seed=1, **config))
         end = time.process_time()
     finally:
         solver_mod.build_prefix_cache, solver_mod.two_opt_improve = build, improve
@@ -68,18 +68,13 @@ def restart_times(category: str, n: int, restarts: int) -> tuple[list[float], fl
     return columns, max(descents), record.trace, end - start
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("instances", nargs="*", default=DEFAULT, help="category:n pairs, e.g. A:1000")
-    ap.add_argument("--restarts", type=int, default=3)
-    args = ap.parse_args(argv)
+def main() -> int:
     load_triangulation()  # scipy's import, outside every solve
-    heads = " | ".join(f"restart {k}" for k in range(args.restarts))
+    heads = " | ".join(f"restart {k}" for k in range(RESTARTS))
     print(f"| instance | {heads} | largest 2-OPT call | gains | solve |")
-    print("|---" * (args.restarts + 4) + "|")
-    for spec in args.instances:
-        category, n = spec.split(":")
-        columns, descent, gains, total = restart_times(category, int(n), args.restarts)
+    print("|---" * (RESTARTS + 4) + "|")
+    for category, n in INSTANCES:
+        columns, descent, gains, total = restart_times(category, n)
         cells = " | ".join(f"{s:.2f}" for s in columns)
         print(f"| {category}, n={n} | {cells} | {descent:.2f} | {', '.join(repr(g) for g in gains)} | {total:.2f} |",
               flush=True)

@@ -273,11 +273,12 @@ def _reversal_bounds(
     last: np.ndarray,
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Bounds (lower, upper, margin) on the travel-time change of every
-    probe, for a state on an instance with ``exact_loads`` whose final load
-    is below capacity.  The walk of ``_times_after_reversals`` minus
-    ``total_time`` lies in [lower - margin, upper + margin], and the two
-    decisions of ``_first_packed_move`` taken on them are those of the walk.
-    None when the speeds are too far apart for the proof below (eta).
+    probe.  The walk of ``_times_after_reversals`` minus ``total_time`` lies
+    in [lower - margin, upper + margin], and the two decisions of
+    ``_first_packed_move`` taken on them are those of the walk.  None
+    wherever the proof below does not hold: on an instance without
+    ``exact_loads``, at a final load at or over capacity, and when the
+    speeds are too far apart (eta).
 
     The change.  Reversing positions [a, b] leaves every load before a and
     after b as it was: the loads are exact integers, so their sums do not
@@ -331,7 +332,7 @@ def _reversal_bounds(
     """
     k = inst.v_max / inst.v_min
     eta = k * (10.0 * inst.n + 6.0 * k + 67.0) * 2.0**-52
-    if eta >= 2.0**-10:
+    if not inst.exact_loads or cache.cum_weight.item(-1) >= inst.capacity or eta >= 2.0**-10:
         return None
     nu, weight, inv = inst.weight_velocity_slope, cache.cum_weight, cache.inv_speed
     dist = np.concatenate(([0.0], cache.leg_dist.cumsum()))  # the legs before each position
@@ -364,7 +365,8 @@ def _first_packed_move(
     A probe improves when R*(``total_time`` - its walk's time) > GAIN_EPS,
     R the renting ratio.  On an instance with ``exact_loads`` and a final
     load below capacity, one numpy step bounds every probe's time change
-    (``_reversal_bounds``).  The bounds reject every probe with
+    (``_reversal_bounds``, which says None where its proof does not hold).
+    The bounds reject every probe with
     R*(margin - lower) <= GAIN_EPS, and take the first probe left without
     its walk when R*(-upper - margin) > GAIN_EPS.  Only the probes left
     before it are walked by ``_times_after_reversals``; elsewhere every
@@ -379,8 +381,7 @@ def _first_packed_move(
         return None
     a, b, first, last = _probes(inst, cache, table)
     walk, stop = np.arange(a.size), a.size  # the probes left, and how many to walk
-    in_scope = inst.exact_loads and cache.cum_weight.item(-1) < inst.capacity
-    bounds = _reversal_bounds(inst, cache, a, b, first, last) if in_scope else None
+    bounds = _reversal_bounds(inst, cache, a, b, first, last)
     if bounds is not None:
         lower, upper, margin = bounds
         r = inst.renting_ratio

@@ -546,13 +546,13 @@ def descend_checking_each_pass(monkeypatch, inst, sol, table, counts):
     """The packed descent from ``sol``, each pass checked against a walk of
     every probe: the pass takes the walk's first improving probe, or None.
 
-    Below capacity every time change lies within the bounds widened by the
-    margin, no rejected probe improves and every sure one does; ``counts``
-    gains the probes rejected up to each move, the moves taken without a
-    walk, the rows walked, and the probes whose gain R * (-change) lies
-    within R * margin of GAIN_EPS ("close").  At or over capacity the pass
-    walks every probe up to its move.  Returns the tour the descent ends
-    on."""
+    With ``counts``, every pass has bounds: every time change lies within
+    them widened by the margin, no rejected probe improves and every sure
+    one does; ``counts`` gains the probes rejected up to each move, the
+    moves taken without a walk, the rows walked, and the probes whose gain
+    R * (-change) lies within R * margin of GAIN_EPS ("close").  With
+    ``counts`` None, no pass has bounds, and each walks every probe up to
+    its move.  Returns the tour the descent ends on."""
     real = tour_mod._times_after_reversals
     rows = []
     monkeypatch.setattr(tour_mod, "_times_after_reversals", lambda *args: rows.append(args[2].size) or real(*args))
@@ -567,8 +567,10 @@ def descend_checking_each_pass(monkeypatch, inst, sol, table, counts):
         rows.clear()
         move = tour_mod._first_packed_move(inst, cache, table, None)
         assert move == ((int(a[hit[0]]), int(b[hit[0]])) if hit.size else None)
-        if cache.cum_weight[-1] < inst.capacity:
-            lower, upper, margin = tour_mod._reversal_bounds(inst, cache, a, b, first, last)
+        bounds = tour_mod._reversal_bounds(inst, cache, a, b, first, last)
+        assert (bounds is None) == (counts is None)
+        if bounds is not None:
+            lower, upper, margin = bounds
             change = times - cache.total_time
             assert (lower - margin <= change).all() and (change <= upper + margin).all()
             rejected = r * (margin - lower) <= GAIN_EPS
@@ -593,9 +595,11 @@ def test_load_interval_takes_the_walks_decisions(monkeypatch, kind):
         for k in range(4):
             inst = item_instance(rng, kind, rng.randint(8, 20), per_city, rng.choice([1.0, 0.7, 2.0]))
             sol = random_solution(rng, inst)
-            assert evaluate(inst, sol).feasible
+            load = evaluate(inst, sol).final_weight
+            assert load <= inst.capacity
             cand = full_candidates(inst) if k == 0 else delaunay_candidates(inst)
-            descend_checking_each_pass(monkeypatch, inst, sol, cand, counts)
+            # a packing that fills the knapsack has no interval
+            descend_checking_each_pass(monkeypatch, inst, sol, cand, counts if load < inst.capacity else None)
     assert counts["rejected"] > 0 and counts["sure"] > 0 and counts["walked"] > 0
 
 
@@ -616,6 +620,21 @@ def test_packed_pass_at_or_over_capacity_walks_every_probe(monkeypatch):
             descend_checking_each_pass(monkeypatch, inst, sol, cand, None)
 
 
+def test_packed_pass_with_speeds_far_apart_walks_every_probe(monkeypatch):
+    # k = v_max / v_min = 1e6 puts the interval's eta past 2**-10, where its
+    # margin is not proved: a feasible state's pass walks every probe
+    rng = random.Random("far speeds")
+    for per_city in (1, 5, 10):
+        for k in range(2):
+            inst = item_instance(rng, "ceil-int", rng.randint(8, 20), per_city, 1.0)
+            inst = dataclasses.replace(inst, v_min=1e-6)
+            sol = random_solution(rng, inst)
+            sol.packing[sol.packing.index(1)] = 0  # a whole weight below capacity
+            assert evaluate(inst, sol).final_weight < inst.capacity
+            cand = full_candidates(inst) if k == 0 else delaunay_candidates(inst)
+            descend_checking_each_pass(monkeypatch, inst, sol, cand, None)
+
+
 def test_load_interval_at_the_gain_threshold(monkeypatch):
     # R * 2 == GAIN_EPS at v_max = 1.  Items only at the cities of the last
     # third of the tour leave its start empty, where a length drop of 2 is a
@@ -630,7 +649,8 @@ def test_load_interval_at_the_gain_threshold(monkeypatch):
             late = set(sol.tour[2 * inst.n // 3 :])
             sol.packing = [z if inst.city[j] in late else 0 for j, z in enumerate(sol.packing)]
             cand = full_candidates(inst) if k < 2 else delaunay_candidates(inst)
-            tour = descend_checking_each_pass(monkeypatch, inst, sol, cand, counts)
+            below = evaluate(inst, sol).final_weight < inst.capacity
+            tour = descend_checking_each_pass(monkeypatch, inst, sol, cand, counts if below else None)
             assert tour == loop_two_opt(inst, sol.tour, sol.packing, table_lists(cand))
     assert min(counts.values()) > 0
 
