@@ -44,7 +44,8 @@ class Instance:
     rows of the items homed at city ``c``, in item order.  Distances are
     nonnegative and exactly symmetric: an EXPLICIT matrix equals its
     transpose bit for bit.  Two instances are equal only if they are the
-    same object.
+    same object.  ``coords``, ``explicit_dist`` and the item columns are
+    float copies of the arrays given, and read-only.
 
     ``weight_velocity_slope`` is the velocity lost per unit of carried
     weight, (v_max - v_min) / capacity.  ``exact_loads`` says that every
@@ -69,6 +70,10 @@ class Instance:
     city_items: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     weight_velocity_slope: float = field(init=False, repr=False)
     exact_loads: bool = field(init=False, repr=False)
+    # the coordinates again as Python floats, which ``distance`` reads
+    # faster than numpy scalars; the same doubles, so the same distances
+    _x: list[float] = field(init=False, repr=False)
+    _y: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("profit", "weight", "city"):
@@ -76,6 +81,9 @@ class Instance:
             if column.shape != (self.m,):
                 raise ValueError("item count mismatch")
             object.__setattr__(self, name, column)
+        for name in ("coords", "explicit_dist"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
         numbers = [self.profit, self.weight, self.city, [self.capacity, self.v_min, self.v_max, self.renting_ratio]]
         numbers += [np.ravel(a) for a in (self.coords, self.explicit_dist) if a is not None]
         if not np.isfinite(np.concatenate(numbers)).all():
@@ -119,16 +127,21 @@ class Instance:
             raise ValueError("coordinate instances need an n x 2 coordinate array")
         if self.coords is not None and self.coords.shape != (self.n, 2):
             raise ValueError("coordinates must be an n x 2 array")
+        xy = ([], []) if self.coords is None else self.coords.T.tolist()
+        object.__setattr__(self, "_x", xy[0])
+        object.__setattr__(self, "_y", xy[1])
+        for a in (self.coords, self.explicit_dist, self.profit, self.weight, self.city):
+            if a is not None:
+                a.setflags(write=False)
 
     def distance(self, i: int, j: int) -> float:
         """Distance between cities ``i`` and ``j`` (1-based ids)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"city id out of range: ({i}, {j})")
         if self.edge_weight_type is EdgeWeightType.EXPLICIT:
-            return float(self.explicit_dist[i - 1, j - 1])
-        dx = self.coords[i - 1, 0] - self.coords[j - 1, 0]
-        dy = self.coords[i - 1, 1] - self.coords[j - 1, 1]
-        d = math.hypot(dx, dy)
+            return self.explicit_dist.item(i - 1, j - 1)
+        x, y = self._x, self._y
+        d = math.hypot(x[i - 1] - x[j - 1], y[i - 1] - y[j - 1])
         if self.edge_weight_type is EdgeWeightType.CEIL_2D:
             return float(math.ceil(d))
         return float(math.floor(d + 0.5))  # EUC_2D, TSPLIB's nint: halves round up

@@ -37,21 +37,23 @@ def nearest_neighbor_tour(
     the rest of the walk stays greedy, which is how the solver diversifies
     restarts.  Once ``deadline`` (a ``time.monotonic()`` value) has passed,
     the cities not yet visited are appended in id order.
+
+    The cities left are kept in id order, so ``min`` returns the lowest id
+    among the nearest.
     """
-    unvisited = set(range(2, inst.n + 1))
+    left = list(range(2, inst.n + 1))
     tour = [1]
-    if rng is not None and unvisited:
-        second = rng.choice(sorted(unvisited))
-        tour.append(second)
-        unvisited.discard(second)
-    while unvisited:
+    if rng is not None and left:
+        tour.append(rng.choice(left))
+        left.remove(tour[-1])
+    distance = inst.distance
+    while left:
         if deadline is not None and _time.monotonic() >= deadline:
-            tour.extend(sorted(unvisited))
+            tour.extend(left)
             break
         here = tour[-1]
-        nxt = min(unvisited, key=lambda c: (inst.distance(here, c), c))
-        tour.append(nxt)
-        unvisited.discard(nxt)
+        tour.append(min(left, key=lambda c: distance(here, c)))
+        left.remove(tour[-1])
     return tour
 
 

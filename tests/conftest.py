@@ -141,3 +141,38 @@ def drift_instance_text(rng: random.Random) -> str:
         "ITEMS SECTION (INDEX, PROFIT, WEIGHT, ASSIGNED NODE NUMBER):",
         *(f"{j} {rng.uniform(1e5, 2e5)!r} {w!r} {c}" for j, (w, c) in enumerate(zip(weights, homes), 1)),
     ]) + "\n"
+
+
+def point_set(rng, kind):
+    """(coordinates, edge weight type) of one kind of set of 40 points:
+
+    * ``ceil-grid``: CEIL_2D on a 12 x 12 integer grid, where many lengths
+      are exact integers, the rounding points of CEIL_2D;
+    * ``euc-half``: EUC_2D on a grid of step 0.5, where some lengths are
+      exact halves, which EUC_2D rounds up;
+    * ``ceil-float`` and ``euc-float``: uniform float coordinates, negative
+      ones too;
+    * ``duplicates``: EUC_2D on 6 distinct integer points, each repeated;
+    * ``int-array``: CEIL_2D on an integer grid given as an int64 array.
+    """
+    n = 40
+    if kind in ("ceil-float", "euc-float"):
+        pts = [(rng.uniform(-500, 500), rng.uniform(-500, 500)) for _ in range(n)]
+    elif kind == "duplicates":
+        distinct = [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(6)]
+        pts = [rng.choice(distinct) for _ in range(n)]
+    else:
+        cells = rng.sample([(x, y) for x in range(12) for y in range(12)], n)
+        step = 0.5 if kind == "euc-half" else 1
+        pts = [(x * step, y * step) for x, y in cells]
+    coords = np.array(pts, dtype=np.int64 if kind == "int-array" else float)
+    ewt = EdgeWeightType.EUC_2D if kind.startswith("euc") or kind == "duplicates" else EdgeWeightType.CEIL_2D
+    return coords, ewt
+
+
+POINT_SETS = ["ceil-grid", "euc-half", "ceil-float", "euc-float", "duplicates", "int-array"]
+
+
+def points_instance(coords, ewt) -> Instance:
+    """An item-less instance on the coordinates ``coords``."""
+    return Instance("pts", len(coords), 0, coords, [], [], [], 10.0, 0.1, 1.0, 1.0, ewt)

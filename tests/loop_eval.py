@@ -17,7 +17,11 @@ built before they were sorted in numpy; ``table_lists`` and ``lists_table``
 convert between those 1-based lists and the library's candidate table.
 ``loop_solve`` is the restart loop that builds the tour state afresh before
 each stage and evaluates the whole tour after it, which the solve that hands
-one state from stage to stage must match bit for bit.
+one state from stage to stage must match bit for bit.  ``loop_distance`` is
+the distance read from numpy scalars of the coordinate array, and
+``loop_nearest_neighbor_tour`` the walk over a set of unvisited cities keyed
+by (distance, id), as both were before ``Instance`` kept its coordinates as
+Python floats and the walk an id-ordered list.
 """
 
 import math
@@ -27,7 +31,7 @@ from random import Random
 import numpy as np
 
 from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, delta_flip, evaluate, flip
-from ttp.instance import Instance
+from ttp.instance import EdgeWeightType, Instance
 from ttp.packing import bit_flip_search, initial_picking_plan, simulated_annealing_kp
 from ttp.solver import RunRecord
 from ttp.tour import CandidateTable, delaunay_candidates, nearest_neighbor_tour, two_opt_improve
@@ -277,6 +281,43 @@ def loop_bit_flip_search(inst: Instance, sol, rng) -> list[int]:
                 load = after
                 improved = True
     return list(cache.packing)
+
+
+def loop_distance(inst: Instance, i: int, j: int) -> float:
+    """Distance between cities ``i`` and ``j`` (1-based ids), computed from
+    the numpy scalars of ``inst.coords`` or ``inst.explicit_dist``."""
+    if not (1 <= i <= inst.n and 1 <= j <= inst.n):
+        raise IndexError(f"city id out of range: ({i}, {j})")
+    if inst.edge_weight_type is EdgeWeightType.EXPLICIT:
+        return float(inst.explicit_dist[i - 1, j - 1])
+    dx = inst.coords[i - 1, 0] - inst.coords[j - 1, 0]
+    dy = inst.coords[i - 1, 1] - inst.coords[j - 1, 1]
+    d = math.hypot(dx, dy)
+    if inst.edge_weight_type is EdgeWeightType.CEIL_2D:
+        return float(math.ceil(d))
+    return float(math.floor(d + 0.5))  # EUC_2D, TSPLIB's nint: halves round up
+
+
+def loop_nearest_neighbor_tour(inst: Instance, rng=None, deadline=None) -> list[int]:
+    """Greedy nearest-neighbour tour from city 1 over a set of unvisited
+    cities, each step keyed by (``loop_distance``, id); with ``rng`` a
+    random second city drawn from the sorted set, and past ``deadline`` the
+    cities not yet visited in id order."""
+    unvisited = set(range(2, inst.n + 1))
+    tour = [1]
+    if rng is not None and unvisited:
+        second = rng.choice(sorted(unvisited))
+        tour.append(second)
+        unvisited.discard(second)
+    while unvisited:
+        if deadline is not None and _time.monotonic() >= deadline:
+            tour.extend(sorted(unvisited))
+            break
+        here = tour[-1]
+        nxt = min(unvisited, key=lambda c: (loop_distance(inst, here, c), c))
+        tour.append(nxt)
+        unvisited.discard(nxt)
+    return tour
 
 
 def loop_knn_candidates(inst: Instance, k: int = 8) -> dict:

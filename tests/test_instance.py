@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from ttp.instance import (
     parse_instance,
 )
 
-from conftest import FIXTURES, make_random_instance
+from conftest import FIXTURES, POINT_SETS, make_random_instance, point_set, points_instance
+from loop_eval import loop_distance
 from reference_eval import ref_distance
 
 
@@ -158,6 +161,63 @@ def test_distance_symmetry(seed):
     j = rng.randint(1, inst.n)
     assert inst.distance(i, j) == inst.distance(j, i)
     assert inst.distance(i, i) == 0
+
+
+@pytest.mark.parametrize("kind", POINT_SETS)
+def test_distance_equals_the_numpy_scalar_formula(kind):
+    # the reference reads the coordinates as given, an int64 array included,
+    # as numpy scalars; the instance reads its float copy as Python floats
+    rng = random.Random(kind)
+    for _ in range(3):
+        coords, ewt = point_set(rng, kind)
+        inst = points_instance(coords, ewt)
+        given = types.SimpleNamespace(n=inst.n, coords=coords, edge_weight_type=ewt)
+        pairs = [(i, j) for i in range(1, inst.n + 1) for j in range(1, inst.n + 1)]
+        got = [inst.distance(i, j) for i, j in pairs]
+        assert got == [loop_distance(given, i, j) for i, j in pairs]
+        assert got == [loop_distance(inst, i, j) for i, j in pairs]
+        assert {type(d) for d in got} == {float}
+
+
+def test_explicit_distance_is_the_matrix_entry(example5):
+    pairs = [(i, j) for i in range(1, 6) for j in range(1, 6)]
+    got = [example5.distance(i, j) for i, j in pairs]
+    assert got == [loop_distance(example5, i, j) for i, j in pairs]
+    assert {type(d) for d in got} == {float}
+
+
+def test_instance_arrays_are_read_only_copies():
+    coords = np.array([[0, 0], [3, 4], [0, 4]])
+    profit, weight, city = np.array([10.0, 5.0]), np.array([2.0, 1.0]), np.array([2, 3])
+    inst = Instance("ro", 3, 2, coords, profit, weight, city, 5, 0.1, 1, 1)
+    assert inst.coords.dtype == float
+    for a in (inst.coords, inst.profit, inst.weight, inst.city):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7
+    coords[1] = (6, 8)  # the caller's array is not the instance's
+    profit[0] = 1.0
+    assert inst.distance(1, 2) == 5.0 and inst.profit[0] == 10.0
+    matrix = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    explicit = Instance("ro", 3, 0, None, [], [], [], 5, 0.1, 1, 1, EdgeWeightType.EXPLICIT, matrix)
+    assert explicit.explicit_dist.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        explicit.explicit_dist[0, 1] = -5.0
+    matrix[0, 1] = -5  # a write to the caller's matrix leaves the distances symmetric
+    assert explicit.distance(1, 2) == explicit.distance(2, 1) == 1.0
+
+
+@pytest.mark.parametrize("kind", POINT_SETS)
+def test_replaced_instance_reads_its_own_coordinates(kind):
+    rng = random.Random(kind)
+    inst = points_instance(*point_set(rng, kind))
+    moved, _ = point_set(rng, kind)
+    renamed, relocated = dataclasses.replace(inst, name="renamed"), dataclasses.replace(inst, coords=moved)
+    assert np.array_equal(relocated.coords, moved)
+    for new in (renamed, relocated):
+        assert [new._x, new._y] == new.coords.T.tolist()
+        assert not new.coords.flags.writeable
+        pairs = [(i, j) for i in range(1, new.n + 1) for j in range(1, new.n + 1)]
+        assert [new.distance(i, j) for i, j in pairs] == [loop_distance(new, i, j) for i, j in pairs]
 
 
 def test_total_item_weight(example5):

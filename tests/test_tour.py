@@ -15,8 +15,12 @@ from ttp.instance import EdgeWeightType, Instance
 from ttp.solver import SolverConfig, solve
 from ttp.tour import delaunay_candidates, nearest_neighbor_tour, two_opt_improve
 
-from conftest import columns, improved, make_random_instance, random_solution
-from loop_eval import lists_table, loop_knn_candidates, loop_two_opt, table_lists
+from conftest import (
+    POINT_SETS, columns, improved, make_random_instance, point_set, points_instance, random_solution,
+)
+from loop_eval import (
+    lists_table, loop_distance, loop_knn_candidates, loop_nearest_neighbor_tour, loop_two_opt, table_lists,
+)
 
 
 def coord_instance(points, **kw):
@@ -55,6 +59,70 @@ def test_nn_past_its_deadline_appends_the_rest_in_id_order():
     assert tour[2:] == sorted(tour[2:])
     later = time.monotonic() + 1e6
     assert nearest_neighbor_tour(inst, deadline=later) == nearest_neighbor_tour(inst)
+
+
+def walk_instance(rng, kind):
+    """An instance of a ``point_set`` kind, of a ``length_instance`` EXPLICIT
+    kind, or, for ``ties``, a full 7 x 6 integer grid with its points in
+    random id order, where most steps of the walk have several nearest
+    cities."""
+    if kind.startswith("explicit"):
+        return length_instance(rng, kind, 40)
+    if kind == "ties":
+        cells = [(x, y) for x in range(7) for y in range(6)]
+        rng.shuffle(cells)
+        coords, ewt = np.array(cells, dtype=float), EdgeWeightType.CEIL_2D
+    else:
+        coords, ewt = point_set(rng, kind)
+    return points_instance(coords, ewt)
+
+
+def tied_steps(inst, tour):
+    """The steps of ``tour`` at which several cities left were nearest."""
+    tied = 0
+    for k in range(1, inst.n - 1):
+        left = tour[k + 1 :]
+        near = min(loop_distance(inst, tour[k], c) for c in left)
+        tied += sum(loop_distance(inst, tour[k], c) == near for c in left) > 1
+    return tied
+
+
+@pytest.mark.parametrize("kind", POINT_SETS + ["explicit-int", "explicit-float", "ties"])
+def test_nn_walk_equals_the_loop_walk(kind):
+    # the same tour as the walk over a set keyed by (distance, id), and the
+    # same draws of the random second city
+    rng = random.Random(kind)
+    past = time.monotonic()
+    for _ in range(2):
+        inst = walk_instance(rng, kind)
+        tour = nearest_neighbor_tour(inst)
+        assert tour == loop_nearest_neighbor_tour(inst)
+        assert nearest_neighbor_tour(inst, deadline=past) == loop_nearest_neighbor_tour(inst, deadline=past)
+        for seed in range(6):
+            for deadline in (None, past):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert nearest_neighbor_tour(inst, ours, deadline) == loop_nearest_neighbor_tour(inst, theirs, deadline)
+                assert ours.getstate() == theirs.getstate()
+        if kind in ("ties", "duplicates", "ceil-grid"):
+            assert tied_steps(inst, tour) > 0
+
+
+def test_nn_checks_its_deadline_once_per_step(monkeypatch):
+    inst = walk_instance(random.Random(4), "ties")
+    full = loop_nearest_neighbor_tour(inst)
+    seeded = loop_nearest_neighbor_tour(inst, random.Random(8))
+
+    def walked_by(deadline, rng=None):
+        ticks = iter(range(1000))
+        monkeypatch.setattr(tour_mod, "_time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+        return nearest_neighbor_tour(inst, rng, deadline)
+
+    # the clock reads 0, 1, 2, .. at the walk's checks, one before each
+    # step: a deadline k lets k steps by the walk's choice, and the cities
+    # left follow in id order
+    for k in range(inst.n + 1):
+        for rng, walk, head in ((None, full, 1 + k), (random.Random(8), seeded, 2 + k)):
+            assert walked_by(k, rng) == walk[:head] + sorted(walk[head:])
 
 
 def test_nn_randomized_second_city_is_valid():
