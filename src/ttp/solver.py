@@ -83,6 +83,7 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
         initial_picking_plan(inst, tour, cache, config, deadline)
         gain = cache.gain(inst)
         prev = float("-inf")
+        descended = None  # the packing the last descent ended on
         # improve the packing before touching the tour: with a thin initial
         # plan a tour-length descent would undo the restart diversification
         while gain > prev + GAIN_EPS:
@@ -91,7 +92,11 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
                 simulated_annealing_kp(inst, cache, config, deadline, rng)
             else:
                 bit_flip_search(inst, cache, deadline, rng)
-            two_opt_improve(inst, cache, candidates, deadline)
+            # on the packing it ended on, the descent would end at once: its
+            # last pass found no move on this very state
+            if bytes(cache.packing) != descended:
+                two_opt_improve(inst, cache, candidates, deadline)
+                descended = bytes(cache.packing)
             gain = cache.gain(inst)
             if _time.monotonic() >= deadline:
                 break

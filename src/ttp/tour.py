@@ -193,22 +193,87 @@ def _probes(inst: Instance, cache: PrefixCache, table: CandidateTable):
     return a, b, dist[entry], _distances(inst, cache.city_at[a], cache.city_at[(b + 1) % n])
 
 
-def _first_length_move(inst: Instance, cache: PrefixCache, table: CandidateTable) -> Optional[tuple[int, int]]:
-    """The descent's next move on an empty knapsack with exact travel
-    times, from one numpy pass over every probe.
+def _length_descent(inst: Instance, cache: PrefixCache, table: CandidateTable, deadline: Optional[float]) -> None:
+    """The 2-OPT descent on an empty knapsack with exact travel times, each
+    pass resumed where the last move was found; the deadline is checked
+    before each pass.
 
     A probe's travel-time change is the length change d(u, v) +
     d(tour[a], tour[b + 1]) - leg[a - 1] - leg[b] over ``v_max``.  Under
     ``_exact_length_steps`` that is exactly the difference of the two float
     totals, so the gain test below takes the walk's decision bit for bit.
-    Returns the first improving probe in scan order, or None.
+    A probe with d(u, v) >= leg[a - 1] + leg[b] cannot improve, as its other
+    new leg is not negative and every length here is an integer, summed
+    exactly; it is rejected without computing that leg.
+
+    Resuming.  A probe's decision depends only on the positions and the
+    successors of its two cities.  Reversing [A, B] moves only the cities at
+    A .. B, and gives new successors only to the cities at A - 1 .. B, the
+    window.  Every probe before the move in scan order did not improve, and
+    one whose owner lies before A - 1 and whose target lies outside the
+    window is unchanged.  So the next move is the first improving probe of
+    (i) the back probes, owned by a city before A - 1 and aimed into the
+    window, by (owner position, candidate rank), then (ii) the probes of the
+    owners from position A - 1 on, in scan order: those of a full rescan.
+
+    The tour (1-based ids, closed by city 1), the positions and the legs are
+    Python lists during the descent, and are written to the state once at
+    its end, through one ``_retime``.
     """
-    a, b, first, last = _probes(inst, cache, table)
-    dlen = first + last - cache.leg_dist[a - 1] - cache.leg_dist[b]
-    improving = np.flatnonzero(inst.renting_ratio * (-dlen / inst.v_max) > GAIN_EPS)
-    if not improving.size:
+    n, r, v_max, distance = inst.n, inst.renting_ratio, inst.v_max, inst.distance
+    count, start, to, dist = (column.tolist() for column in table)
+    rows = [[]] + [list(zip([v + 1 for v in to[s : s + k]], dist[s : s + k])) for s, k in zip(start, count)]
+    into = [[] for _ in range(n + 1)]  # into[v]: (u, rank, d(u, v)) for v in row u
+    for u in range(1, n + 1):
+        for rank, (v, d) in enumerate(rows[u]):
+            into[v].append((u, rank, d))
+    at = (cache.city_at + 1).tolist() + [1]
+    pos = [0] + cache.position.tolist()
+    leg = cache.leg_dist.tolist()
+
+    def first_move(back, scan):
+        # the back probes, gathered with b > a and d(u, v) < leg[a - 1] +
+        # leg[b] checked, then the owners from position ``scan`` on; p = a - 1
+        for p, _, b, d in back:
+            last = distance(at[p + 1], at[b + 1])
+            if r * (-(d + last - leg[p] - leg[b]) / v_max) > GAIN_EPS:
+                return p + 1, b, d, last
+        for p in range(scan, n - 1):
+            succ, out = at[p + 1], leg[p]
+            for v, d in rows[at[p]]:
+                b = pos[v]
+                if b > p + 1 and d < out + leg[b]:
+                    last = distance(succ, at[b + 1])
+                    if r * (-(d + last - out - leg[b]) / v_max) > GAIN_EPS:
+                        return p + 1, b, d, last
         return None
-    return int(a[improving[0]]), int(b[improving[0]])
+
+    moved = False
+    back, scan = [], 0
+    while not _past(deadline):
+        move = first_move(back, scan)
+        if move is None:
+            break
+        a, b, first, last = move
+        at[a : b + 1] = at[a : b + 1][::-1]
+        for k in range(a, b + 1):
+            pos[at[k]] = k
+        leg[a:b] = leg[a:b][::-1]
+        leg[a - 1], leg[b] = first, last
+        back, scan = [], a - 1
+        for q in range(scan, b + 1):  # the window
+            for u, rank, d in into[at[q]]:
+                p = pos[u]
+                if p < scan and p + 1 < q and d < leg[p] + leg[q]:
+                    back.append((p, rank, q, d))
+        back.sort()
+        moved = True
+    if moved:
+        cache.city_at[:] = at[:n]
+        cache.city_at -= 1
+        cache.position[:] = pos[1:]
+        cache.leg_dist[:] = leg
+        _retime(inst, cache, 0)
 
 
 def _runs(lengths: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -423,21 +488,15 @@ def two_opt_improve(
     passes, which is checked before any pass is priced.
 
     With nothing picked and exact travel times (``_exact_length_steps``),
-    each pass prices every probe at once by its length change
-    (``_first_length_move``) and checks the deadline once.  Otherwise it
-    runs the packed pass (``_first_packed_move``): below capacity on
+    a probe is priced by its length change, and each pass resumes where the
+    last move was found (``_length_descent``).  Otherwise every pass is the
+    packed pass (``_first_packed_move``), from position 1: below capacity on
     whole weights, an O(1) load interval per probe decides most probes, and
     the reversed tours of the rest are walked in chunks of probes.  Both
     accept the moves of a probe-by-probe walk.
     """
-    lengths_only = not cache.cum_weight.any() and _exact_length_steps(inst)
-    while True:
-        if not lengths_only:
-            move = _first_packed_move(inst, cache, candidates, deadline)
-        elif _past(deadline):
-            move = None
-        else:
-            move = _first_length_move(inst, cache, candidates)
-        if move is None:
-            return
+    if not cache.cum_weight.any() and _exact_length_steps(inst):
+        _length_descent(inst, cache, candidates, deadline)
+        return
+    while (move := _first_packed_move(inst, cache, candidates, deadline)) is not None:
         _reverse(inst, cache, *move)

@@ -21,7 +21,10 @@ one state from stage to stage must match bit for bit.  ``loop_distance`` is
 the distance read from numpy scalars of the coordinate array, and
 ``loop_nearest_neighbor_tour`` the walk over a set of unvisited cities keyed
 by (distance, id), as both were before ``Instance`` kept its coordinates as
-Python floats and the walk an id-ordered list.
+Python floats and the walk an id-ordered list.  ``loop_length_descent`` is
+the empty-knapsack 2-OPT descent that prices every probe again from position
+1 after each move, which the descent that resumes where its last move was
+found must match move for move.
 """
 
 import math
@@ -30,6 +33,7 @@ from random import Random
 
 import numpy as np
 
+import ttp.tour as tour_mod
 from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, delta_flip, evaluate, flip
 from ttp.instance import EdgeWeightType, Instance
 from ttp.packing import bit_flip_search, initial_picking_plan, simulated_annealing_kp
@@ -213,6 +217,25 @@ def loop_two_opt(inst: Instance, tour: list[int], packing: list[int], candidates
         tour[a : b + 1] = tour[a : b + 1][::-1]
 
 
+def loop_length_descent(inst: Instance, cache, table: CandidateTable, deadline=None) -> tuple[list, int]:
+    """The empty-knapsack descent with exact travel times, each pass a full
+    rescan from position 1: every probe of the pass (``ttp.tour._probes``)
+    priced at once by its length change, the first improving one applied
+    with ``ttp.tour._reverse``; the deadline is checked before each pass.
+    Returns the moves (a, b) and the number of probes priced."""
+    moves, priced = [], 0
+    while deadline is None or _time.monotonic() < deadline:
+        a, b, first, last = tour_mod._probes(inst, cache, table)
+        priced += a.size
+        dlen = first + last - cache.leg_dist[a - 1] - cache.leg_dist[b]
+        improving = np.flatnonzero(inst.renting_ratio * (-dlen / inst.v_max) > GAIN_EPS)
+        if not improving.size:
+            break
+        moves.append((int(a[improving[0]]), int(b[improving[0]])))
+        tour_mod._reverse(inst, cache, *moves[-1])
+    return moves, priced
+
+
 def loop_simulated_annealing(inst: Instance, sol, params, rng, max_iters=None) -> list[int]:
     """The SA loop as it was before its flip bound: every feasible probe is
     priced with ``delta_flip`` and drawn with ``rng.randint``.  An addition
@@ -351,10 +374,16 @@ def lists_table(inst: Instance, lists: dict) -> CandidateTable:
     return CandidateTable(count, count.cumsum() - count, to, dist)
 
 
-def loop_solve(inst: Instance, config) -> RunRecord:
+def loop_solve(inst: Instance, config, skip_repeat: bool = False) -> RunRecord:
     """``solve`` as a restart loop that hands no state from stage to stage:
     a fresh ``build_prefix_cache`` before the plan and before each improver,
-    and a full ``evaluate`` after the plan and after each 2-OPT descent."""
+    and a full ``evaluate`` after the plan and after each 2-OPT descent.
+
+    Each descent after an improver runs, unless ``skip_repeat`` is set: then
+    it is skipped when the improver hands back the packing the restart's
+    last such descent ended on, as ``solve`` does.  Without it the loop
+    checks that skip; with it the loop reads the clock as often as ``solve``,
+    which a deadline test that ticks the clock once per check needs."""
     if config.tour_in is not None:
         Solution(list(config.tour_in), [0] * inst.m).validate(inst)
     start = _time.monotonic()
@@ -380,7 +409,7 @@ def loop_solve(inst: Instance, config) -> RunRecord:
             sol = cache.solution()
         sol.packing = initial_picking_plan(inst, sol.tour, build_prefix_cache(inst, sol), config, deadline)
         gain = evaluate(inst, sol).gain
-        prev = float("-inf")
+        prev, descended = float("-inf"), None
         while gain > prev + GAIN_EPS:
             prev = gain
             cache = build_prefix_cache(inst, sol)
@@ -389,7 +418,9 @@ def loop_solve(inst: Instance, config) -> RunRecord:
             else:
                 bit_flip_search(inst, cache, deadline, rng)
             cache = build_prefix_cache(inst, cache.solution())
-            two_opt_improve(inst, cache, candidates, deadline)
+            if not (skip_repeat and list(cache.packing) == descended):
+                two_opt_improve(inst, cache, candidates, deadline)
+                descended = list(cache.packing)
             sol = cache.solution()
             gain = evaluate(inst, sol).gain
             if _time.monotonic() >= deadline:

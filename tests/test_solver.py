@@ -15,7 +15,7 @@ import ttp.evaluate as eval_mod
 import ttp.packing as packing_mod
 import ttp.solver as solver_mod
 import ttp.tour as tour_mod
-from ttp.evaluate import Solution, evaluate
+from ttp.evaluate import PrefixCache, Solution, evaluate
 from ttp.instance import EdgeWeightType
 from ttp.solver import RunRecord, SolverConfig, solve
 
@@ -222,7 +222,7 @@ def test_solve_equals_the_rewalking_loop_at_a_deadline(monkeypatch, budget, use_
     ticks = itertools.count()
     got = solve(inst, config)
     ticks = itertools.count()
-    assert_same_run(got, loop_solve(inst, config))
+    assert_same_run(got, loop_solve(inst, config, skip_repeat=True))
 
 
 @pytest.mark.parametrize("restarts", [1, 3])
@@ -240,3 +240,51 @@ def test_solve_walks_the_tour_once_per_restart(monkeypatch, category_c, use_sa, 
     # fallback is rebuilt
     assert len(rec.trace) == restarts
     assert len(walks) == restarts
+
+
+@pytest.mark.parametrize("use_sa", [True, False])
+def test_solve_skips_the_descent_on_the_packing_it_ended_on(monkeypatch, category_c, use_sa):
+    # after the plan, a descent follows an improver only when the improver
+    # hands back a packing other than the one the restart's last descent
+    # ended on, so it always follows the first.  The last improver of a loop
+    # hands back its own, so a restart with k >= 2 improvers makes k - 1
+    # descents after its plan
+    log = []
+
+    def log_calls(name):
+        real = getattr(solver_mod, name)
+
+        def logged(*args):
+            out = real(*args)
+            cache = next(arg for arg in args if isinstance(arg, PrefixCache))
+            log.append((name, cache, bytes(cache.packing)))
+            return out
+
+        monkeypatch.setattr(solver_mod, name, logged)
+
+    for name in ("initial_picking_plan", "simulated_annealing_kp", "bit_flip_search", "two_opt_improve"):
+        log_calls(name)
+    several = 0
+    # on the second instance no item pays its rent: the first improver hands
+    # back the plan's empty packing, and the descent still follows
+    for inst in (category_c, replace(kind_instance("ceil", 7, m=10), renting_ratio=1e9)):
+        config = SolverConfig(time_budget=1e6, max_restarts=3, sa_t0=1.0, sa_iters_per_temp=240, sa_cooling=0.5,
+                              use_sa=use_sa)
+        log.clear()
+        assert_same_run(solve(inst, config), loop_solve(inst, config))
+        plans = [k for k, (name, _, _) in enumerate(log) if name == "initial_picking_plan"]
+        assert len(plans) == 3
+        for start, end in zip(plans, plans[1:] + [len(log)]):
+            # the next restart's length descent runs on its own state
+            steps = [(name, packing) for name, cache, packing in log[start + 1 : end] if cache is log[start][1]]
+            improvers = sum(name != "two_opt_improve" for name, _ in steps)
+            last = None
+            for k, (name, packing) in enumerate(steps):
+                if name == "two_opt_improve":
+                    last = packing
+                else:
+                    descends = k + 1 < len(steps) and steps[k + 1][0] == "two_opt_improve"
+                    assert descends == (packing != last)
+            assert len(steps) - improvers == improvers - (improvers >= 2)
+            several += improvers >= 2
+    assert several

@@ -19,8 +19,10 @@ from conftest import (
     POINT_SETS, columns, improved, make_random_instance, point_set, points_instance, random_solution,
 )
 from loop_eval import (
-    lists_table, loop_distance, loop_knn_candidates, loop_nearest_neighbor_tour, loop_two_opt, table_lists,
+    lists_table, loop_distance, loop_knn_candidates, loop_length_descent, loop_nearest_neighbor_tour, loop_two_opt,
+    table_lists,
 )
+from test_state import assert_state_is_fresh
 
 
 def coord_instance(points, **kw):
@@ -368,8 +370,9 @@ def test_two_opt_accepted_moves_match_scratch_reevaluation(monkeypatch):
 def length_instance(rng, kind, n, v_max=1.0, r=None, m=0):
     """Random instance of one distance kind:
 
-    * ``ceil-int``: CEIL_2D on a 12 x 12 integer grid, so many lengths are
-      exact integers (axis-parallel pairs, Pythagorean triples);
+    * ``ceil-int``: CEIL_2D on a 12 x 12 integer grid (larger past 144
+      cities), so many lengths are exact integers (axis-parallel pairs,
+      Pythagorean triples);
     * ``euc-half``: EUC_2D on a grid of step 0.5, so some lengths are exact
       halves, where EUC_2D rounds;
     * ``ceil-float``: CEIL_2D on uniform float coordinates;
@@ -393,7 +396,8 @@ def length_instance(rng, kind, n, v_max=1.0, r=None, m=0):
         pts = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
     else:
         step = 0.5 if kind == "euc-half" else 1.0
-        cells = rng.sample([(x, y) for x in range(12) for y in range(12)], n)
+        side = max(12, math.isqrt(n - 1) + 1)
+        cells = rng.sample([(x, y) for x in range(side) for y in range(side)], n)
         pts = [(x * step, y * step) for x, y in cells]
     ewt = EdgeWeightType.EUC_2D if kind == "euc-half" else EdgeWeightType.CEIL_2D
     return Instance(coords=np.array(pts, dtype=float), edge_weight_type=ewt, **common)
@@ -546,6 +550,44 @@ def test_empty_knapsack_descent_matches_the_probe_loop_on_larger_tours(monkeypat
                 walks = count_probe_walks(mp)
                 assert improved(inst, sol, two_opt_improve, cand, None).tour == fast.tour
                 assert walks
+
+
+@pytest.mark.parametrize("kind,v_max,r", [case[:3] for case in LENGTH_CASES if case[3]])
+def test_resumed_length_descent_takes_the_rescans_moves(monkeypatch, kind, v_max, r):
+    # the descent that resumes after each move against the full rescan from
+    # position 1: a deadline at pass k leaves the rescan's first k - 1 moves
+    # (every k on small tours, some on large ones) in a state equal to a
+    # fresh build, and the descent computes fewer new legs than the rescan
+    # prices probes.  A move left of the one before it is a back probe
+    ticks = iter(())
+    monkeypatch.setattr(tour_mod, "_time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    distance, legs = Instance.distance, []
+    monkeypatch.setattr(Instance, "distance", lambda *args: legs.append(1) or distance(*args))
+    rng = random.Random(f"resume {kind} {v_max} {r}")
+    back = resumed = rescanned = 0
+    for n in (8, 11, 16, 30, 60, 200):
+        for full in (True, False) if n <= 60 else (False,):  # a full table of 200 cities costs seconds
+            inst = length_instance(rng, kind, n, v_max, r)
+            assert tour_mod._exact_length_steps(inst)
+            sol = random_solution(rng, inst)
+            cand = full_candidates(inst) if full else delaunay_candidates(inst)
+            moves, priced = loop_length_descent(inst, build_prefix_cache(inst, sol), cand)
+            tours = [sol.tour]
+            for a, b in moves:
+                tours.append(tours[-1][:a] + tours[-1][a : b + 1][::-1] + tours[-1][b + 1 :])
+            back += sum(a < before for (a, _), (before, _) in zip(moves[1:], moves))
+            every = range(1, len(moves) + 2)
+            for k in every if n <= 30 else [*every[:: len(every) // 4 + 1], every[-1]]:
+                cache = build_prefix_cache(inst, sol)
+                ticks, legs[:] = itertools.count(), []
+                two_opt_improve(inst, cache, cand, None if k > len(moves) else k - 1)
+                computed = len(legs)
+                assert cache.solution().tour == tours[k - 1]
+                assert_state_is_fresh(inst, cache)
+            assert computed <= priced
+            resumed, rescanned = resumed + computed, rescanned + priced
+    assert resumed < rescanned
+    assert back == 0 if r == 0.0 else back > 0
 
 
 def test_one_picked_item_takes_the_packed_path(monkeypatch):
