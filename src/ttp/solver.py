@@ -42,8 +42,6 @@ def solve(inst: Instance, config: SolverConfig) -> RunRecord:
     Raises ``ValueError`` when ``config.tour_in`` is not a permutation of
     1..n starting at city 1.
     """
-    if inst.n < 2:
-        raise ValueError("instance needs at least 2 cities")
     if config.tour_in is not None:
         Solution(list(config.tour_in), [0] * inst.m).validate(inst)
     if inst.coords is not None:

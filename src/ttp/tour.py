@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from itertools import chain
 from random import Random
 from typing import NamedTuple, Optional
 
@@ -18,7 +19,9 @@ from ttp.instance import EdgeWeightType, Instance, _distances
 class CandidateTable(NamedTuple):
     """Candidate lists as flat arrays: the 0-based city ``c`` owns entries
     ``start[c]`` .. ``start[c] + count[c] - 1`` of ``to`` (0-based ids, by
-    (distance, id)) and of ``dist`` (their ``Instance.distance``)."""
+    (distance, id)) and of ``dist`` (their ``Instance.distance``).  The
+    rows are mutual: v is in the row of u exactly when u is in the row of
+    v, which the resumed length descent relies on."""
 
     count: np.ndarray
     start: np.ndarray
@@ -211,34 +214,28 @@ def _length_descent(inst: Instance, cache: PrefixCache, table: CandidateTable, d
     A .. B, and gives new successors only to the cities at A - 1 .. B, the
     window.  Every probe before the move in scan order did not improve, and
     one whose owner lies before A - 1 and whose target lies outside the
-    window is unchanged.  So the next move is the first improving probe of
-    (i) the back probes, owned by a city before A - 1 and aimed into the
-    window, by (owner position, candidate rank), then (ii) the probes of the
-    owners from position A - 1 on, in scan order: those of a full rescan.
+    window is unchanged.  The table is mutual, so the owners before A - 1
+    with a target in the window are the candidates of the window's cities.
+    So the next move is the first improving probe of (i) the rows of those
+    back owners, by position, then (ii) the rows of the owners from position
+    A - 1 on: those of a full rescan, as each row is priced in its order and
+    its unchanged probes only repeat their "no".
 
     The tour (1-based ids, closed by city 1), the positions and the legs are
     Python lists during the descent, and are written to the state once at
     its end, through one ``_retime``.
     """
     n, r, v_max, distance = inst.n, inst.renting_ratio, inst.v_max, inst.distance
-    count, start, to, dist = (column.tolist() for column in table)
-    rows = [[]] + [list(zip([v + 1 for v in to[s : s + k]], dist[s : s + k])) for s, k in zip(start, count)]
-    into = [[] for _ in range(n + 1)]  # into[v]: (u, rank, d(u, v)) for v in row u
-    for u in range(1, n + 1):
-        for rank, (v, d) in enumerate(rows[u]):
-            into[v].append((u, rank, d))
+    pairs = list(zip((table.to + 1).tolist(), table.dist.tolist()))
+    rows = [[]] + [pairs[s : s + k] for s, k in zip(table.start.tolist(), table.count.tolist())]
     at = (cache.city_at + 1).tolist() + [1]
     pos = [0] + cache.position.tolist()
     leg = cache.leg_dist.tolist()
 
     def first_move(back, scan):
-        # the back probes, gathered with b > a and d(u, v) < leg[a - 1] +
-        # leg[b] checked, then the owners from position ``scan`` on; p = a - 1
-        for p, _, b, d in back:
-            last = distance(at[p + 1], at[b + 1])
-            if r * (-(d + last - leg[p] - leg[b]) / v_max) > GAIN_EPS:
-                return p + 1, b, d, last
-        for p in range(scan, n - 1):
+        # the owners at the positions ``back``, then those from position
+        # ``scan`` on; p = a - 1
+        for p in chain(back, range(scan, n - 1)):
             succ, out = at[p + 1], leg[p]
             for v, d in rows[at[p]]:
                 b = pos[v]
@@ -260,13 +257,8 @@ def _length_descent(inst: Instance, cache: PrefixCache, table: CandidateTable, d
             pos[at[k]] = k
         leg[a:b] = leg[a:b][::-1]
         leg[a - 1], leg[b] = first, last
-        back, scan = [], a - 1
-        for q in range(scan, b + 1):  # the window
-            for u, rank, d in into[at[q]]:
-                p = pos[u]
-                if p < scan and p + 1 < q and d < leg[p] + leg[q]:
-                    back.append((p, rank, q, d))
-        back.sort()
+        scan = a - 1
+        back = sorted({pos[v] for q in range(scan, b + 1) for v, _ in rows[at[q]] if pos[v] < scan})
         moved = True
     if moved:
         cache.city_at[:] = at[:n]
@@ -344,7 +336,7 @@ def _reversal_bounds(
     in [lower - margin, upper + margin], and the two decisions of
     ``_first_packed_move`` taken on them are those of the walk.  None
     wherever the proof below does not hold: on an instance without
-    ``exact_loads``, at a final load at or over capacity, and when the
+    ``exact_loads``, at a final load over capacity, and when the
     speeds are too far apart (eta).
 
     The change.  Reversing positions [a, b] leaves every load before a and
@@ -357,7 +349,7 @@ def _reversal_bounds(
         I = sum_{j=a}^{b-1} leg[j] * f(A + B - W[j]),
 
     arrive[n] being ``total_time``.  Every argument of f in I lies in
-    [A, B], and f is convex on [0, C).  With P = sum leg[j] and Q = sum
+    [A, B], and f is convex on [0, C].  With P = sum leg[j] and Q = sum
     leg[j]*W[j] over j = a .. b-1, both from prefix sums over the tour:
 
         chord:   I <= P*f(A) + nu*f(A)*f(B) * (B*P - Q),
@@ -371,11 +363,12 @@ def _reversal_bounds(
 
     Rounding.  Let u = 2**-53, k = v_max/v_min > 1, L the tour length,
     Lam = (L + first + last)/v_min, which bounds the old and the new total
-    time and every part of either, and kappa = nu*W[n-1]/v_min < k.  A
-    computed speed of a load in [0, C) is within (3k + 1)u of the real one,
-    relative (the clamp of ``velocities`` only moves it closer), so an
-    inverse speed, or a leg over a speed, is within (3k + 3)u.  To first
-    order in u:
+    time and every part of either, and kappa = nu*W[n-1]/v_min < k (at a
+    full knapsack, W[n-1] = C, it is k - 1).  A computed speed of a load in
+    [0, C] is within (3k + 1)u of the real one, relative: the clamp of
+    ``velocities`` only moves it closer, and at a load of exactly C it
+    returns v_min, which is the real speed.  So an inverse speed, or a leg
+    over a speed, is within (3k + 3)u.  To first order in u:
 
     * ``total_time``, the walk's total and each ``arrive_time`` are left to
       right sums of at most n such nonnegative terms, each within
@@ -399,7 +392,7 @@ def _reversal_bounds(
     """
     k = inst.v_max / inst.v_min
     eta = k * (10.0 * inst.n + 6.0 * k + 67.0) * 2.0**-52
-    if not inst.exact_loads or cache.cum_weight.item(-1) >= inst.capacity or eta >= 2.0**-10:
+    if not inst.exact_loads or cache.cum_weight.item(-1) > inst.capacity or eta >= 2.0**-10:
         return None
     nu, weight, inv = inst.weight_velocity_slope, cache.cum_weight, cache.inv_speed
     dist = np.concatenate(([0.0], cache.leg_dist.cumsum()))  # the legs before each position
@@ -431,7 +424,7 @@ def _first_packed_move(
 
     A probe improves when R*(``total_time`` - its walk's time) > GAIN_EPS,
     R the renting ratio.  On an instance with ``exact_loads`` and a final
-    load below capacity, one numpy step bounds every probe's time change
+    load within capacity, one numpy step bounds every probe's time change
     (``_reversal_bounds``, which says None where its proof does not hold).
     The bounds reject every probe with
     R*(margin - lower) <= GAIN_EPS, and take the first probe left without
@@ -490,7 +483,7 @@ def two_opt_improve(
     With nothing picked and exact travel times (``_exact_length_steps``),
     a probe is priced by its length change, and each pass resumes where the
     last move was found (``_length_descent``).  Otherwise every pass is the
-    packed pass (``_first_packed_move``), from position 1: below capacity on
+    packed pass (``_first_packed_move``), from position 1: within capacity on
     whole weights, an O(1) load interval per probe decides most probes, and
     the reversed tours of the rest are walked in chunks of probes.  Both
     accept the moves of a probe-by-probe walk.

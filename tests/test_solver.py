@@ -115,10 +115,11 @@ def test_trace_best_matches_reported():
 
 
 def test_rejects_tiny_instance():
+    # ``solve`` takes an ``Instance``, and one of fewer than 2 cities can be
+    # neither built nor copied, so ``solve`` has no check of its own
     inst = make_random_instance(random.Random(1), 2, 0)
-    object.__setattr__(inst, "n", 1)
-    with pytest.raises(ValueError):
-        solve(inst, SolverConfig(time_budget=1.0))
+    with pytest.raises(ValueError, match="at least 2 cities"):
+        replace(inst, n=1)
 
 
 def test_record_roundtrip():

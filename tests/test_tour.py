@@ -239,6 +239,40 @@ def test_duplicate_points_are_perturbed():
         assert ns
 
 
+def test_every_table_is_mutual(monkeypatch):
+    # the resumed length descent finds its back owners among the candidates
+    # of the window's cities, so every row must be mutual, with one distance
+    # per edge: Delaunay, duplicate points, repeats that qhull drops and
+    # joins to their nearest vertex, the collinear and EXPLICIT k-nearest
+    # lists, and the empty table past the deadline
+    rng = random.Random(1)  # 25 points on a 4 x 4 grid: qhull drops some repeats
+    dropped = coord_instance([(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(25)])
+    Delaunay, QhullError = tour_mod.load_triangulation()
+    coplanar = []  # the points qhull drops, per triangulation
+
+    def triangulate(pts):
+        tri = Delaunay(pts)
+        coplanar.append(len(tri.coplanar))
+        return tri
+
+    monkeypatch.setattr(tour_mod, "load_triangulation", lambda: (triangulate, QhullError))
+    rng = random.Random("mutual")
+    tables = [
+        delaunay_candidates(make_random_instance(rng, 30, 0)),
+        delaunay_candidates(coord_instance([(0, 0), (10, 0), (10, 0), (5, 8), (0, 0), (3, 3)])),
+        delaunay_candidates(dropped),
+        delaunay_candidates(coord_instance([(float(x), 0.0) for x in rng.sample(range(60), 20)])),
+        delaunay_candidates(length_instance(rng, "explicit-int", 20)),
+        delaunay_candidates(length_instance(rng, "ceil-int", 20), deadline=time.monotonic()),
+    ]
+    assert coplanar[2] > 0
+    for table in tables:
+        owner = np.repeat(np.arange(table.count.size), table.count)
+        dist = dict(zip(zip(owner.tolist(), table.to.tolist()), table.dist.tolist()))
+        assert dist == {(v, u): d for (u, v), d in dist.items()}
+    assert tables[-1].to.size == 0
+
+
 def assert_empty_table(table, n):
     """Every one of the ``n`` cities has a row, with no candidates in it."""
     assert table.count.tolist() == table.start.tolist() == [0] * n
@@ -707,15 +741,16 @@ def test_load_interval_takes_the_walks_decisions(monkeypatch, kind):
             sol = random_solution(rng, inst)
             load = evaluate(inst, sol).final_weight
             assert load <= inst.capacity
+            if k == 3:  # a full knapsack, whose last speed is exactly v_min, has an interval too
+                inst = dataclasses.replace(inst, capacity=load)
             cand = full_candidates(inst) if k == 0 else delaunay_candidates(inst)
-            # a packing that fills the knapsack has no interval
-            descend_checking_each_pass(monkeypatch, inst, sol, cand, counts if load < inst.capacity else None)
+            descend_checking_each_pass(monkeypatch, inst, sol, cand, counts)
     assert counts["rejected"] > 0 and counts["sure"] > 0 and counts["walked"] > 0
 
 
-def test_packed_pass_at_or_over_capacity_walks_every_probe(monkeypatch):
-    # the interval needs the speeds of loads below capacity; at or over it,
-    # a pass walks every probe up to its move
+def test_packed_pass_over_capacity_walks_every_probe(monkeypatch):
+    # the interval needs the speeds of loads within capacity; over it, a
+    # pass walks every probe up to its move
     rng = random.Random("over capacity")
     for per_city in (1, 5, 10):
         for k in range(4):
@@ -723,9 +758,9 @@ def test_packed_pass_at_or_over_capacity_walks_every_probe(monkeypatch):
             sol = random_solution(rng, inst, feasible=False)
             sol.packing = [int(rng.random() < 0.9) for _ in range(inst.m)]
             load = evaluate(inst, sol).final_weight
-            if k == 0:
-                inst = dataclasses.replace(inst, capacity=load)
-            assert load >= inst.capacity
+            if k == 0:  # one whole weight over
+                inst = dataclasses.replace(inst, capacity=load - 1.0)
+            assert load > inst.capacity
             cand = full_candidates(inst) if k < 2 else delaunay_candidates(inst)
             descend_checking_each_pass(monkeypatch, inst, sol, cand, None)
 
@@ -759,8 +794,8 @@ def test_load_interval_at_the_gain_threshold(monkeypatch):
             late = set(sol.tour[2 * inst.n // 3 :])
             sol.packing = [z if inst.city[j] in late else 0 for j, z in enumerate(sol.packing)]
             cand = full_candidates(inst) if k < 2 else delaunay_candidates(inst)
-            below = evaluate(inst, sol).final_weight < inst.capacity
-            tour = descend_checking_each_pass(monkeypatch, inst, sol, cand, counts if below else None)
+            within = evaluate(inst, sol).final_weight <= inst.capacity
+            tour = descend_checking_each_pass(monkeypatch, inst, sol, cand, counts if within else None)
             assert tour == loop_two_opt(inst, sol.tour, sol.packing, table_lists(cand))
     assert min(counts.values()) > 0
 
