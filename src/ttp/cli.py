@@ -204,7 +204,10 @@ def cmd_bench(args) -> int:
     if not paths:
         print(f"error: no instances match {args.instances!r}", file=sys.stderr)
         return EXIT_USAGE
-    # built before any run, so a bad setting fails the whole bench at once
+    # checked and built before any run, so a bad setting fails the whole bench at once
+    for name in ("runs", "workers"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name} must be at least 1")
     configs = [
         (f"alpha{alpha:g}", run, SolverConfig(time_budget=args.time, alpha=alpha, beta=args.beta,
                                               seed=args.seed + run, max_restarts=args.max_restarts))

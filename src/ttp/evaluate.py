@@ -138,7 +138,7 @@ def evaluate(inst: Instance, sol: Solution) -> EvalResult:
         travel_time=cache.total_time,
         gain=total_profit - inst.renting_ratio * cache.total_time,
         final_weight=final_weight,
-        feasible=final_weight <= inst.capacity + 1e-12,
+        feasible=final_weight <= inst.capacity,
     )
 
 

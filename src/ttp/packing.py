@@ -9,6 +9,7 @@ single-bit flips.
 from __future__ import annotations
 
 import math
+import operator
 import time as _time
 from dataclasses import asdict, dataclass
 from random import Random
@@ -44,8 +45,12 @@ class SolverConfig:
         if self.beta is not None and not (0.0 <= self.beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
         for name in ("max_restarts", "sa_iters_per_temp"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            count = getattr(self, name)
+            try:
+                if count is not None and operator.index(count) < 1:
+                    raise ValueError(f"{name} must be at least 1")
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if not (0.0 < self.sa_cooling < 1.0):
             raise ValueError("sa_cooling must lie in (0, 1)")
         if self.sa_t0 is not None and not self.sa_t0 > 0:

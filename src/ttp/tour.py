@@ -268,12 +268,6 @@ def _length_descent(inst: Instance, cache: PrefixCache, table: CandidateTable, d
         _retime(inst, cache, 0)
 
 
-def _runs(lengths: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The runs first[r], first[r] + 1, .., first[r] + lengths[r] - 1,
-    concatenated."""
-    return np.repeat(first - (lengths.cumsum() - lengths), lengths) + np.arange(lengths.sum())
-
-
 def _times_after_reversals(
     inst: Instance,
     cache: PrefixCache,
@@ -286,40 +280,33 @@ def _times_after_reversals(
     were reversed, for every probe p, whose new legs are ``first[p]`` =
     d(tour[a - 1], tour[b]) and ``last[p]`` = d(tour[a], tour[b + 1]).
 
-    One row per probe walks the tour positions lo - 1 .. n - 1, lo = min(a):
-    zeros before a - 1, then the load ``cum_weight[a - 1]`` with the leg
-    ``first``, then the reversed segment, whose legs are the segment's own
-    in reverse order, and the unchanged rest of the tour.
-    Adding 0.0 changes no float, each element sees the IEEE operations of a
-    walk from position a - 1 in the walk's order, and ``cumsum`` adds along
-    a row from left to right, so every total equals that walk bit for bit.
+    One row per probe walks the positions lo - 1 .. n - 1 of its reversed
+    tour, lo = min(a), on from the state's load ``cum_weight[lo - 1]`` and
+    time ``arrive_time[lo - 1]``.  The city at a position p of [a, b] is
+    the one that stood at a + b - p, and below b the leg leaving it is the
+    old leg into a + b - p, as distances are symmetric; the legs at a - 1
+    and b are ``first`` and ``last``.
+
+    The state equals a walk of its tour, and ``cumsum`` adds along a row
+    from left to right, as the state's sums do.  So up to a - 1 a row
+    repeats the state's loads and times bit for bit, from there every
+    element sees the IEEE operations of a walk of the reversed tour, and
+    every total equals that walk bit for bit.  The loads along a row never
+    decrease, as ``velocities`` requires.
     """
     lo = int(a.min())
-    cols = inst.n - lo + 1
-    load_at = cache.city_weight[cache.city_at]
-    loads = np.empty((a.size, cols))
-    loads[:] = load_at[lo - 1 :]
-    legs = np.empty((a.size, cols))
-    legs[:] = cache.leg_dist[lo - 1 :]
-    flat_loads, flat_legs = loads.reshape(-1), legs.reshape(-1)
-    origin = np.arange(0, loads.size, cols) + 1 - lo  # flat index of position 0 per row
-    seg = b - a + 1
-    new = _runs(seg, a)  # the positions a .. b of each probe
-    old = np.repeat(a + b, seg) - new  # the position that held the city now there
-    at_new = np.repeat(origin, seg) + new
-    flat_loads[at_new] = load_at[old]
-    # the new leg at a position is the old leg from old - 1 to old, as
-    # distances are symmetric; the one written at b is replaced by ``last``
-    flat_legs[at_new] = cache.leg_dist[old - 1]
-    flat_legs[origin + b] = last
-    before = _runs(a - lo, origin + lo - 1)
-    flat_loads[before] = 0.0
-    flat_legs[before] = 0.0
-    at_start = origin + a - 1
-    flat_loads[at_start] = cache.cum_weight[a - 1]
-    flat_legs[at_start] = first
+    pos = np.arange(lo - 1, inst.n)
+    a_, b_ = a[:, None], b[:, None]
+    inside = (a_ <= pos) & (pos <= b_)
+    src = np.where(inside, a_ + b_ - pos, pos)  # the old position of the city now at pos
+    loads = cache.city_weight[cache.city_at][src]
+    loads[:, 0] = cache.cum_weight[lo - 1]
+    legs = cache.leg_dist[src - inside]
+    row = np.arange(a.size)
+    legs[row, a - lo] = first
+    legs[row, b - lo + 1] = last
     step = legs / velocities(inst, loads.cumsum(axis=1))
-    step.reshape(-1)[at_start] += cache.arrive_time[a - 1]
+    step[:, 0] += cache.arrive_time[lo - 1]
     return step.cumsum(axis=1)[:, -1]
 
 

@@ -39,4 +39,4 @@ def ref_evaluate(inst: Instance, tour: list[int], packing: list[int]):
             v = inst.v_min
         time += ref_distance(inst, tour[k], tour[(k + 1) % inst.n]) / v
     gain = profit - inst.renting_ratio * time
-    return profit, time, gain, carried, carried <= inst.capacity + 1e-12
+    return profit, time, gain, carried, carried <= inst.capacity

@@ -77,6 +77,21 @@ def test_eval_worked_example(tmp_path, capsys):
     assert data["feasible"] is True
 
 
+def test_eval_flags_a_packing_a_hair_over_capacity(tmp_path, capsys):
+    # example5 with two items of weights 0.5 and 0.5000000000001 at capacity 1
+    text = Path(EXAMPLE).read_text().replace("ITEMS: 4", "ITEMS: 2").replace("KNAPSACK: 10", "KNAPSACK: 1")
+    inst = tmp_path / "hair.ttp"
+    inst.write_text(text[: text.index("1 101")] + "1 1 0.5 2\n2 1 0.5000000000001 3\n")
+    tour = tmp_path / "tour.txt"
+    tour.write_text("1 2 3 4 5\n")
+    packing = tmp_path / "packing.txt"
+    packing.write_text("1 1\n")
+    code, out, _ = run(capsys, "eval", str(inst), "--tour", str(tour), "--packing", str(packing))
+    data = json.loads(out)
+    assert code == 0
+    assert data["final_weight"] == 1.0000000000001 and data["feasible"] is False
+
+
 def test_eval_invalid_tour(tmp_path, capsys):
     tour = tmp_path / "tour.txt"
     tour.write_text("2 1 3 4 5\n")
@@ -371,6 +386,14 @@ def test_bench_rejects_a_bad_beta_before_any_run(tmp_path, capsys):
     code, out, err = run(capsys, "bench", EXAMPLE, "--out", str(tmp_path / "o"), "--beta", "1.5")
     assert code == 1
     assert "beta" in err and out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--runs", "-2"), ("--workers", "0"), ("--workers", "-3")])
+def test_bench_rejects_runs_or_workers_below_one_before_any_run(tmp_path, capsys, flag, value):
+    code, out, err = run(capsys, "bench", EXAMPLE, "--out", str(tmp_path / "o"), flag, value)
+    assert code == 1
+    assert f"{flag} must be at least 1" in err and out == ""
     assert not (tmp_path / "o").exists()
 
 

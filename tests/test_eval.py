@@ -131,6 +131,12 @@ def test_overweight_packing_flagged_infeasible(example5):
     res = evaluate(example5, Solution([1, 2, 3, 4, 5], [1, 1, 1, 1]))
     assert not res.feasible
     assert res.final_weight == 18
+    # a hair over: feasibility has no tolerance
+    inst = dataclasses.replace(example5, m=2, profit=[1.0, 1.0], weight=[0.5, 0.5000000000001],
+                               city=[2, 3], capacity=1.0)
+    res = evaluate(inst, Solution([1, 2, 3, 4, 5], [1, 1]))
+    assert res.final_weight == 1.0000000000001 and not res.feasible
+    assert ref_evaluate(inst, [1, 2, 3, 4, 5], [1, 1])[3:] == (res.final_weight, False)
 
 
 def test_suffix_distances_summed_from_the_legs(example5):

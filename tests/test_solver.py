@@ -24,10 +24,12 @@ from loop_eval import loop_solve
 
 
 def test_config_validation():
-    # a NaN budget never expires, and zero restarts leave solve() no result
+    # a NaN budget never expires, zero restarts leave solve() no result, and
+    # counts are integers, as the run record's schema says
     for bad in (dict(time_budget=0), dict(time_budget=math.nan), dict(sa_t0=math.nan),
                 dict(alpha=math.nan), dict(alpha=math.inf), dict(max_restarts=0),
-                dict(max_restarts=-1), dict(sa_iters_per_temp=0)):
+                dict(max_restarts=-1), dict(sa_iters_per_temp=0), dict(max_restarts=1.5),
+                dict(sa_iters_per_temp=2.5), dict(sa_iters_per_temp=2.0)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     cfg = SolverConfig(time_budget=1.0, alpha=1.0, seed=3)
