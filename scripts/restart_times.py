@@ -3,7 +3,7 @@ split by stage.
 
     python3 scripts/restart_times.py
 
-Each instance (A n=200, A n=1000, C n=200, B n=500) comes from
+Each instance (A n=200, A n=1000, C n=200, C n=1000, B n=500) comes from
 ``perfbench/corpus.py`` (instance seed 1000) and is solved once with
 ``max_restarts=3``, solver seed 1, a deadline that never binds, and the
 solver settings of the benchmark's workloads (``perfbench/run.py``).
@@ -42,7 +42,7 @@ from ttp.tour import load_triangulation  # noqa: E402
 
 INSTANCE_SEED = 1000
 RESTARTS = 3
-INSTANCES = (("A", 200), ("A", 1000), ("C", 200), ("B", 500))
+INSTANCES = (("A", 200), ("A", 1000), ("C", 200), ("C", 1000), ("B", 500))
 STAGES = ("NN walk", "length descent", "packed descents", "plan", "SA")
 
 

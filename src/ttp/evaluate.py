@@ -11,7 +11,7 @@ probe and discard them uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -238,25 +238,17 @@ def flip(inst: Instance, cache: PrefixCache, item: int) -> None:
     With ``exact_loads`` the loads are shifted by the item's weight, which
     equals summing them afresh; and when the kept probe is this item's, its
     speeds are the new ones, so they are committed, not computed again.
-    Otherwise the city's weight is summed afresh and ``_retime`` runs.
+    Otherwise the flip is ``flip_items`` of the one item.
     """
+    if not inst.exact_loads:
+        flip_items(inst, cache, (item,))
+        return
     if not (1 <= item <= inst.m):
         raise IndexError(f"item index out of range: {item}")
     j, packing = item - 1, cache.packing
     packing[j] ^= 1
     city = inst.city.item(j)
     k = cache.position.item(city - 1)
-    if not inst.exact_loads:
-        # summed afresh in item order, left to right as sequential_sum and
-        # build_prefix_cache add, not adjusted by the flipped weight, which
-        # would leave a rounding residue
-        total, weight = 0.0, inst.weight
-        for i in inst.city_items[city - 1]:
-            if packing[i]:
-                total += weight.item(i)
-        cache.city_weight[city - 1] = total
-        _retime(inst, cache, k)
-        return
     w = inst.weight.item(j) if packing[j] else -inst.weight.item(j)
     cache.city_weight[city - 1] += w
     load = cache.cum_weight[k:]
@@ -269,3 +261,36 @@ def flip(inst: Instance, cache: PrefixCache, item: int) -> None:
         speed = velocities(inst, load)
         np.divide(1.0, speed, out=cache.inv_speed[k:])
     _write_times(cache, k, speed)
+
+
+def flip_items(inst: Instance, cache: PrefixCache, items: Iterable[int]) -> None:
+    """Flip every item of ``items`` (1-based) in ``cache.packing``, then
+    bring the state up to date in place with one ``_retime`` from the first
+    tour position touched; the tour fields are left as they are.  With no
+    items nothing is written.
+
+    The picked weight of each touched city is summed afresh in item order,
+    left to right as ``sequential_sum`` and ``build_prefix_cache`` add, not
+    adjusted by the flipped weights, which on float weights would leave a
+    rounding residue.  The state before that position is untouched and
+    equals a fresh build, so the one ``_retime`` gives the state that
+    flipping the items one by one gives, bit for bit.
+    """
+    rows = []
+    for item in items:
+        if not (1 <= item <= inst.m):
+            raise IndexError(f"item index out of range: {item}")
+        rows.append(item - 1)
+    if not rows:
+        return
+    packing, weight = cache.packing, inst.weight
+    for j in rows:
+        packing[j] ^= 1
+    cities = {inst.city.item(j) for j in rows}
+    for city in cities:
+        total = 0.0
+        for i in inst.city_items[city - 1]:
+            if packing[i]:
+                total += weight.item(i)
+        cache.city_weight[city - 1] = total
+    _retime(inst, cache, min(cache.position.item(city - 1) for city in cities))

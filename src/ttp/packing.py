@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ttp.evaluate import GAIN_EPS, PrefixCache, delta_flip, flip
+from ttp.evaluate import GAIN_EPS, PrefixCache, delta_flip, flip, flip_items
 from ttp.instance import Instance
 from ttp.scoring import DEFAULT_ALPHA, build_score_table
 
@@ -77,9 +77,8 @@ def default_beta(inst: Instance) -> float:
 
 
 def _flip_back(inst: Instance, cache: PrefixCache, changed: Iterable[int]) -> None:
-    """Flip the 0-based items ``changed`` back, in item order."""
-    for j in sorted(changed):
-        flip(inst, cache, j + 1)
+    """Flip the 0-based items ``changed`` back, with one retime."""
+    flip_items(inst, cache, [j + 1 for j in changed])
 
 
 def _flip_if_fits(inst: Instance, cache: PrefixCache, item: int) -> bool:
@@ -117,6 +116,14 @@ def initial_picking_plan(
     The plan replaces the packing of ``cache``, whose tour ``tour`` must be
     (``ValueError`` otherwise); ``cache`` ends holding the plan, and a copy
     of it is returned.
+
+    On an instance with ``exact_loads`` the plan keeps the load as an exact
+    Python number.  An item that fits below the annealer's load line, and
+    whose price has a positive lower bound (``_pick_lb``), is taken without
+    ``delta_flip``: it joins a pending list, which ``flip_items`` commits with
+    one retime before the next item that must be priced, at the end of each
+    phase and when the deadline passes.  Pricing would have taken each such
+    item too, so the plan and the state are those of pricing every pick.
     """
     if not np.array_equal(cache.city_at + 1, tour):
         raise ValueError("tour is not the state's tour")
@@ -126,8 +133,37 @@ def initial_picking_plan(
         return list(cache.packing)
     beta = default_beta(inst) if config.beta is None else config.beta
     threshold = table.avg_score + (table.max_score - table.avg_score) * beta
-    target = inst.capacity * table.ratio
-    item_city, item_weight = inst.city.tolist(), inst.weight.tolist()
+    capacity, target = inst.capacity, inst.capacity * table.ratio
+    item_city, item_weight, profit = inst.city.tolist(), inst.weight.tolist(), inst.profit.tolist()
+    sure = inst.exact_loads
+    if sure:
+        bound, load_line = _flip_bound(inst, cache), capacity * (1.0 - 1e-9)
+        # per item, D(k0): the distance from its city to the tour's end
+        suffix = cache.leg_dist[::-1].cumsum()[::-1][cache.position[inst.city - 1]].tolist()
+    load = cache.cum_weight.item(-1)  # the state's, once the pending items are flipped
+    pending: list[int] = []  # 1-based items taken by the bound, not flipped yet
+
+    def commit() -> None:
+        flip_items(inst, cache, pending)
+        pending.clear()
+
+    def pick(j: int, keep_zero: bool) -> bool:
+        """Take item ``j`` (1-based) if it fits and its price is positive,
+        or zero with ``keep_zero``; whether it was taken."""
+        nonlocal load
+        w = item_weight[j - 1]
+        if load + w > capacity:
+            return False
+        if sure and load + w < load_line and _pick_lb(inst, bound, profit[j - 1], w, load, suffix[j - 1]) > 0:
+            pending.append(j)
+            load += w
+            return True
+        commit()
+        price = delta_flip(inst, cache, j)
+        if (price < 0 if keep_zero else price <= 0) or not _flip_if_fits(inst, cache, j):
+            return False
+        load = cache.cum_weight.item(-1)
+        return True
 
     by_city: dict[int, list[int]] = {}
     for j in table.order:
@@ -137,34 +173,25 @@ def initial_picking_plan(
     for pos in range(inst.n - 1, 0, -1):
         if done or (deadline is not None and _time.monotonic() >= deadline):
             break
-        city = tour[pos]
-        for j in by_city.get(city, ()):  # already in descending score order
-            if table.scores[j - 1] <= threshold:
-                continue
-            if cache.cum_weight.item(-1) + item_weight[j - 1] > inst.capacity:
-                continue
-            if delta_flip(inst, cache, j) < 0 or not _flip_if_fits(inst, cache, j):
-                continue
-            if cache.cum_weight.item(-1) >= target:
+        for j in by_city.get(tour[pos], ()):  # already in descending score order
+            if table.scores[j - 1] > threshold and pick(j, True) and load >= target:
                 done = True
                 break
+    commit()
     phase1_gain = cache.gain(inst)
 
     # phase 2: insertion fill over remaining positive-gain items
-    added: list[int] = []  # 0-based
+    added: list[int] = []  # 1-based
     for j in table.order:
         if deadline is not None and _time.monotonic() >= deadline:
             break
-        if cache.packing[j - 1]:
-            continue
-        if cache.cum_weight.item(-1) + item_weight[j - 1] > inst.capacity:
-            continue
-        if delta_flip(inst, cache, j) > 0 and _flip_if_fits(inst, cache, j):
-            added.append(j - 1)
+        if not cache.packing[j - 1] and pick(j, False):
+            added.append(j)
+    commit()
 
     # phase 2 adds only items priced above 0, so it can lose only by rounding
     if cache.gain(inst) < phase1_gain:
-        _flip_back(inst, cache, added)
+        flip_items(inst, cache, added)
     return list(cache.packing)
 
 
@@ -238,6 +265,43 @@ def _flip_ub(bound: tuple[float, float, float], p: float, w: float, slope: float
     r_nu, eta, slack = bound
     tw = r_nu * w * slope
     return (p - tw if adding else tw - p) + eta * (p + tw) + slack
+
+
+def _pick_lb(inst: Instance, bound: tuple[float, float, float], p: float, w: float, load: float,
+             dist: float) -> float:
+    """A lower bound on ``delta_flip`` of adding an item of profit ``p`` and
+    weight ``w`` at final load ``load``, whose tour position k0 has the
+    distance ``dist`` = D(k0) to the tour's end; ``bound`` is
+    ``_flip_bound``'s.  Valid while ``load + w`` stays below
+    ``capacity * (1 - 1e-9)``, the annealer's load line, and every leg is
+    nonnegative.
+
+    Below capacity, with f(x) = 1/(v_max - nu*x),
+
+        f(x + w) - f(x) = nu*w*f(x)*f(x + w),
+
+    which grows with x.  Loads never decrease along the tour, so every load
+    from k0 on is at most the final load W, and adding the item slows each
+    leg from k0 on by at most nu*w*f(W)*f(W + w) per unit of distance:
+
+        delta >= p - tw,    tw = R*nu*w*f(W)*f(W + w)*D(k0).
+
+    Rounding, as in ``_flip_bound`` (e = 2**-53, k = v_max / v_min, N <= n
+    legs): the computed ``delta_flip`` is within e*p + (6k + 2N + 8)e*R*D/v_min
+    of its exact value, and the computed tw within (2k + N + 9)e of the
+    exact one relative (two inverse speeds within (k + 2)e each, D's N
+    additions, R*nu and four products).  With ``_flip_bound``'s eta and
+    slack = 3*eta*R*L/v_min (L >= D), which exceed both with room for the
+    last three roundings,
+
+        lb = (p - tw) - eta * (p + tw) - slack
+
+    is at most the computed ``delta_flip``; so lb > 0 means a positive price.
+    """
+    r_nu, eta, slack = bound
+    v_max, nu = inst.v_max, inst.weight_velocity_slope
+    tw = r_nu * w * (1.0 / (v_max - nu * load)) * (1.0 / (v_max - nu * (load + w))) * dist
+    return (p - tw) - eta * (p + tw) - slack
 
 
 def _slopes(cache: PrefixCache) -> list[float]:

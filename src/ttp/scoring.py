@@ -38,6 +38,14 @@ class ScoreTable:
     order: list[int]  # 1-based item indices, descending score, ties by index
 
 
+def _power(w: float, alpha: float) -> float:
+    """``w ** alpha`` by Python's ``pow``, +inf where that overflows."""
+    try:
+        return w ** alpha
+    except OverflowError:
+        return math.inf
+
+
 def build_score_table(inst: Instance, cache: PrefixCache, alpha: float = DEFAULT_ALPHA) -> ScoreTable:
     """The table of every item under the current tour, in one pass over the
     item arrays.
@@ -47,16 +55,23 @@ def build_score_table(inst: Instance, cache: PrefixCache, alpha: float = DEFAULT
     gain is its standalone insertion gain into an empty knapsack, charging
     the slowed speed over the whole suffix: profit - R * suffix / v, -inf for
     an item heavier than the capacity.  ``weight ** alpha`` is Python's
-    ``pow``, which ``np.power`` may not match in the last bit, and the mean
-    score is a ``sequential_sum``, whose order of additions does not depend
-    on the Python version, as the builtin ``sum``'s does from 3.12 on.
+    ``pow``, which ``np.power`` may not match in the last bit; where it
+    overflows it reads as +inf, which scores the item 0, the limit of the
+    formula.  The mean score is a ``sequential_sum``, whose order of
+    additions does not depend on the Python version, as the builtin
+    ``sum``'s does from 3.12 on.
     """
     suffix = cache.leg_dist[::-1].cumsum()[::-1][cache.position[inst.city - 1]]
     speed = inst.v_max - inst.weight * inst.weight_velocity_slope
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a zero suffix divides a positive profit by zero: +inf
-        scores = inst.profit / (np.array([w ** alpha for w in inst.weight.tolist()]) * suffix)
+    weights = inst.weight.tolist()
+    try:
+        powers = [w ** alpha for w in weights]
+    except OverflowError:
+        powers = [_power(w, alpha) for w in weights]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scores = inst.profit / (np.array(powers) * suffix)
         marginal = inst.profit - inst.renting_ratio * suffix / speed
+    scores[suffix == 0.0] = math.inf  # also where an infinite power meets it
     marginal[(inst.weight > inst.capacity) | (speed <= 0)] = -math.inf
     eligible = np.flatnonzero(marginal > 0)
     l = len(eligible)

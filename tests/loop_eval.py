@@ -24,7 +24,10 @@ by (distance, id), as both were before ``Instance`` kept its coordinates as
 Python floats and the walk an id-ordered list.  ``loop_length_descent`` is
 the empty-knapsack 2-OPT descent that prices every probe again from position
 1 after each move, which the descent that resumes where its last move was
-found must match move for move.
+found must match move for move.  ``loop_initial_picking_plan`` is the
+picking plan that prices every pick with ``delta_flip`` and flips it on its
+own, which the plan that takes picks by its chord bound and commits them
+with one retime must match pick for pick.
 """
 
 import math
@@ -36,7 +39,8 @@ import numpy as np
 import ttp.tour as tour_mod
 from ttp.evaluate import GAIN_EPS, Solution, build_prefix_cache, delta_flip, evaluate, flip
 from ttp.instance import EdgeWeightType, Instance
-from ttp.packing import bit_flip_search, initial_picking_plan, simulated_annealing_kp
+from ttp.packing import bit_flip_search, default_beta, initial_picking_plan, simulated_annealing_kp
+from ttp.scoring import build_score_table
 from ttp.solver import RunRecord
 from ttp.tour import CandidateTable, delaunay_candidates, nearest_neighbor_tour, two_opt_improve
 
@@ -129,12 +133,17 @@ def loop_suffix(inst: Instance, cache, city: int) -> float:
 
 def loop_item_score(inst: Instance, cache, item: int, alpha: float) -> float:
     """Score of item ``item`` (1-based) under the cache's tour:
-    profit / (weight**alpha * suffix), +inf when the suffix distance is 0."""
+    profit / (weight**alpha * suffix), +inf when the suffix distance is 0 or
+    the power underflows to 0, and 0 when the power overflows."""
     profit, weight, city = item_row(inst, item)
     suffix = loop_suffix(inst, cache, city)
     if suffix == 0.0:
         return math.inf
-    return profit / (weight ** alpha * suffix)
+    try:
+        power = weight ** alpha
+    except OverflowError:
+        return 0.0
+    return profit / (power * suffix) if power * suffix else math.inf
 
 
 def loop_marginal_gain(inst: Instance, cache, item: int) -> float:
@@ -234,6 +243,65 @@ def loop_length_descent(inst: Instance, cache, table: CandidateTable, deadline=N
         moves.append((int(a[improving[0]]), int(b[improving[0]])))
         tour_mod._reverse(inst, cache, *moves[-1])
     return moves, priced
+
+
+def loop_initial_picking_plan(inst: Instance, tour: list[int], cache, config, deadline=None) -> list[int]:
+    """``initial_picking_plan`` as it was before its chord bound: every pick
+    that fits is priced with ``delta_flip`` and flipped on its own, and an
+    addition is flipped back when the state's load then exceeds capacity;
+    the items of the packing ``cache`` holds at the start, and phase 2's
+    items if phase 1 was better, are flipped back one by one in item order.
+    The clock is read where the plan reads it."""
+    if not np.array_equal(cache.city_at + 1, tour):
+        raise ValueError("tour is not the state's tour")
+
+    def fits(j):
+        flip(inst, cache, j)
+        if cache.packing[j - 1] and cache.cum_weight.item(-1) > inst.capacity:
+            flip(inst, cache, j)
+            return False
+        return True
+
+    for j in np.flatnonzero(cache.packing).tolist():
+        flip(inst, cache, j + 1)
+    table = build_score_table(inst, cache, config.alpha)
+    if table.positive_count == 0:
+        return list(cache.packing)
+    beta = default_beta(inst) if config.beta is None else config.beta
+    threshold = table.avg_score + (table.max_score - table.avg_score) * beta
+    target = inst.capacity * table.ratio
+    by_city = {}
+    for j in table.order:
+        by_city.setdefault(inst.city.item(j - 1), []).append(j)
+    done = False
+    for pos in range(inst.n - 1, 0, -1):
+        if done or (deadline is not None and _time.monotonic() >= deadline):
+            break
+        for j in by_city.get(tour[pos], ()):
+            if table.scores[j - 1] <= threshold:
+                continue
+            if cache.cum_weight.item(-1) + inst.weight.item(j - 1) > inst.capacity:
+                continue
+            if delta_flip(inst, cache, j) < 0 or not fits(j):
+                continue
+            if cache.cum_weight.item(-1) >= target:
+                done = True
+                break
+    phase1_gain = cache.gain(inst)
+    added = []
+    for j in table.order:
+        if deadline is not None and _time.monotonic() >= deadline:
+            break
+        if cache.packing[j - 1]:
+            continue
+        if cache.cum_weight.item(-1) + inst.weight.item(j - 1) > inst.capacity:
+            continue
+        if delta_flip(inst, cache, j) > 0 and fits(j):
+            added.append(j)
+    if cache.gain(inst) < phase1_gain:
+        for j in sorted(added):
+            flip(inst, cache, j)
+    return list(cache.packing)
 
 
 def loop_simulated_annealing(inst: Instance, sol, params, rng, max_iters=None) -> list[int]:

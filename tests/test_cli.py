@@ -156,6 +156,19 @@ def test_score_and_pack_reject_an_alpha_that_is_not_finite(capsys, command, alph
     assert "alpha must be finite" in err
 
 
+@pytest.mark.parametrize("command", ["score", "pack"])
+def test_score_and_pack_take_an_alpha_whose_power_overflows(capsys, command):
+    code, out, err = run(capsys, command, EXAMPLE, "--alpha", "400")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    if command == "score":
+        # 10 ** 400 overflows; 4 ** 400 and 2 ** 400 do not
+        scores = [row["score"] for row in data["items"]]
+        assert scores[0] == 0.0 and min(scores[1:]) > 0.0
+    else:
+        assert data["feasible"] is True
+
+
 def test_pack_worked_example(tmp_path, capsys):
     tour = tmp_path / "tour.txt"
     tour.write_text("1 2 3 4 5\n")

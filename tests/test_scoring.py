@@ -186,3 +186,22 @@ def test_table_equals_item_by_item_reference(kind):
         seen["neg_inf_marginal"] += -math.inf in table.marginal
         seen["tie"] += len(set(table.scores)) < inst.m
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("alpha", [400.0, 2000.0, -2000.0])
+def test_table_at_an_overflowing_alpha_equals_the_reference(alpha):
+    # weight ** alpha overflows for some weights and underflows to 0 for
+    # others: an overflow scores the item 0, an underflow or a zero suffix +inf
+    rng = random.Random(int(alpha))
+    zero = inf = 0
+    for _ in range(20):
+        inst, tour = edge_case_instance(rng, rng.choice(list(EdgeWeightType)), rng.randint(3, 12), rng.randint(3, 40))
+        cache = build_prefix_cache(inst, Solution(tour, [0] * inst.m))
+        table = build_score_table(inst, cache, alpha)
+        expect = loop_score_table(inst, cache, alpha)
+        for name, value in expect.items():
+            assert getattr(table, name) == value, name
+        assert not any(math.isnan(s) for s in table.scores)
+        zero += table.scores.count(0.0)
+        inf += table.scores.count(math.inf)
+    assert zero and inf

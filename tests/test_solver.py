@@ -16,7 +16,7 @@ import ttp.packing as packing_mod
 import ttp.solver as solver_mod
 import ttp.tour as tour_mod
 from ttp.evaluate import PrefixCache, Solution, evaluate
-from ttp.instance import EdgeWeightType
+from ttp.instance import EdgeWeightType, Instance
 from ttp.solver import RunRecord, SolverConfig, solve
 
 from conftest import FIXTURES, brute_force_best_solution, float_instance, make_random_instance
@@ -35,6 +35,21 @@ def test_config_validation():
     cfg = SolverConfig(time_budget=1.0, alpha=1.0, seed=3)
     d = cfg.to_dict()
     assert d["alpha"] == 1.0 and d["seed"] == 3
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_solve_at_an_overflowing_alpha_is_feasible(explicit):
+    # weight ** 2000 overflows a float for every weight above 1.43
+    if explicit:
+        d = [[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]]
+        inst = Instance("tri", 3, 3, None, [40.0, 30.0, 20.0], [2.0, 3.0, 4.0], [2, 3, 3], 6.0, 0.1, 1.0, 0.5,
+                        EdgeWeightType.EXPLICIT, d)
+    else:
+        inst = make_random_instance(random.Random(5), 12, 30)
+    rec = solve(inst, SolverConfig(alpha=2000.0, max_restarts=2))
+    res = evaluate(inst, Solution(rec.best_tour, rec.best_packing))
+    assert res.feasible and res.gain == rec.best_gain
+    assert any(rec.best_packing)
 
 
 def test_solve_reaches_exhaustive_optimum_on_fixture(example5):

@@ -322,14 +322,18 @@ def test_plan_hands_back_its_phase_1_state(monkeypatch):
     # phase 2 adds only items priced above 0, so it loses to phase 1 only by
     # rounding.  Priced at +1 here, it adds item 2 to phase 1's item 1; the
     # full knapsack then crawls at v_min over the 100-long rest of the tour
-    # and costs more rent than item 2's profit, so phase 1's plan wins
-    monkeypatch.setattr(packing_mod, "delta_flip", lambda *args: 1.0)
+    # and costs more rent than item 2's profit, so phase 1's plan wins.  That
+    # add fills the knapsack to capacity, past the load line of the plan's
+    # chord bound, so it is priced, by the patched price
+    priced = []
+    monkeypatch.setattr(packing_mod, "delta_flip", lambda inst, cache, j: priced.append(j) or 1.0)
     d = np.array([[0.0, 1.0, 50.0], [1.0, 0.0, 50.0], [50.0, 50.0, 0.0]])
     inst = Instance("fallback", 3, 2, None, [6.0, 5.0], [5.0, 5.0], [2, 2], 10.0, 0.1, 1.0, 0.01,
                     EdgeWeightType.EXPLICIT, d)
     tour = [1, 2, 3]
     given = build_prefix_cache(inst, Solution(tour, [0, 0]))
     assert initial_picking_plan(inst, tour, given, SolverConfig(beta=0.0)) == [1, 0]
+    assert 2 in priced
     assert evaluate(inst, Solution(tour, [1, 0])).gain > evaluate(inst, Solution(tour, [1, 1])).gain
     assert list(given.packing) == [1, 0]
     assert_state_is_fresh(inst, given)
