@@ -13,13 +13,13 @@ import operator
 import time as _time
 from dataclasses import asdict, dataclass
 from random import Random
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ttp.evaluate import GAIN_EPS, PrefixCache, delta_flip, flip, flip_items
 from ttp.instance import Instance
-from ttp.scoring import DEFAULT_ALPHA, build_score_table
+from ttp.scoring import DEFAULT_ALPHA, build_score_table, suffix_distances
 
 
 @dataclass
@@ -76,9 +76,9 @@ def default_beta(inst: Instance) -> float:
     return 0.5
 
 
-def _flip_back(inst: Instance, cache: PrefixCache, changed: Iterable[int]) -> None:
-    """Flip the 0-based items ``changed`` back, with one retime."""
-    flip_items(inst, cache, [j + 1 for j in changed])
+# the annealer's load line, as a fraction of capacity: below it the flip
+# bound and the plan's chord bound leave room for rounding
+_LOAD_LINE = 1.0 - 1e-9
 
 
 def _flip_if_fits(inst: Instance, cache: PrefixCache, item: int) -> bool:
@@ -127,7 +127,7 @@ def initial_picking_plan(
     """
     if not np.array_equal(cache.city_at + 1, tour):
         raise ValueError("tour is not the state's tour")
-    _flip_back(inst, cache, np.flatnonzero(cache.packing).tolist())
+    flip_items(inst, cache, (np.flatnonzero(cache.packing) + 1).tolist())
     table = build_score_table(inst, cache, config.alpha)
     if table.positive_count == 0:
         return list(cache.packing)
@@ -137,9 +137,7 @@ def initial_picking_plan(
     item_city, item_weight, profit = inst.city.tolist(), inst.weight.tolist(), inst.profit.tolist()
     sure = inst.exact_loads
     if sure:
-        bound, load_line = _flip_bound(inst, cache), capacity * (1.0 - 1e-9)
-        # per item, D(k0): the distance from its city to the tour's end
-        suffix = cache.leg_dist[::-1].cumsum()[::-1][cache.position[inst.city - 1]].tolist()
+        bound, load_line, suffix = _flip_bound(inst, cache), capacity * _LOAD_LINE, table.suffix
     load = cache.cum_weight.item(-1)  # the state's, once the pending items are flipped
     pending: list[int] = []  # 1-based items taken by the bound, not flipped yet
 
@@ -250,12 +248,12 @@ def _flip_bound(inst: Instance, cache: PrefixCache) -> tuple[float, float, float
         ub = (+-p -+ tw) + eta * (p + tw) + 3 * eta * R * L / v_min,
 
     tw = R*nu*w*S[k0] and L the tour length (>= D, both summed from the
-    tour's end), is at least the computed ``delta_flip``.  Returns (R*nu,
-    eta, 3*eta*R*L/v_min).
+    tour's end by ``suffix_distances``), is at least the computed
+    ``delta_flip``.  Returns (R*nu, eta, 3*eta*R*L/v_min).
     """
     r = inst.renting_ratio
     eta = (inst.n + 10.0 * inst.v_max / inst.v_min) * 2.0**-52
-    length = cache.leg_dist[::-1].cumsum().item(-1)  # as build_score_table sums suffixes
+    length = suffix_distances(cache).item(0)
     return r * inst.weight_velocity_slope, eta, 3.0 * eta * r * length / inst.v_min
 
 
@@ -273,7 +271,7 @@ def _pick_lb(inst: Instance, bound: tuple[float, float, float], p: float, w: flo
     weight ``w`` at final load ``load``, whose tour position k0 has the
     distance ``dist`` = D(k0) to the tour's end; ``bound`` is
     ``_flip_bound``'s.  Valid while ``load + w`` stays below
-    ``capacity * (1 - 1e-9)``, the annealer's load line, and every leg is
+    ``capacity * _LOAD_LINE``, the annealer's load line, and every leg is
     nonnegative.
 
     Below capacity, with f(x) = 1/(v_max - nu*x),
@@ -340,7 +338,7 @@ def simulated_annealing_kp(
         return
     m, packing, capacity = inst.m, cache.packing, inst.capacity
     cur_gain = cache.gain(inst)
-    changed: set[int] = set()  # 0-based items flipped since the best packing
+    changed: set[int] = set()  # 1-based items flipped since the best packing
     best_gain = cur_gain
     t0 = config.sa_t0 if config.sa_t0 is not None else max(0.05 * abs(cur_gain), 1.0)
     iters = config.sa_iters_per_temp if config.sa_iters_per_temp is not None else max(1000, inst.m)
@@ -350,7 +348,7 @@ def simulated_annealing_kp(
     exp, clock = math.exp, _time.monotonic
     profit, item_weight = inst.profit.tolist(), inst.weight.tolist()
     bound = _flip_bound(inst, cache)
-    load_line = capacity * (1.0 - 1e-9)
+    load_line = capacity * _LOAD_LINE
     pos = cache.position[inst.city - 1].tolist()  # SA never moves the tour
     load, slope = cache.cum_weight.item(-1), _slopes(cache)
     # tiny instances repeat probes often
@@ -359,7 +357,7 @@ def simulated_annealing_kp(
     while temp > 1e-3 * t0:
         for _ in range(iters):
             if deadline is not None and clock() >= deadline:
-                return _flip_back(inst, cache, changed)
+                return flip_items(inst, cache, changed)
             # rng.randint(1, m) - 1, drawn as randint draws it
             j = getrandbits(bits)
             while j >= m:
@@ -387,9 +385,9 @@ def simulated_annealing_kp(
                 changed.clear()
                 best_gain = cur_gain
             else:
-                changed ^= {j}
+                changed ^= {j + 1}
             load, slope = cache.cum_weight.item(-1), _slopes(cache)
         # resync against drift accumulated by adding up the flips' prices
         cur_gain = cache.gain(inst)
         temp *= config.sa_cooling
-    _flip_back(inst, cache, changed)
+    flip_items(inst, cache, changed)

@@ -23,7 +23,9 @@ DEFAULT_ALPHA = 1.5
 class ScoreTable:
     """Per-item scores plus the aggregate statistics driving plan construction.
 
-    ``scores[j]`` and ``marginal[j]`` are indexed by 0-based item index.
+    ``scores[j]``, ``marginal[j]`` and ``suffix[j]`` are indexed by 0-based
+    item index; ``suffix[j]`` is the distance from the item's city to the end
+    of the tour (``suffix_distances``).
     Items whose standalone insertion gain is nonpositive (or that cannot fit
     at all) are excluded from ``order``, ``avg_score``, ``max_score`` and the
     positive count ``l``.
@@ -31,6 +33,7 @@ class ScoreTable:
 
     scores: list[float]
     marginal: list[float]
+    suffix: list[float]
     avg_score: float
     max_score: float
     positive_count: int
@@ -44,6 +47,14 @@ def _power(w: float, alpha: float) -> float:
         return w ** alpha
     except OverflowError:
         return math.inf
+
+
+def suffix_distances(cache: PrefixCache) -> np.ndarray:
+    """Per tour position k, the distance from k to the end of the cyclic
+    tour, summed from the tour's end.  Every suffix distance, and the tour
+    length (position 0), is summed this way, which the plan's chord bound
+    relies on."""
+    return cache.leg_dist[::-1].cumsum()[::-1]
 
 
 def build_score_table(inst: Instance, cache: PrefixCache, alpha: float = DEFAULT_ALPHA) -> ScoreTable:
@@ -61,13 +72,9 @@ def build_score_table(inst: Instance, cache: PrefixCache, alpha: float = DEFAULT
     additions does not depend on the Python version, as the builtin
     ``sum``'s does from 3.12 on.
     """
-    suffix = cache.leg_dist[::-1].cumsum()[::-1][cache.position[inst.city - 1]]
+    suffix = suffix_distances(cache)[cache.position[inst.city - 1]]
     speed = inst.v_max - inst.weight * inst.weight_velocity_slope
-    weights = inst.weight.tolist()
-    try:
-        powers = [w ** alpha for w in weights]
-    except OverflowError:
-        powers = [_power(w, alpha) for w in weights]
+    powers = [_power(w, alpha) for w in inst.weight.tolist()]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         scores = inst.profit / (np.array(powers) * suffix)
         marginal = inst.profit - inst.renting_ratio * suffix / speed
@@ -86,6 +93,7 @@ def build_score_table(inst: Instance, cache: PrefixCache, alpha: float = DEFAULT
     return ScoreTable(
         scores=scores.tolist(),
         marginal=marginal.tolist(),
+        suffix=suffix.tolist(),
         avg_score=avg,
         max_score=mx,
         positive_count=l,

@@ -257,13 +257,13 @@ def test_sa_cut_by_its_deadline_hands_back_the_reference_best(monkeypatch):
     # passes at the check before iteration stop + 1; 300 iterations end a run
     config = SolverConfig(sa_t0=200.0, sa_iters_per_temp=30, sa_cooling=0.5)
     undone = []
-    real = packing_mod._flip_back
+    real = packing_mod.flip_items
 
     def flip_back(inst, cache, changed):
         undone.append(len(changed))
         real(inst, cache, changed)
 
-    monkeypatch.setattr(packing_mod, "_flip_back", flip_back)
+    monkeypatch.setattr(packing_mod, "flip_items", flip_back)
     rng = random.Random(90)
     for stop in (0, 1, 2, 5, 13, 29, 30, 31, 77, 150, 299, 10_000):
         for trial in range(4):

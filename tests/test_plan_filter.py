@@ -15,7 +15,8 @@ import loop_eval
 import ttp.packing as packing_mod
 from ttp.evaluate import Solution, build_prefix_cache, delta_flip
 from ttp.instance import Instance
-from ttp.packing import SolverConfig, _flip_bound, _pick_lb, initial_picking_plan
+from ttp.packing import _LOAD_LINE, SolverConfig, _flip_bound, _pick_lb, initial_picking_plan
+from ttp.scoring import suffix_distances
 
 from conftest import columns, float_instance, random_solution
 from loop_eval import loop_initial_picking_plan
@@ -41,10 +42,10 @@ def check_bound(inst: Instance, sol: Solution, counts: dict) -> None:
     cache = build_prefix_cache(inst, sol)
     bound = _flip_bound(inst, cache)
     load = cache.cum_weight.item(-1)
-    suffix = cache.leg_dist[::-1].cumsum()[::-1].tolist()
+    suffix = suffix_distances(cache).tolist()
     for j in range(inst.m):
         w = inst.weight.item(j)
-        if cache.packing[j] or load + w >= inst.capacity * (1.0 - 1e-9):
+        if cache.packing[j] or load + w >= inst.capacity * _LOAD_LINE:
             continue  # past the load line, the plan prices every pick
         k0 = cache.position.item(inst.city.item(j) - 1)
         lb = _pick_lb(inst, bound, inst.profit.item(j), w, load, suffix[k0])
@@ -71,7 +72,7 @@ def test_bound_is_never_above_the_exact_price(kind, v_max, v_min):
         # computed chord costs within rounding of its profit
         cache = build_prefix_cache(inst, empty)
         r_nu, _, _ = _flip_bound(inst, cache)
-        suffix = cache.leg_dist[::-1].cumsum()[::-1][cache.position[inst.city - 1]]
+        suffix = suffix_distances(cache)[cache.position[inst.city - 1]]
         w = np.minimum(inst.weight, inst.capacity / 2)  # below the load line, where it is used
         chord = r_nu * w * (1.0 / inst.v_max) * (1.0 / (inst.v_max - inst.weight_velocity_slope * w)) * suffix
         tied = np.where((w == inst.weight) & (chord > 0), chord, inst.profit)

@@ -282,14 +282,14 @@ def test_two_opt_accepted_moves_keep_state(monkeypatch):
 
 
 def test_improvers_hand_back_the_state_of_what_they_return(monkeypatch):
-    real = packing_mod._flip_back
+    real = packing_mod.flip_items
     flipped_back = []
 
     def recording(inst_, cache_, changed):
         flipped_back.append(len(changed))
         real(inst_, cache_, changed)
 
-    monkeypatch.setattr(packing_mod, "_flip_back", recording)
+    monkeypatch.setattr(packing_mod, "flip_items", recording)
     rng = random.Random(53)
     for k in range(12):
         inst = float_instance(rng, rng.randint(3, 12), rng.randint(0, 20), explicit=k % 3 == 0)
