@@ -15,12 +15,14 @@ Prints one Markdown row per restart: the CPU seconds of its stages (the
 nearest-neighbour walk, the empty-knapsack length descent, the packed
 descents after the plan, the plan, and simulated annealing), of the rest of
 the restart (``other``: its state build and the solver's own work), and the
-gain it reached.  A restart runs from its nearest-neighbour walk, or from its
+gain it reached.  Next to the seconds of simulated annealing stands the
+number of ``delta_flip`` calls it made (``SA priced``): the probes its flip
+bound left open.  A restart runs from its nearest-neighbour walk, or from its
 state build when it has none, to the next restart's start.  A row ``all``
-per instance sums each stage over the restarts; its ``other`` holds the rest
-of the whole solve (the candidate table too), and its last cell the whole
-solve's seconds.  The gains do not depend on the host; the seconds do, so
-compare them within one run of the script.
+per instance sums each stage and the calls over the restarts; its ``other``
+holds the rest of the whole solve (the candidate table too), and its last
+cell the whole solve's seconds.  The gains and the calls do not depend on
+the host; the seconds do, so compare them within one run of the script.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import corpus  # noqa: E402
 import run  # noqa: E402
+import ttp.packing as packing_mod  # noqa: E402
 import ttp.solver as solver_mod  # noqa: E402
 from ttp.instance import parse_instance  # noqa: E402
 from ttp.solver import SolverConfig, solve  # noqa: E402
@@ -44,14 +47,23 @@ INSTANCE_SEED = 1000
 RESTARTS = 3
 INSTANCES = (("A", 200), ("A", 1000), ("C", 200), ("C", 1000), ("B", 500))
 STAGES = ("NN walk", "length descent", "packed descents", "plan", "SA")
+COLUMNS = (*STAGES, "SA priced", "other")
 
 
 def restart_stages(category: str, n: int) -> tuple[list[dict], list[float], float]:
-    """(per restart the CPU seconds of each stage and of ``other``, gain per
-    restart, whole solve) of one solve of the corpus instance."""
+    """(per restart the CPU seconds of each stage and of ``other`` and the
+    ``delta_flip`` calls under SA, gain per restart, whole solve) of one
+    solve of the corpus instance."""
     inst = parse_instance(corpus.generate(category, n, INSTANCE_SEED).text)
     restarts: list[dict] = []  # per restart: its start, and the seconds of each stage
     phase = ""  # of the last restart: "walked", "built" or "planned"
+    priced = 0  # delta_flip calls made through the packing module so far
+    delta_flip = packing_mod.delta_flip
+
+    def counted(*args):
+        nonlocal priced
+        priced += 1
+        return delta_flip(*args)
 
     def timed(name: str):
         real = getattr(solver_mod, name)
@@ -60,7 +72,8 @@ def restart_stages(category: str, n: int) -> tuple[list[dict], list[float], floa
             nonlocal phase
             start = time.process_time()
             if name == "nearest_neighbor_tour" or (name == "build_prefix_cache" and phase != "walked"):
-                restarts.append(dict.fromkeys(STAGES, 0.0) | {"start": start})
+                restarts.append(dict.fromkeys(STAGES, 0.0) | {"SA priced": 0, "start": start})
+            before = priced
             out = real(*args, **kwargs)
             stage = {
                 "nearest_neighbor_tour": "NN walk",
@@ -70,6 +83,8 @@ def restart_stages(category: str, n: int) -> tuple[list[dict], list[float], floa
             }.get(name)
             if stage is not None:
                 restarts[-1][stage] += time.process_time() - start
+            if stage == "SA":
+                restarts[-1]["SA priced"] += priced - before
             phase = {"nearest_neighbor_tour": "walked", "build_prefix_cache": "built",
                      "initial_picking_plan": "planned"}.get(name, phase)
             return out
@@ -81,6 +96,7 @@ def restart_stages(category: str, n: int) -> tuple[list[dict], list[float], floa
     saved = {name: getattr(solver_mod, name) for name in names}
     for name in names:
         setattr(solver_mod, name, timed(name))
+    packing_mod.delta_flip = counted
     try:
         start = time.process_time()
         config = {**run.SOLVER, "max_restarts": RESTARTS}
@@ -89,25 +105,29 @@ def restart_stages(category: str, n: int) -> tuple[list[dict], list[float], floa
     finally:
         for name, real in saved.items():
             setattr(solver_mod, name, real)
+        packing_mod.delta_flip = delta_flip
     for here, later in zip(restarts, [r["start"] for r in restarts[1:]] + [end]):
         here["other"] = later - here["start"] - sum(here[stage] for stage in STAGES)
     return restarts, record.trace, end - start
 
 
+def cells(row: dict) -> str:
+    """The cells of ``COLUMNS``: seconds to the millisecond, and the count."""
+    return " | ".join(str(row[c]) if c == "SA priced" else f"{row[c]:.3f}" for c in COLUMNS)
+
+
 def main() -> int:
     load_triangulation()  # scipy's import, outside every solve
-    columns = (*STAGES, "other")
-    print(f"| instance | restart | {' | '.join(columns)} | gain or solve |")
-    print("|---" * (len(columns) + 3) + "|")
+    print(f"| instance | restart | {' | '.join(COLUMNS)} | gain or solve |")
+    print("|---" * (len(COLUMNS) + 3) + "|")
     for category, n in INSTANCES:
         restarts, gains, total = restart_stages(category, n)
         for k, (here, gain) in enumerate(zip(restarts, gains)):
-            cells = " | ".join(f"{here[c]:.3f}" for c in columns)
-            print(f"| {category}, n={n} | {k} | {cells} | {gain!r} |")
+            print(f"| {category}, n={n} | {k} | {cells(here)} | {gain!r} |")
         sums = {stage: sum(here[stage] for here in restarts) for stage in STAGES}
         sums["other"] = total - sum(sums.values())
-        cells = " | ".join(f"{sums[c]:.3f}" for c in columns)
-        print(f"| {category}, n={n} | all | {cells} | {total:.2f} s |", flush=True)
+        sums["SA priced"] = sum(here["SA priced"] for here in restarts)
+        print(f"| {category}, n={n} | all | {cells(sums)} | {total:.2f} s |", flush=True)
     return 0
 
 

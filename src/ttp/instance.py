@@ -35,6 +35,12 @@ class EdgeWeightType(str, Enum):
     EXPLICIT = "EXPLICIT"
 
 
+# ``Instance.distance`` compares against these on every call; a member read
+# through its class costs over ten times a module-level name
+_EXPLICIT, _CEIL_2D = EdgeWeightType.EXPLICIT, EdgeWeightType.CEIL_2D
+_hypot, _ceil, _floor = math.hypot, math.ceil, math.floor
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """Immutable problem data.  City and item ids are 1-based.
@@ -76,6 +82,8 @@ class Instance:
     _y: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
+        # a name given as a string becomes its member; an unknown one raises ValueError
+        object.__setattr__(self, "edge_weight_type", EdgeWeightType(self.edge_weight_type))
         for name in ("profit", "weight", "city"):
             column = np.array(getattr(self, name), dtype=float)
             if column.shape != (self.m,):
@@ -138,13 +146,14 @@ class Instance:
         """Distance between cities ``i`` and ``j`` (1-based ids)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"city id out of range: ({i}, {j})")
-        if self.edge_weight_type is EdgeWeightType.EXPLICIT:
+        ewt = self.edge_weight_type
+        if ewt is _EXPLICIT:
             return self.explicit_dist.item(i - 1, j - 1)
         x, y = self._x, self._y
-        d = math.hypot(x[i - 1] - x[j - 1], y[i - 1] - y[j - 1])
-        if self.edge_weight_type is EdgeWeightType.CEIL_2D:
-            return float(math.ceil(d))
-        return float(math.floor(d + 0.5))  # EUC_2D, TSPLIB's nint: halves round up
+        d = _hypot(x[i - 1] - x[j - 1], y[i - 1] - y[j - 1])
+        if ewt is _CEIL_2D:
+            return float(_ceil(d))
+        return float(_floor(d + 0.5))  # EUC_2D, TSPLIB's nint: halves round up
 
     @property
     def total_item_weight(self) -> float:

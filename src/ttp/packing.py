@@ -77,7 +77,7 @@ def default_beta(inst: Instance) -> float:
 
 
 # the annealer's load line, as a fraction of capacity: below it the flip
-# bound and the plan's chord bound leave room for rounding
+# bound of an addition and the plan's chord bound leave room for rounding
 _LOAD_LINE = 1.0 - 1e-9
 
 
@@ -227,23 +227,31 @@ def _flip_bound(inst: Instance, cache: PrefixCache) -> tuple[float, float, float
     """Constants of an O(1) upper bound on ``delta_flip``, for a state whose
     tour stays fixed; every leg is nonnegative, as ``Instance`` requires.
 
-    Below capacity the inverse speed f(W) = 1/(v_max - nu*W) is convex, so
-    f(W + w) - f(W) >= nu*w*f(W)**2 and f(W - w) - f(W) >= -nu*w*f(W)**2.
+    On [0, C] the inverse speed f(W) = 1/(v_max - nu*W) is convex, so
+    f(W + w) - f(W) >= nu*w*f(W)**2 while W + w <= C.  At and past C the
+    speed is v_min (``velocities``), so a leg under load W takes
+    g(W) = f(min(W, C)) per unit of distance.  A drop takes w off loads
+    W >= w, as each carries the item.  With a = min(W - w, C) and
+    b = min(W, C), both in [0, C], b - a <= w and f(b) = g(W), so
+
+        g(W - w) - g(W) = f(a) - f(b) >= -nu*(b - a)*f(b)**2 >= -nu*w*g(W)**2.
+
     Summed over the legs from the item's tour position k0, with
     S[k0] = sum_{k >= k0} leg[k] * inv_speed[k]**2 (``_slopes``):
 
         adding (p, w):   delta <= p - R*nu*w*S[k0]
         dropping (p, w): delta <= -p + R*nu*w*S[k0]
 
-    This holds while every load before and after the flip stays below
-    capacity; the caller checks that on the final load.
+    A drop's bound holds at any load, a full knapsack's too; an addition's
+    only while every load after it stays below capacity, which the caller
+    checks on the final load.
 
     Rounding.  With e = 2**-53 and k = v_max / v_min, each computed inverse
-    speed is within (3k + 1)e of f relative, since every load lies in
-    [0, C] and every speed in [v_min, v_max].  So ``delta_flip``'s sum over
-    N <= n legs is off by at most (6k + 2N + 8)e * R*D/v_min (D the suffix
-    length), its ``p`` by e*p, and S and the bound's own products by
-    (6k + N + 9)e relative.  With eta = (n + 10k) * 2**-52, the bound
+    speed is within (3k + 1)e of g relative, since the clamp in
+    ``velocities`` and its exact v_min at or past C keep every speed in
+    [v_min, v_max].  So ``delta_flip``'s sum over N <= n legs is off by at
+    most (6k + 2N + 8)e * R*D/v_min (D the suffix length), its ``p`` by
+    e*p, and S and the bound's own products by (6k + N + 9)e relative.  With eta = (n + 10k) * 2**-52, the bound
 
         ub = (+-p -+ tw) + eta * (p + tw) + 3 * eta * R * L / v_min,
 
@@ -327,12 +335,14 @@ def simulated_annealing_kp(
     flips them back at the end.  The schedule comes from ``config.sa_t0``,
     ``sa_cooling`` and ``sa_iters_per_temp``.
 
-    Exact prices are memoised until the next flip.  Where every load stays
-    below capacity, an unpriced probe whose upper bound ``ub``
-    (``_flip_bound``) is <= 0 cannot improve, so the draw u is taken as for
-    any worsening probe, and u >= exp(ub / T) rejects it without
-    ``delta_flip``.  The random stream and every decision are those of
-    pricing every probe.
+    A probe whose upper bound ``ub`` (``_flip_bound``) is <= 0 cannot
+    improve, so the draw u is taken as for any worsening probe, and
+    u >= exp(ub / T) rejects it without a price.  The bound decides every
+    drop, and every addition whose final load stays below the load line.
+    Exact prices are memoised until the next flip, and the memo is read
+    only for a probe the bound leaves open: a memoised probe the bound
+    rejects would be rejected by its price from the same u.  The random
+    stream and every decision are those of pricing every probe.
     """
     if inst.m == 0:
         return
@@ -366,14 +376,15 @@ def simulated_annealing_kp(
             turning_on = not packing[j]
             if turning_on and load + w > capacity:
                 continue
-            u, delta = None, memo.get(j)
+            u = None
+            if not turning_on or load + w < load_line:
+                ub = _flip_ub(bound, profit[j], w, slope[pos[j]], turning_on)
+                if ub <= 0:  # so delta <= 0 too: u is drawn either way
+                    u = random()
+                    if u >= exp(ub / temp) * _EXP_MARGIN:
+                        continue
+            delta = memo.get(j)
             if delta is None:
-                if (load + w if turning_on else load) < load_line:
-                    ub = _flip_ub(bound, profit[j], w, slope[pos[j]], turning_on)
-                    if ub <= 0:  # so delta <= 0 too: u is drawn either way
-                        u = random()
-                        if u >= exp(ub / temp) * _EXP_MARGIN:
-                            continue
                 delta = memo[j] = delta_flip(inst, cache, j + 1)
             if not (delta > 0 or (random() if u is None else u) < exp(delta / temp)):
                 continue

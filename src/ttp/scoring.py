@@ -49,6 +49,21 @@ def _power(w: float, alpha: float) -> float:
         return math.inf
 
 
+def _powers(weights: np.ndarray, alpha: float) -> np.ndarray:
+    """``_power`` of every weight, called once per distinct weight: the
+    weights in sorted order, grouped where a weight differs from the one
+    before."""
+    order = np.argsort(weights)
+    ordered = weights[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = np.array([_power(w, alpha) for w in ordered[first].tolist()])
+    powers = np.empty(len(ordered))
+    powers[order] = distinct[first.cumsum() - 1]
+    return powers
+
+
 def suffix_distances(cache: PrefixCache) -> np.ndarray:
     """Per tour position k, the distance from k to the end of the cyclic
     tour, summed from the tour's end.  Every suffix distance, and the tour
@@ -66,17 +81,16 @@ def build_score_table(inst: Instance, cache: PrefixCache, alpha: float = DEFAULT
     gain is its standalone insertion gain into an empty knapsack, charging
     the slowed speed over the whole suffix: profit - R * suffix / v, -inf for
     an item heavier than the capacity.  ``weight ** alpha`` is Python's
-    ``pow``, which ``np.power`` may not match in the last bit; where it
-    overflows it reads as +inf, which scores the item 0, the limit of the
-    formula.  The mean score is a ``sequential_sum``, whose order of
+    ``pow``, which ``np.power`` may not match in the last bit, taken once
+    per distinct weight; where it overflows it reads as +inf, which scores
+    the item 0, the limit of the formula.  The mean score is a ``sequential_sum``, whose order of
     additions does not depend on the Python version, as the builtin
     ``sum``'s does from 3.12 on.
     """
     suffix = suffix_distances(cache)[cache.position[inst.city - 1]]
     speed = inst.v_max - inst.weight * inst.weight_velocity_slope
-    powers = [_power(w, alpha) for w in inst.weight.tolist()]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scores = inst.profit / (np.array(powers) * suffix)
+        scores = inst.profit / (_powers(inst.weight, alpha) * suffix)
         marginal = inst.profit - inst.renting_ratio * suffix / speed
     scores[suffix == 0.0] = math.inf  # also where an infinite power meets it
     marginal[(inst.weight > inst.capacity) | (speed <= 0)] = -math.inf

@@ -153,6 +153,31 @@ def test_distance_out_of_range():
         inst.distance(1, 4)
 
 
+@pytest.mark.parametrize("ewt", list(EdgeWeightType))
+def test_edge_weight_type_given_by_name_is_the_member(ewt):
+    # (0, 0)-(1, 1) is 2 under CEIL_2D and 1 under EUC_2D; (0, 0)-(0.5, 0)
+    # is 1 under both; the matrix gives its own entries
+    coords = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.0]])
+    matrix = np.array([[0.0, 7.5, 3.0], [7.5, 0.0, 4.25], [3.0, 4.25, 0.0]])
+    common = dict(name="named", n=3, m=0, coords=coords, profit=[], weight=[], city=[], capacity=10,
+                  v_min=0.1, v_max=1, renting_ratio=1, explicit_dist=matrix)
+    by_member = Instance(**common, edge_weight_type=ewt)
+    by_name = Instance(**common, edge_weight_type=ewt.value)
+    assert by_name.edge_weight_type is ewt
+    pairs = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    got = [by_name.distance(i, j) for i, j in pairs]
+    assert got == [by_member.distance(i, j) for i, j in pairs]
+    i, j = (np.array(ids) - 1 for ids in zip(*pairs))
+    assert _distances(by_name, i, j).tolist() == got
+    assert by_name.distance(1, 2) == {"CEIL_2D": 2.0, "EUC_2D": 1.0, "EXPLICIT": 7.5}[ewt.value]
+
+
+def test_unknown_edge_weight_type_is_rejected():
+    coords = np.array([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="GEO"):
+        Instance("geo", 2, 0, coords, [], [], [], 10, 0.1, 1, 1, "GEO")
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_distance_symmetry(seed):
     rng = random.Random(seed)

@@ -13,7 +13,7 @@ import loop_eval
 import ttp.packing as packing_mod
 from ttp.evaluate import Solution, build_prefix_cache, delta_flip
 from ttp.instance import EdgeWeightType, Instance
-from ttp.packing import SolverConfig, _flip_bound, _flip_ub, _slopes, simulated_annealing_kp
+from ttp.packing import _LOAD_LINE, SolverConfig, _flip_bound, _flip_ub, _slopes, simulated_annealing_kp
 
 from conftest import columns, improved, random_solution
 from loop_eval import loop_simulated_annealing
@@ -53,23 +53,23 @@ def with_capacity(inst: Instance, capacity: float) -> Instance:
 
 
 def bound_applies(inst: Instance, cache, w: float, adding: bool) -> bool:
-    """The annealing loop's test: every load before and after the flip
-    stays below capacity by a relative 1e-9."""
-    top = float(cache.cum_weight[-1])
-    return (top + w if adding else top) < inst.capacity * (1.0 - 1e-9)
+    """The annealing loop's test: a drop is bounded at any load, an
+    addition only while its final load stays below the load line."""
+    return not adding or float(cache.cum_weight[-1]) + w < inst.capacity * _LOAD_LINE
 
 
 def check_state(inst: Instance, sol: Solution, counts: dict) -> None:
     cache = build_prefix_cache(inst, sol)
     bound = _flip_bound(inst, cache)
     slope = _slopes(cache)
+    load = float(cache.cum_weight[-1])
     for j in range(1, inst.m + 1):
         adding = not sol.packing[j - 1]
         w = float(inst.weight[j - 1])
-        if adding and float(cache.cum_weight[-1]) + w > inst.capacity:
+        if adding and load + w > inst.capacity:
             continue  # infeasible: the annealing loop never prices it
         if not bound_applies(inst, cache, w, adding):
-            counts["fallback"] += 1
+            counts["addition fallback"] += 1
             continue
         k0 = int(cache.position[inst.city[j - 1] - 1])
         ub = _flip_ub(bound, float(inst.profit[j - 1]), w, slope[k0], adding)
@@ -77,24 +77,31 @@ def check_state(inst: Instance, sol: Solution, counts: dict) -> None:
         assert ub >= delta, (inst.name, j, ub, delta)
         counts["checked"] += 1
         counts["decisive"] += ub <= 0
+        counts["full drop"] += not adding and abs(load - inst.capacity) <= 1e-9 * inst.capacity
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("v_max, v_min", [(1.0, 0.1), (3.0, 0.01), (0.75, 0.5)])
 def test_bound_is_never_below_the_exact_delta(kind, v_max, v_min):
     rng = random.Random(f"{kind} {v_max}")
-    counts = {"checked": 0, "decisive": 0, "fallback": 0}
+    counts = dict.fromkeys(("checked", "decisive", "addition fallback", "full drop"), 0)
     for k in range(25):
         inst = bound_instance(rng, kind, rng.randint(2, 20), rng.randint(1, 30), v_max, v_min,
                               r=[0.0, 1e-8, None, None, None][k % 5], float_weights=k % 2 == 0)
         sol = random_solution(rng, inst)
         check_state(inst, sol, counts)
-        # the same packing with the capacity right at, or just above, its load
+        # the same packing with the capacity right at, just above or just
+        # below its load, and with the lightest item left out fitting just
+        # past the load line
         load = float(build_prefix_cache(inst, sol).cum_weight[-1])
         if load > 0:
-            for slack in (0.0, 5e-10, 2e-9, 1e-6):
+            for slack in (0.0, 5e-10, 2e-9, 1e-6, -1e-6):
                 check_state(with_capacity(inst, load * (1 + slack)), sol, counts)
-    assert counts["checked"] > 300 and counts["decisive"] > 100 and counts["fallback"] > 50
+        left = [w for w, picked in zip(inst.weight.tolist(), sol.packing) if not picked]
+        if left:
+            check_state(with_capacity(inst, (load + min(left)) * (1 + 5e-10)), sol, counts)
+    assert counts["checked"] > 300 and counts["decisive"] > 100
+    assert counts["addition fallback"] >= 20 and counts["full drop"] >= 200, counts
 
 
 def count_calls(monkeypatch, module, name: str = "delta_flip") -> dict:
@@ -150,19 +157,19 @@ def test_item_draws_follow_randint(monkeypatch, m):
     run_both(monkeypatch, inst, sol, params, seed=m)
 
 
-def test_at_capacity_every_probe_is_priced(monkeypatch):
-    # everything picked and the capacity right at the load: additions are
-    # infeasible and every drop is priced exactly, never bounded; with the
-    # capacity 1e-6 above the load, the bound rejects the drops instead
+def test_at_capacity_drops_are_bounded(monkeypatch):
+    # everything picked and the capacity right at, or just above, the load:
+    # additions are infeasible, and the bound decides drops at any load, so
+    # a full knapsack prices only the drops it cannot reject
     items = columns([(1000.0 + j, 1.0 + 0.1 * j, 2 + j % 5) for j in range(1, 11)])
     coords = np.array([[3.0 * i, (i * i) % 7] for i in range(6)])
     total = float(np.cumsum(items["weight"])[-1])
     sol = Solution([1, 2, 3, 4, 5, 6], [1] * 10)
     params = SolverConfig(sa_t0=1.0, sa_cooling=0.5, sa_iters_per_temp=50)
-    for capacity, all_priced in ((total, True), (total * (1 + 5e-10), True), (total * (1 + 1e-6), False)):
+    for capacity in (total, total * (1 + 5e-10), total * (1 + 1e-6)):
         inst = Instance("full", 6, 10, coords, **items, capacity=capacity, v_min=0.1, v_max=1.0,
                         renting_ratio=0.5)
         bounded = count_calls(monkeypatch, packing_mod, "_flip_ub")
-        _, ref = run_both(monkeypatch, inst, sol, params, seed=3)
+        ours, ref = run_both(monkeypatch, inst, sol, params, seed=3)
         assert ref == 500
-        assert (bounded["n"] == 0) is all_priced
+        assert bounded["n"] > 0 and ours < ref / 10

@@ -205,3 +205,24 @@ def test_table_at_an_overflowing_alpha_equals_the_reference(alpha):
         zero += table.scores.count(0.0)
         inf += table.scores.count(math.inf)
     assert zero and inf
+
+
+@pytest.mark.parametrize("alpha", [1.5, 120.0, -120.0])
+def test_repeated_weights_equal_the_reference(alpha):
+    # the table takes each power once per distinct weight; here the items
+    # share five weights, and at alpha +-120 the power of 1e3 or of 1e-3
+    # overflows, which scores every item of that weight 0
+    rng = random.Random(str(alpha))
+    shared = [1e-3, 0.5, 2.0, 7.25, 1e3]
+    zero = 0
+    for _ in range(20):
+        inst, tour = edge_case_instance(rng, rng.choice(list(EdgeWeightType)), rng.randint(3, 12), rng.randint(6, 40))
+        inst = dataclasses.replace(inst, weight=[rng.choice(shared) for _ in range(inst.m)])
+        assert len(set(inst.weight.tolist())) < inst.m
+        cache = build_prefix_cache(inst, Solution(tour, [0] * inst.m))
+        table = build_score_table(inst, cache, alpha)
+        expect = loop_score_table(inst, cache, alpha)
+        for name, value in expect.items():
+            assert getattr(table, name) == value, name
+        zero += table.scores.count(0.0)
+    assert (zero > 0) is (alpha != 1.5)
